@@ -1,9 +1,11 @@
 #include "perfbench/common.h"
 
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +30,10 @@ int ConnectionsFor(const std::string& workload) {
   if (workload == "point_lookup") return kPointLookupConnections;
   if (workload == "analytic") return kAnalyticConnections;
   return kIngestConnections;
+}
+
+bool PinnedToOneCpu(const std::string& workload) {
+  return workload == "point_lookup";
 }
 
 server::ServerOptions ReadServerOptions() {
@@ -83,7 +89,8 @@ void PrintBudget(const std::string& workload) {
   Info("budget nproc=" + std::to_string(hw) +
        " ERBIUM_THREADS=" + (threads ? threads : "unset") +
        " connections=" + std::to_string(ConnectionsFor(workload)) +
-       " server_workers=" + std::to_string(std::max(2, hw)));
+       " server_workers=" + std::to_string(std::max(2, hw)) +
+       " pinned=" + (PinnedToOneCpu(workload) ? "1cpu" : "no"));
 }
 
 // ---- Statement streams ---------------------------------------------------------
@@ -207,18 +214,67 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+namespace {
+
+/// The CPU an active CpuPin holds, or -1.
+std::atomic<int> pinned_cpu{-1};
+cpu_set_t saved_mask;
+
+/// Applies `mask` to every thread of the process.
+void SetProcessAffinity(const cpu_set_t& mask) {
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    pid_t tid = static_cast<pid_t>(
+        std::strtol(task.path().filename().c_str(), nullptr, 10));
+    sched_setaffinity(tid, sizeof(mask), &mask);
+  }
+}
+
+}  // namespace
+
+CpuPin::CpuPin(bool enabled) {
+  if (!enabled) return;
+  if (sched_getaffinity(0, sizeof(saved_mask), &saved_mask) != 0) return;
+  int cpu = -1;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &saved_mask)) cpu = c;
+  }
+  if (cpu < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  SetProcessAffinity(one);
+  pinned_cpu.store(cpu);
+  pinned_ = true;
+}
+
+CpuPin::~CpuPin() {
+  if (!pinned_) return;
+  SetProcessAffinity(saved_mask);
+  pinned_cpu.store(-1);
+}
+
 CpuTicks ReadCpuTicks() {
   CpuTicks ticks;
+  const int pinned = pinned_cpu.load();
+  const std::string want =
+      pinned < 0 ? "cpu" : "cpu" + std::to_string(pinned);
   std::ifstream in("/proc/stat");
-  std::string cpu;
-  in >> cpu;
-  if (cpu != "cpu") return ticks;
-  // user nice system idle iowait irq softirq steal [guest guest_nice]
-  for (int field = 0; field < 8; ++field) {
-    uint64_t v = 0;
-    if (!(in >> v)) break;
-    ticks.total += v;
-    if (field == 7) ticks.steal = v;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string cpu;
+    fields >> cpu;
+    if (cpu != want) continue;
+    // user nice system idle iowait irq softirq steal [guest guest_nice]
+    for (int field = 0; field < 8; ++field) {
+      uint64_t v = 0;
+      if (!(fields >> v)) break;
+      ticks.total += v;
+      if (field == 7) ticks.steal = v;
+    }
+    break;
   }
   return ticks;
 }

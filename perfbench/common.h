@@ -60,6 +60,9 @@ constexpr int kPointLookupConnections = 2;
 constexpr int kAnalyticConnections = 1;
 constexpr int kIngestConnections = 4;
 int ConnectionsFor(const std::string& workload);
+/// Whether the workload's server and clients share one CPU (see CpuPin):
+/// point_lookup, whose closed loop is all cross-thread handoffs.
+bool PinnedToOneCpu(const std::string& workload);
 
 /// Server options for a read workload: default ServerOptions with the
 /// Figure 4 preload (notably the default plan-cache capacity).
@@ -139,7 +142,26 @@ uint64_t ProcessCpuNs();
 /// Peak resident set (VmHWM) in MiB.
 double PeakRssMb();
 
-/// Aggregate /proc/stat "cpu" counters; steal share between two samples.
+/// Confines every thread of the process, and every thread started while
+/// it lives, to one CPU (the last the process may run on); the destructor
+/// restores the previous mask. A closed loop of cross-thread handoffs
+/// spread over several vCPUs keeps waking halted ones, and on a busy host
+/// each such wakeup waits for the hypervisor: throughput then falls
+/// several times faster than the host's steal grows. On one CPU that
+/// stays busy, a handoff is a context switch and steal costs its share.
+class CpuPin {
+ public:
+  explicit CpuPin(bool enabled);
+  ~CpuPin();
+  CpuPin(const CpuPin&) = delete;
+  CpuPin& operator=(const CpuPin&) = delete;
+
+ private:
+  bool pinned_ = false;
+};
+
+/// /proc/stat counters of the pinned CPU while a CpuPin is active, of all
+/// CPUs otherwise; steal share between two samples.
 struct CpuTicks {
   uint64_t steal = 0;
   uint64_t total = 0;

@@ -434,7 +434,11 @@ RunResult RunTraced(const Args& args) {
   RunResult out;
   const CpuTicks ticks0 = ReadCpuTicks();
   const uint64_t budget = static_cast<uint64_t>(args.seconds) * 1'000'000'000ULL;
-  ServerPhase(args, budget / 2, &out);
+  {
+    // As in the timed run: point_lookup's server and clients share a CPU.
+    CpuPin cpu_pin(PinnedToOneCpu(args.workload));
+    ServerPhase(args, budget / 2, &out);
+  }
   ApiPhase(args, budget / 4, &out);
   {
     std::shared_ptr<ERSchema> schema;

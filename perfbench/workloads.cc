@@ -3,15 +3,17 @@
 // Host steal (CPU time the hypervisor gives to other guests) is the main
 // source of run-to-run spread on a shared host, and a closed loop of
 // cross-thread wakeups amplifies it: one point of steal costs several
-// points of throughput. So the high-rate closed loops (point_lookup,
-// ingest_durable) sample the host every kSliceNs and take their latency,
-// throughput and CPU figures over the slices in which nothing was
-// stolen. analytic, whose statements outlast a slice, and the reopen
-// timings report the lower quartile over their repetitions.
+// points of throughput. So point_lookup's sub-runs run inside a CpuPin,
+// and the high-rate closed loops (point_lookup, ingest_durable) sample
+// the host every kSliceNs and take their latency, throughput and CPU
+// figures over the slices in which nothing was stolen. analytic, whose
+// statements outlast a slice, and the reopen timings report the lower
+// quartile over their repetitions.
 //
 // Read workloads split the window over kSubRuns freshly started servers,
-// each start one setup_s sample; before them, a checkpointed copy of the
-// served dataset is reopened kReopens times (recovery_s).
+// each start one setup_s sample; before each, a checkpointed copy of the
+// served dataset is reopened kReopensPerSubRun times (recovery_s), so the
+// reopens sample the whole run rather than its first seconds.
 // ingest_durable repeats a fixed-work round until the window ends.
 
 #include <unistd.h>
@@ -31,8 +33,8 @@ namespace perfbench {
 namespace {
 
 constexpr int kSubRuns = 8;
-/// Read workloads: timed reopens of the dataset copy.
-constexpr int kReopens = 16;
+/// Read workloads: timed reopens of the dataset copy before each sub-run.
+constexpr int kReopensPerSubRun = 2;
 constexpr uint64_t kWarmupNs = 300'000'000;
 constexpr uint64_t kSliceNs = 100'000'000;
 /// Fewest slices the figures rest on: when fewer are steal-free, the
@@ -231,24 +233,26 @@ class DatasetCopy {
 };
 
 /// Runs kSubRuns sub-runs of `measure(sub_run, sut, window_ns)`, each on
-/// a freshly started server, and adds setup_s, rss_mb,
-/// disk_bytes_per_row and recovery_s.
+/// a freshly started server (inside a CpuPin when the workload is pinned),
+/// and adds setup_s, rss_mb, disk_bytes_per_row and recovery_s.
 template <typename Measure>
 void RunReadWorkload(const Args& args, int connections, RunResult* out,
                      Measure measure) {
   DatasetCopy dataset(args);
   const uint64_t window_ns =
       static_cast<uint64_t>(args.seconds) * 1'000'000'000ULL / kSubRuns;
-  std::vector<double> recovery;
-  for (int k = 0; k < kReopens; ++k) recovery.push_back(dataset.Reopen(out));
-  std::vector<double> setup;
+  std::vector<double> recovery, setup;
   double rss_mb = 0;
   for (int k = 0; k < kSubRuns; ++k) {
+    for (int r = 0; r < kReopensPerSubRun; ++r) {
+      recovery.push_back(dataset.Reopen(out));
+    }
     ServerWithClients sut;
     uint64_t t0 = NowNs();
     sut.server = StartServer(ReadServerOptions());
     sut.clients = Connect(sut.server.get(), connections, "perfbench");
     setup.push_back(static_cast<double>(NowNs() - t0) / 1e9);
+    CpuPin cpu_pin(PinnedToOneCpu(args.workload));
     const CpuTicks ticks = ReadCpuTicks();
     measure(k, &sut, window_ns);
     rss_mb = std::max(rss_mb, PeakRssMb());
