@@ -15,8 +15,8 @@
 //   server.bench.idle_burst.{p50_us,p99_us,rss_mb,threads,connections}
 //   server.bench.read_under_writes.{idle,writes,checkpoint}.{p50_us,p99_us}
 //   server.bench.lifecycle.{queue_wait,execute,write_stall}_mean_us
-//   server.bench.sharded_inserts.s<N>.{inserts_per_sec,p50_us,p99_us}
-//   server.bench.sharded_inserts.s<N>.shard<k>.inserts   (routing spread)
+//   server.bench.durable_inserts.{inserts_per_sec,p50_us,p99_us}
+//   server.bench.durable_inserts.{wal_appends,wal_syncs}  (group size)
 //
 // The lifecycle gauges summarize where a statement's server-side time
 // went across the whole run (means over the server.queue_wait_us /
@@ -24,6 +24,7 @@
 // also carries in full).
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -592,34 +593,32 @@ void BM_IdleBurst(benchmark::State& state) {
   RecordLifecycleSplit();
 }
 
-/// Sharded-engine headline: single-row insert throughput as the entity
-/// sets partition across 1 / 2 / 4 / 8 intra-process shards. Each run
-/// boots a dedicated server with --shards N semantics
-/// (StatementRunner::Options::shards) and streams inserts from 8
-/// connections; writers serialize per shard, so on a multi-core box
-/// throughput should scale with N. The per-shard insert counters
-/// (shard.<k>.inserts) are snapshotted before/after and their deltas
-/// published as gauges — structural proof the router actually spread
-/// the keys even on machines where wall-clock scaling is flat
-/// (e.g. single-core CI).
-void BM_ShardedInserts(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kClients = 8;
-  constexpr int kInsertsPerClient = 150;
+/// Durable ingest: single-row inserts from 16 connections into a fresh
+/// attached directory with SyncMode::kFsync, so every acknowledged
+/// insert is on disk. All inserts hit R, one lock domain, so they share
+/// fdatasyncs only through the WAL's group commit (a writer releases its
+/// domain before waiting for the sync). Reports inserts/s, p50/p99, and
+/// the mean group size: WAL appends per fdatasync over the run.
+void BM_DurableInserts(benchmark::State& state) {
+  constexpr int kClients = 16;
+  constexpr int kInsertsPerClient = 1500;
 
-  // A dedicated server per shard count: the shard layout is fixed at
-  // engine creation, and the insert stream must not pollute the shared
-  // benchmark server.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("erbium_bench_durable_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
   server::ServerOptions options;
   options.port = 0;
   options.max_connections = kClients + 4;
   options.idle_timeout_ms = 600'000;
   options.request_deadline_ms = 0;
-  options.runner.figure4 = true;
-  options.runner.figure4_num_r = 64;  // tiny preload; inserts dominate
-  options.runner.figure4_num_s = 16;
-  options.runner.plan_cache_capacity = 4096;
-  options.runner.shards = shards;
+  options.checkpoint_on_shutdown = false;
+  options.runner.figure4 = true;  // the schema only; rows come from inserts
+  options.runner.figure4_num_r = 0;
+  options.runner.figure4_num_s = 0;
+  options.runner.attach_dir = dir;
+  options.runner.sync = durability::WalWriter::SyncMode::kFsync;
   auto started = server::Server::Start(std::move(options));
   if (!started.ok()) {
     state.SkipWithError(started.status().ToString().c_str());
@@ -632,7 +631,7 @@ void BM_ShardedInserts(benchmark::State& state) {
   for (int i = 0; i < kClients; ++i) {
     server::Client::Options copts;
     copts.port = server->port();
-    copts.name = "sharded-" + std::to_string(i);
+    copts.name = "durable-" + std::to_string(i);
     copts.connect_retries = 10;
     auto client = server::Client::Connect(std::move(copts));
     if (!client.ok()) {
@@ -642,18 +641,9 @@ void BM_ShardedInserts(benchmark::State& state) {
     connections.push_back(std::move(client).value());
   }
 
-  // The per-shard counters are process-global and cumulative across the
-  // Arg sweep, so measure deltas.
   auto& registry = obs::MetricsRegistry::Global();
-  auto shard_counter_name = [](int k) {
-    return "shard." + std::to_string(k) + ".inserts";
-  };
-  std::vector<int64_t> before(shards, 0);
-  for (int k = 0; k < shards; ++k) {
-    before[static_cast<size_t>(k)] =
-        registry.counter(shard_counter_name(k)).Value();
-  }
-
+  const int64_t appends_before = registry.counter("wal.appends").Value();
+  const int64_t syncs_before = registry.counter("wal.syncs").Value();
   std::vector<double> all_latencies_us;
   double total_seconds = 0.0;
   for (auto _ : state) {
@@ -689,14 +679,22 @@ void BM_ShardedInserts(benchmark::State& state) {
                                       wall_start)
             .count();
     if (failed.load()) {
-      state.SkipWithError("a sharded insert failed");
-      return;
+      state.SkipWithError("a durable insert failed");
+      break;
     }
     for (const auto& lats : per_thread) {
       all_latencies_us.insert(all_latencies_us.end(), lats.begin(),
                               lats.end());
     }
   }
+  const int64_t appends = registry.counter("wal.appends").Value() -
+                          appends_before;
+  const int64_t syncs = registry.counter("wal.syncs").Value() - syncs_before;
+  connections.clear();
+  server->Stop();
+  server.reset();
+  std::filesystem::remove_all(dir);
+  if (all_latencies_us.empty()) return;
 
   state.SetItemsProcessed(static_cast<int64_t>(all_latencies_us.size()));
   double p50 = Percentile(&all_latencies_us, 0.50);
@@ -705,28 +703,22 @@ void BM_ShardedInserts(benchmark::State& state) {
                        ? static_cast<double>(all_latencies_us.size()) /
                              total_seconds
                        : 0.0;
+  double group_size =
+      syncs > 0 ? static_cast<double>(appends) / static_cast<double>(syncs)
+                : 0.0;
   state.counters["p50_us"] = p50;
   state.counters["p99_us"] = p99;
   state.counters["inserts_per_sec"] = per_sec;
-  std::string prefix =
-      "server.bench.sharded_inserts.s" + std::to_string(shards);
+  state.counters["group_size"] = group_size;
+  const std::string prefix = "server.bench.durable_inserts";
   registry.gauge(prefix + ".p50_us")
       .Set(static_cast<int64_t>(std::llround(p50)));
   registry.gauge(prefix + ".p99_us")
       .Set(static_cast<int64_t>(std::llround(p99)));
   registry.gauge(prefix + ".inserts_per_sec")
       .Set(static_cast<int64_t>(std::llround(per_sec)));
-  for (int k = 0; k < shards; ++k) {
-    int64_t delta = registry.counter(shard_counter_name(k)).Value() -
-                    before[static_cast<size_t>(k)];
-    state.counters["shard" + std::to_string(k)] =
-        static_cast<double>(delta);
-    registry.gauge(prefix + ".shard" + std::to_string(k) + ".inserts")
-        .Set(delta);
-  }
-
-  connections.clear();
-  server->Stop();
+  registry.gauge(prefix + ".wal_appends").Set(appends);
+  registry.gauge(prefix + ".wal_syncs").Set(syncs);
 }
 
 BENCHMARK(BM_PointRead)->Arg(1)->Arg(8)->Arg(64)->UseRealTime()
@@ -739,8 +731,8 @@ BENCHMARK(BM_ReadUnderWrites)->UseRealTime()->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IdleBurst)->UseRealTime()->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShardedInserts)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DurableInserts)->UseRealTime()->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

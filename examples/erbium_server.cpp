@@ -20,8 +20,6 @@
 //   --metrics-port <n>     serve HTTP GET /metrics (Prometheus text) and
 //                          GET /healthz on this port (0 = ephemeral;
 //                          omit the flag to disable the endpoint)
-//   --shards <n>           partition entity sets across n intra-process
-//                          shards (default: ERBIUM_SHARDS env var, else 1)
 
 #include <signal.h>
 
@@ -31,12 +29,10 @@
 #include <string>
 
 #include "server/server.h"
-#include "shard/co_partition.h"
 
 int main(int argc, char** argv) {
   erbium::server::ServerOptions options;
   options.port = 7177;
-  options.runner.shards = erbium::shard::ShardCountFromEnv();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next_int = [&](int fallback) {
@@ -58,12 +54,6 @@ int main(int argc, char** argv) {
       options.request_deadline_ms = next_int(options.request_deadline_ms);
     } else if (arg == "--metrics-port") {
       options.metrics_port = next_int(options.metrics_port);
-    } else if (arg == "--shards") {
-      options.runner.shards = next_int(options.runner.shards);
-      if (options.runner.shards < 1) {
-        std::fprintf(stderr, "--shards must be a positive integer\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -84,15 +74,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;
   }
-  std::printf("erbium_server listening on %s:%d%s%s%s\n", options.host.c_str(),
+  std::printf("erbium_server listening on %s:%d%s%s\n", options.host.c_str(),
               (*server)->port(), options.runner.figure4 ? " (figure4)" : "",
               options.runner.attach_dir.empty()
                   ? ""
-                  : (" (attached " + options.runner.attach_dir + ")").c_str(),
-              options.runner.shards > 1
-                  ? (" (" + std::to_string(options.runner.shards) + " shards)")
-                        .c_str()
-                  : "");
+                  : (" (attached " + options.runner.attach_dir + ")").c_str());
   if ((*server)->metrics_port() >= 0) {
     std::printf("metrics on http://%s:%d/metrics (healthz on /healthz)\n",
                 options.host.c_str(), (*server)->metrics_port());

@@ -4,8 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <utility>
@@ -43,52 +41,6 @@ std::string LeadingKeyword(const std::string& statement) {
         static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
   return word;
-}
-
-/// Second keyword of a statement, lowercased ("" when none) — used to
-/// spot SHOW SHARDS, which the runner answers itself (the query engine
-/// has no notion of the shard set).
-std::string SecondKeyword(const std::string& statement) {
-  size_t i = 0;
-  auto skip_space = [&] {
-    while (i < statement.size() &&
-           std::isspace(static_cast<unsigned char>(statement[i]))) {
-      ++i;
-    }
-  };
-  auto skip_word = [&] {
-    while (i < statement.size() &&
-           std::isalpha(static_cast<unsigned char>(statement[i]))) {
-      ++i;
-    }
-  };
-  skip_space();
-  skip_word();
-  skip_space();
-  std::string word;
-  for (; i < statement.size(); ++i) {
-    char c = statement[i];
-    if (!std::isalpha(static_cast<unsigned char>(c))) break;
-    word.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return word;
-}
-
-obs::Counter ShardCounter(const std::string& name) {
-  return obs::MetricsRegistry::Global().counter(name);
-}
-
-std::string ShardInsertCounterName(int shard) {
-  return "shard." + std::to_string(shard) + ".inserts";
-}
-
-std::string ShardManifestPath(const std::string& dir) {
-  return dir + "/SHARDS";
-}
-
-std::string ShardDirPath(const std::string& dir, int shard) {
-  return dir + "/shard-" + std::to_string(shard);
 }
 
 }  // namespace
@@ -131,7 +83,6 @@ Result<std::unique_ptr<StatementRunner>> StatementRunner::Create(
   runner->spec_ = std::move(options.spec);
   runner->sync_ = options.sync;
   runner->faults_ = options.faults;
-  runner->shards_ = std::max(1, options.shards);
   if (options.plan_cache_capacity > 0) {
     runner->plan_cache_ =
         std::make_unique<erql::PlanCache>(options.plan_cache_capacity);
@@ -142,44 +93,11 @@ Result<std::unique_ptr<StatementRunner>> StatementRunner::Create(
     runner->ddl_history_ = Figure4Ddl();
   }
   ERBIUM_RETURN_NOT_OK(runner->Rebuild(runner->schema_));
-  // Register the shard metrics up front so /metrics and SHOW METRICS
-  // expose the full set from the first scrape.
-  obs::MetricsRegistry::Global().gauge("shard.count").Set(runner->shards_);
-  for (int k = 0; k < runner->shards_; ++k) {
-    ShardCounter(ShardInsertCounterName(k)).Increment(0);
-  }
-  if (runner->shards_ > 1) {
-    for (const char* route :
-         {"single-shard", "shard-local", "scatter-gather"}) {
-      ShardCounter(std::string("shard.route.") + route).Increment(0);
-    }
-  }
   if (options.figure4) {
     Figure4Config config;
     config.num_r = options.figure4_num_r;
     config.num_s = options.figure4_num_s;
-    if (runner->shards_ > 1) {
-      // Route the generated stream: entities by anchor-key hash, edges to
-      // their dominant participant's shard. The generator emits every
-      // entity before any relationship, so the cross-shard existence
-      // probes resolve against fully loaded siblings.
-      StatementRunner* r = runner.get();
-      Figure4Sinks sinks;
-      sinks.insert_entity = [r](const std::string& cls,
-                                Value fields) -> Status {
-        ERBIUM_ASSIGN_OR_RETURN(int s, r->router_->RouteInsert(cls, fields));
-        return r->shard_db(s)->InsertEntity(cls, fields);
-      };
-      sinks.insert_relationship = [r](const std::string& rel, IndexKey left,
-                                      IndexKey right, Value attrs) -> Status {
-        ERBIUM_ASSIGN_OR_RETURN(int s,
-                                r->router_->RouteRelationship(rel, left, right));
-        return r->shard_db(s)->InsertRelationship(rel, left, right, attrs);
-      };
-      ERBIUM_RETURN_NOT_OK(PopulateFigure4(sinks, config));
-    } else {
-      ERBIUM_RETURN_NOT_OK(PopulateFigure4(runner->db_.get(), config));
-    }
+    ERBIUM_RETURN_NOT_OK(PopulateFigure4(runner->db_.get(), config));
   }
   if (!options.attach_dir.empty()) {
     std::string message;
@@ -189,104 +107,14 @@ Result<std::unique_ptr<StatementRunner>> StatementRunner::Create(
 }
 
 Status StatementRunner::Rebuild(std::shared_ptr<ERSchema> next_schema) {
-  if (shards_ <= 1) {
-    auto fresh = MappedDatabase::Create(next_schema.get(), spec_);
-    if (!fresh.ok()) return fresh.status();
-    if (db_ != nullptr) {
-      ERBIUM_RETURN_NOT_OK(evolution::MigrateData(db_.get(), fresh->get()));
-    }
-    db_ = std::move(fresh).value();
-    schema_ = std::move(next_schema);
-    return Status::OK();
+  auto fresh = MappedDatabase::Create(next_schema.get(), spec_);
+  if (!fresh.ok()) return fresh.status();
+  if (db_ != nullptr) {
+    ERBIUM_RETURN_NOT_OK(evolution::MigrateData(db_.get(), fresh->get()));
   }
-  // Fail before touching anything: a mapping whose relationship storage
-  // fuses both endpoints into one structure cannot be hash-partitioned.
-  ERBIUM_RETURN_NOT_OK(shard::ValidateShardable(*next_schema, spec_, shards_));
-  // The post-rebuild routing. Entity placement is schema-derived, but
-  // relationship edges follow their dominant participant — which the
-  // mapping spec can flip — so migration below re-routes every instance
-  // through this map instead of copying shard-by-shard in place.
-  ERBIUM_ASSIGN_OR_RETURN(
-      shard::CoPartitionMap next_map,
-      shard::CoPartitionMap::Build(*next_schema, spec_, shards_));
-  // Build every fresh shard first, then migrate, then swap — a failure
-  // anywhere leaves the old databases fully intact.
-  std::vector<std::unique_ptr<MappedDatabase>> fresh(shards_);
-  for (int k = 0; k < shards_; ++k) {
-    auto f = MappedDatabase::Create(next_schema.get(), spec_);
-    if (!f.ok()) return f.status();
-    fresh[k] = std::move(f).value();
-    fresh[k]->set_remote_entity_check(MakeRemoteCheck(k));
-  }
-  // Sibling probes trust while the context is down (the fresh shards are
-  // not published yet); migration replays an already-validated stream.
-  shard_ctx_ready_.store(false, std::memory_order_release);
-  Status migrated = [&]() -> Status {
-    if (db_ == nullptr) return Status::OK();
-    evolution::MigrateSinks sinks;
-    sinks.dst_schema = next_schema.get();
-    sinks.insert_entity = [&](const std::string& cls,
-                              Value fields) -> Status {
-      ERBIUM_ASSIGN_OR_RETURN(int s, next_map.RouteEntityValue(cls, fields));
-      return fresh[s]->InsertEntity(cls, fields);
-    };
-    sinks.insert_relationship = [&](const std::string& rel, IndexKey left,
-                                    IndexKey right, Value attrs) -> Status {
-      ERBIUM_ASSIGN_OR_RETURN(int s,
-                              next_map.RouteRelationship(rel, left, right));
-      return fresh[s]->InsertRelationship(rel, left, right, attrs);
-    };
-    // All entities (from every shard) land before any edge: foreign-key
-    // edge storage needs the dominant side's rows in place, and an
-    // edge's new shard may receive its entities from a different old
-    // shard than the edge itself.
-    for (int k = 0; k < shards_; ++k) {
-      ERBIUM_RETURN_NOT_OK(evolution::MigrateEntities(shard_db(k), sinks));
-    }
-    for (int k = 0; k < shards_; ++k) {
-      ERBIUM_RETURN_NOT_OK(
-          evolution::MigrateRelationships(shard_db(k), sinks));
-    }
-    return Status::OK();
-  }();
-  if (!migrated.ok()) return migrated;  // old shards intact; ctx still down
-  db_ = std::move(fresh[0]);
-  shard_dbs_.clear();
-  for (int k = 1; k < shards_; ++k) shard_dbs_.push_back(std::move(fresh[k]));
+  db_ = std::move(fresh).value();
   schema_ = std::move(next_schema);
-  return RefreshShardContext();
-}
-
-Status StatementRunner::RefreshShardContext() {
-  if (shards_ <= 1) return Status::OK();
-  ERBIUM_ASSIGN_OR_RETURN(
-      std::unique_ptr<shard::ShardRouter> router,
-      shard::ShardRouter::Create(*current_schema(),
-                                 durable_ != nullptr ? durable_->spec() : spec_,
-                                 shards_));
-  router_ = std::move(router);
-  shard_ctx_.dbs.clear();
-  for (int k = 0; k < shards_; ++k) shard_ctx_.dbs.push_back(shard_db(k));
-  shard_ctx_.map = &router_->map();
-  shard_ctx_ready_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-MappedDatabase::RemoteEntityCheck StatementRunner::MakeRemoteCheck(int self) {
-  return [this, self](const std::string& entity,
-                      const IndexKey& key) -> Result<bool> {
-    if (!shard_ctx_ready_.load(std::memory_order_acquire)) {
-      // Recovery replay, migration, and mid-fan-out rebuilds run before
-      // the sibling set is (re)published — trust the logged/migrated
-      // stream rather than probe through possibly dangling pointers.
-      return true;
-    }
-    ERBIUM_ASSIGN_OR_RETURN(int target, router_->RouteKey(entity, key));
-    if (target == self) return false;  // a local miss is a genuine miss
-    // Versioned read on the sibling — takes no writer locks, so a
-    // concurrent relationship insert on that shard cannot deadlock us.
-    return shard_db(target)->EntityExists(entity, key);
-  };
 }
 
 namespace {
@@ -341,35 +169,16 @@ Result<StatementOutcome> StatementRunner::ExecuteClassified(
   if (word == "remap") return RemapLocked(statement);
   if (word == "attach") return AttachLocked(statement);
   if (word == "advise") return AdviseLocked(statement);
-  if (word == "show" && SecondKeyword(statement) == "shards") {
-    return ShowShardsLocked();
-  }
   if (cls != StatementClass::kExclusive) {
-    ExecOptions opts = ExecOptions::Default();
-    if (shards_ > 1) {
-      if (!shard_ctx_ready_.load(std::memory_order_acquire)) {
-        return Status::Internal(
-            "sharded engine is unavailable: a structural statement failed "
-            "mid-fan-out and left the shard set inconsistent");
-      }
-      opts.shards = &shard_ctx_;
-    }
     // Only plain SELECTs go through the plan cache; SHOW/EXPLAIN/TRACE
     // would only pollute the hit/miss metrics with guaranteed misses.
     erql::PlanCache* cache = word == "select" ? plan_cache_.get() : nullptr;
     ERBIUM_ASSIGN_OR_RETURN(
         erql::QueryResult result,
-        erql::QueryEngine::Execute(current_db(), statement, opts, cache,
+        erql::QueryEngine::Execute(current_db(), statement,
+                                   ExecOptions::Default(), cache,
                                    mapping_generation()));
     StatementOutcome outcome;
-    if (result.shard_count > 1) {
-      // Per-route-class traffic counters (sharded SELECTs only; EXPLAIN
-      // and TRACE results keep the default single-shard stamp).
-      ShardCounter(std::string("shard.route.") +
-                   shard::ShardRouteClassName(result.shard_route))
-          .Increment();
-      outcome.shard = result.shard_target;
-    }
     // EXPLAIN / TRACE / EXPORT / LOAD output is plain lines; SELECT and
     // SHOW render as tables.
     outcome.shape = (word == "explain" || word == "trace" ||
@@ -389,34 +198,11 @@ Result<StatementOutcome> StatementRunner::ExecuteClassified(
 Result<StatementOutcome> StatementRunner::CreateLocked(
     const std::string& statement) {
   if (durable_ != nullptr) {
-    if (shards_ > 1) {
-      // Validate the post-DDL schema on a scratch copy before any shard
-      // commits it — parse errors and unshardable shapes must not leave
-      // the shards' logs disagreeing.
-      auto next = std::make_shared<ERSchema>(*current_schema());
-      ERBIUM_RETURN_NOT_OK(DdlParser::Execute(statement + ";", next.get()));
-      ERBIUM_RETURN_NOT_OK(
-          shard::ValidateShardable(*next, durable_->spec(), shards_));
-      shard_ctx_ready_.store(false, std::memory_order_release);
-      for (int k = 0; k < shards_; ++k) {
-        ERBIUM_RETURN_NOT_OK(shard_durable(k)->ExecuteDdl(statement + ";"));
-      }
-      ERBIUM_RETURN_NOT_OK(RefreshShardContext());
-    } else {
-      ERBIUM_RETURN_NOT_OK(durable_->ExecuteDdl(statement + ";"));
-    }
+    ERBIUM_RETURN_NOT_OK(durable_->ExecuteDdl(statement + ";"));
   } else {
     auto next = std::make_shared<ERSchema>(*schema_);
     ERBIUM_RETURN_NOT_OK(DdlParser::Execute(statement + ";", next.get()));
-    Status rebuilt = Rebuild(std::move(next));
-    if (!rebuilt.ok()) {
-      if (shards_ > 1) {
-        // The old shard set is intact (Rebuild swaps only on success);
-        // re-arm the routing context over it.
-        ERBIUM_RETURN_NOT_OK(RefreshShardContext());
-      }
-      return rebuilt;
-    }
+    ERBIUM_RETURN_NOT_OK(Rebuild(std::move(next)));
     ddl_history_ += statement + ";\n";
   }
   // Either branch rebuilt the physical tables; cached plans are stale.
@@ -486,18 +272,8 @@ Result<StatementOutcome> StatementRunner::InsertLocked(
   if (!ts.AtEnd() && !ts.ConsumeSymbol(";")) {
     return Status::ParseError("unexpected trailing input after INSERT");
   }
-  Value value = Value::Struct(std::move(fields));
-  int target = 0;
-  if (shards_ > 1) {
-    if (!shard_ctx_ready_.load(std::memory_order_acquire)) {
-      return Status::Internal(
-          "sharded engine is unavailable: a structural statement failed "
-          "mid-fan-out and left the shard set inconsistent");
-    }
-    ERBIUM_ASSIGN_OR_RETURN(target, router_->RouteInsert(entity, value));
-  }
-  ERBIUM_RETURN_NOT_OK(shard_db(target)->InsertEntity(entity, value));
-  ShardCounter(ShardInsertCounterName(target)).Increment();
+  ERBIUM_RETURN_NOT_OK(
+      current_db()->InsertEntity(entity, Value::Struct(std::move(fields))));
   // Feed the workload profiler at the statement level (not inside
   // MappedDatabase) so REMAP migration, recovery replay, and ADVISE
   // candidate population never pollute the CRUD counters.
@@ -505,7 +281,6 @@ Result<StatementOutcome> StatementRunner::InsertLocked(
                                                   obs::CrudKind::kInsert);
   StatementOutcome outcome;
   outcome.message = "ok";
-  if (shards_ > 1) outcome.shard = target;
   return outcome;
 }
 
@@ -532,17 +307,7 @@ Result<StatementOutcome> StatementRunner::RemapLocked(
 
 Status StatementRunner::RemapSpec(const MappingSpec& next) {
   if (durable_ != nullptr) {
-    if (shards_ > 1) {
-      ERBIUM_RETURN_NOT_OK(
-          shard::ValidateShardable(durable_->schema(), next, shards_));
-      shard_ctx_ready_.store(false, std::memory_order_release);
-      for (int k = 0; k < shards_; ++k) {
-        ERBIUM_RETURN_NOT_OK(shard_durable(k)->Remap(next));
-      }
-      ERBIUM_RETURN_NOT_OK(RefreshShardContext());
-    } else {
-      ERBIUM_RETURN_NOT_OK(durable_->Remap(next));
-    }
+    ERBIUM_RETURN_NOT_OK(durable_->Remap(next));
     BumpMappingGeneration();
     return Status::OK();
   }
@@ -551,12 +316,6 @@ Status StatementRunner::RemapSpec(const MappingSpec& next) {
   Status st = Rebuild(schema_);
   if (!st.ok()) {
     spec_ = std::move(old);
-    if (shards_ > 1) {
-      // The old databases are intact (Rebuild swaps only on success);
-      // re-arm the routing context under the rolled-back spec.
-      Status refreshed = RefreshShardContext();
-      if (!refreshed.ok()) return refreshed;
-    }
     return st;
   }
   BumpMappingGeneration();
@@ -585,138 +344,23 @@ Result<StatementOutcome> StatementRunner::AttachLocked(
 
 Status StatementRunner::AttachDir(const std::string& dir,
                                   std::string* message) {
-  if (shards_ <= 1) {
-    durability::DurableDatabase::Options options;
-    options.spec = spec_;
-    options.initial_ddl = ddl_history_;
-    options.sync = sync_;
-    options.faults = faults_;
-    auto opened = durability::DurableDatabase::Open(dir, std::move(options));
-    if (!opened.ok()) return opened.status();
-    durable_ = std::move(opened).value();
-    db_.reset();
-    // The in-memory database (and every plan bound to it) just got
-    // replaced by the recovered one.
-    BumpMappingGeneration();
-    const auto& info = durable_->recovery_info();
-    *message = "attached " + dir + " (snapshot gen " +
-               std::to_string(info.snapshot_gen) + ", " +
-               std::to_string(info.records_replayed) + " records replayed" +
-               (info.wal_clean ? "" : ", torn WAL tail discarded") + ")";
-    return Status::OK();
-  }
-  // Sharded layout: <dir>/shard-<k>/ per shard, each with its own WAL
-  // and snapshot generations, plus a shard-count manifest — the
-  // partition function is baked into every shard's data, so reopening
-  // with a different N would silently route lookups to the wrong shards.
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::IOError("cannot create database directory " + dir + ": " +
-                           ec.message());
-  }
-  if (std::filesystem::exists(dir + "/wal.erblog")) {
-    return Status::InvalidArgument(
-        "directory " + dir + " holds a single-shard database (top-level "
-        "wal.erblog); reopen it with shards=1 or choose a fresh directory");
-  }
-  const std::string manifest = ShardManifestPath(dir);
-  if (std::filesystem::exists(manifest)) {
-    std::ifstream in(manifest);
-    int recorded = 0;
-    if (!(in >> recorded) || recorded < 1) {
-      return Status::IOError("unreadable shard manifest " + manifest);
-    }
-    if (recorded != shards_) {
-      return Status::InvalidArgument(
-          "directory " + dir + " was created with " +
-          std::to_string(recorded) + " shards; reopen it with shards=" +
-          std::to_string(recorded));
-    }
-  } else {
-    std::ofstream out(manifest, std::ios::trunc);
-    out << shards_ << "\n";
-    out.flush();
-    if (!out.good()) {
-      return Status::IOError("cannot write shard manifest " + manifest);
-    }
-  }
-  // Recovery replay consults the remote-existence probes; drop the
-  // context first so they trust the logged stream instead of probing the
-  // (empty, unrelated) in-memory shards. On failure the in-memory shard
-  // set is intact — re-arm over it before surfacing the error.
-  shard_ctx_ready_.store(false, std::memory_order_release);
-  auto fail = [this](Status st) {
-    Status rearmed = RefreshShardContext();
-    return st.ok() ? rearmed : st;
-  };
-  std::vector<std::unique_ptr<durability::DurableDatabase>> opened(shards_);
-  for (int k = 0; k < shards_; ++k) {
-    durability::DurableDatabase::Options options;
-    options.spec = spec_;
-    options.initial_ddl = ddl_history_;
-    options.sync = sync_;
-    options.faults = faults_;
-    options.remote_check = MakeRemoteCheck(k);
-    auto shard_open = durability::DurableDatabase::Open(ShardDirPath(dir, k),
-                                                       std::move(options));
-    if (!shard_open.ok()) return fail(shard_open.status());
-    opened[k] = std::move(shard_open).value();
-  }
-  // Fail-stop on divergent schema/mapping: a crash between the per-shard
-  // steps of a structural fan-out leaves the logs disagreeing about the
-  // schema itself, and no WAL replay can reconcile that.
-  for (int k = 1; k < shards_; ++k) {
-    if (opened[k]->ddl() != opened[0]->ddl() ||
-        opened[k]->spec().ToJson() != opened[0]->spec().ToJson()) {
-      return fail(Status::Internal(
-          "shard " + std::to_string(k) + " of " + dir +
-          " recovered a different schema/mapping than shard 0 (crash during "
-          "a structural fan-out?); refusing to serve"));
-    }
-  }
-  // Snapshot generations may legitimately disagree (kill -9 between the
-  // per-shard phases of a fan-out CHECKPOINT): each shard's own WAL
-  // covers its gap, so recovery takes the minimum consistent generation
-  // and says so out loud rather than pretending the set is uniform.
-  uint64_t min_gen = opened[0]->recovery_info().snapshot_gen;
-  uint64_t max_gen = min_gen;
-  size_t replayed = 0;
-  bool torn = false;
-  for (int k = 0; k < shards_; ++k) {
-    const auto& info = opened[k]->recovery_info();
-    min_gen = std::min(min_gen, info.snapshot_gen);
-    max_gen = std::max(max_gen, info.snapshot_gen);
-    replayed += info.records_replayed;
-    torn = torn || !info.wal_clean;
-  }
-  if (min_gen != max_gen) {
-    std::fprintf(stderr,
-                 "erbium: shard snapshot generations disagree in %s "
-                 "(gens %llu..%llu) — taking minimum consistent generation "
-                 "%llu; per-shard WAL replay covers the difference\n",
-                 dir.c_str(), static_cast<unsigned long long>(min_gen),
-                 static_cast<unsigned long long>(max_gen),
-                 static_cast<unsigned long long>(min_gen));
-    ShardCounter("shard.recovery.gen_skew").Increment();
-  }
-  durable_ = std::move(opened[0]);
-  shard_durables_.clear();
-  for (int k = 1; k < shards_; ++k) {
-    shard_durables_.push_back(std::move(opened[k]));
-  }
+  durability::DurableDatabase::Options options;
+  options.spec = spec_;
+  options.initial_ddl = ddl_history_;
+  options.sync = sync_;
+  options.faults = faults_;
+  auto opened = durability::DurableDatabase::Open(dir, std::move(options));
+  if (!opened.ok()) return opened.status();
+  durable_ = std::move(opened).value();
   db_.reset();
-  shard_dbs_.clear();
+  // The in-memory database (and every plan bound to it) just got
+  // replaced by the recovered one.
   BumpMappingGeneration();
-  ERBIUM_RETURN_NOT_OK(RefreshShardContext());
-  std::string gens = min_gen == max_gen
-                         ? std::to_string(min_gen)
-                         : std::to_string(min_gen) + ".." +
-                               std::to_string(max_gen) + ", min taken";
-  *message = "attached " + dir + " (" + std::to_string(shards_) +
-             " shards, snapshot gen " + gens + ", " +
-             std::to_string(replayed) + " records replayed" +
-             (torn ? ", torn WAL tail discarded" : "") + ")";
+  const auto& info = durable_->recovery_info();
+  *message = "attached " + dir + " (snapshot gen " +
+             std::to_string(info.snapshot_gen) + ", " +
+             std::to_string(info.records_replayed) + " records replayed" +
+             (info.wal_clean ? "" : ", torn WAL tail discarded") + ")";
   return Status::OK();
 }
 
@@ -823,16 +467,12 @@ void StatementRunner::BumpMappingGeneration() {
 
 Result<StatementOutcome> StatementRunner::CheckpointStatement() {
   // One CHECKPOINT at a time; later ones queue here (not on the
-  // statement lock, which phase B only holds shared). On a sharded
-  // runner each phase is applied to every shard before the next phase
-  // starts, so all shards' images pin the same statement horizon (the
-  // exclusive barrier of phase A spans the whole shard set).
+  // statement lock, which phase B only holds shared).
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
-  std::vector<durability::DurableDatabase::CheckpointPins> pins(
-      static_cast<size_t>(shards_));
+  durability::DurableDatabase::CheckpointPins pins;
   {
     // Phase A — brief exclusive barrier: pin every table/pair version and
-    // fix each shard's WAL horizon. O(#tables), no IO.
+    // fix the WAL horizon. O(#tables), no IO.
     std::unique_lock<std::shared_mutex> lock(statement_mu_, std::defer_lock);
     AcquireStatementLock(&lock);
     StatementScope scope(this);
@@ -841,42 +481,24 @@ Result<StatementOutcome> StatementRunner::CheckpointStatement() {
           "CHECKPOINT requires a durable database — ATTACH DATABASE "
           "'<dir>' first");
     }
-    for (int k = 0; k < shards_; ++k) {
-      Result<durability::DurableDatabase::CheckpointPins> p =
-          shard_durable(k)->PrepareCheckpoint();
-      if (!p.ok()) {
-        for (int j = 0; j < k; ++j) shard_durable(j)->AbortCheckpoint();
-        return p.status();
-      }
-      pins[k] = std::move(p).value();
-    }
+    ERBIUM_ASSIGN_OR_RETURN(pins, durable_->PrepareCheckpoint());
   }
-  // Phase B — shared lock: encode the pinned images and write them to
-  // disk while concurrent SELECTs and CRUD proceed. (ATTACH refuses when
-  // already attached, so the shard set cannot change between phases.)
-  std::vector<std::string> summaries(static_cast<size_t>(shards_));
-  Status wrote = [&]() -> Status {
+  // Phase B — shared lock: encode the pinned image and write it to disk
+  // while concurrent SELECTs and CRUD proceed. (ATTACH refuses when
+  // already attached, so durable_ cannot change between phases.)
+  Result<std::string> summary = [&]() -> Result<std::string> {
     std::shared_lock<std::shared_mutex> lock(statement_mu_, std::defer_lock);
     AcquireStatementLock(&lock);
     StatementScope scope(this);
-    for (int k = 0; k < shards_; ++k) {
-      Result<std::string> summary =
-          shard_durable(k)->WriteSnapshotPhase(pins[k]);
-      if (!summary.ok()) return summary.status();
-      summaries[k] = std::move(summary).value();
-    }
-    return Status::OK();
+    return durable_->WriteSnapshotPhase(pins);
   }();
-  if (!wrote.ok()) {
-    // Any shard failing the write phase aborts the checkpoint on every
-    // shard: no shard advances its generation, so a later recovery sees
-    // a uniform set (plus intact WALs).
-    for (int k = 0; k < shards_; ++k) shard_durable(k)->AbortCheckpoint();
-    return wrote;
+  if (!summary.ok()) {
+    durable_->AbortCheckpoint();
+    return summary.status();
   }
   {
-    // Phase C — also shared: rename the snapshots into place and compact
-    // each WAL down to the records appended during phase B. Readers never
+    // Phase C — also shared: rename the snapshot into place and compact
+    // the WAL down to the records appended during phase B. Readers never
     // touch snapshot files or the WAL at runtime; concurrent appends
     // order against the compaction on the WAL's internal mutex, and any
     // record they add carries lsn > the checkpoint horizon, so the
@@ -884,58 +506,12 @@ Result<StatementOutcome> StatementRunner::CheckpointStatement() {
     std::shared_lock<std::shared_mutex> lock(statement_mu_, std::defer_lock);
     AcquireStatementLock(&lock);
     StatementScope scope(this);
-    for (int k = 0; k < shards_; ++k) {
-      Status finished = shard_durable(k)->FinishCheckpoint(pins[k]);
-      if (!finished.ok()) {
-        // Shards before k already advanced; the ones after keep their old
-        // generation + full WAL — exactly the skew ATTACH recovery logs
-        // and absorbs (each shard stays individually consistent).
-        for (int j = k + 1; j < shards_; ++j) {
-          shard_durable(j)->AbortCheckpoint();
-        }
-        return finished;
-      }
-    }
+    ERBIUM_RETURN_NOT_OK(durable_->FinishCheckpoint(pins));
   }
   StatementOutcome outcome;
   outcome.shape = OutputShape::kLines;
   outcome.result.columns = {"checkpoint"};
-  if (shards_ == 1) {
-    outcome.result.rows.push_back(Row{Value::String(std::move(summaries[0]))});
-  } else {
-    for (int k = 0; k < shards_; ++k) {
-      outcome.result.rows.push_back(Row{Value::String(
-          "shard " + std::to_string(k) + ": " + std::move(summaries[k]))});
-    }
-  }
-  return outcome;
-}
-
-Result<StatementOutcome> StatementRunner::ShowShardsLocked() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  erql::QueryResult result;
-  result.columns = {"shard", "inserts", "wal_bytes", "next_lsn",
-                    "snapshot_gen"};
-  for (int k = 0; k < shards_; ++k) {
-    uint64_t inserts = registry.counter(ShardInsertCounterName(k)).Value();
-    uint64_t wal_bytes = 0;
-    uint64_t next_lsn = 0;
-    uint64_t gen = 0;
-    if (durable_ != nullptr) {
-      durability::DurableDatabase* d = shard_durable(k);
-      wal_bytes = d->wal_bytes();
-      next_lsn = d->next_lsn();
-      gen = d->latest_snapshot_gen();
-    }
-    result.rows.push_back(Row{Value::Int64(k),
-                              Value::Int64(static_cast<int64_t>(inserts)),
-                              Value::Int64(static_cast<int64_t>(wal_bytes)),
-                              Value::Int64(static_cast<int64_t>(next_lsn)),
-                              Value::Int64(static_cast<int64_t>(gen))});
-  }
-  StatementOutcome outcome;
-  outcome.shape = OutputShape::kTable;
-  outcome.result = std::move(result);
+  outcome.result.rows.push_back(Row{Value::String(std::move(summary).value())});
   return outcome;
 }
 
@@ -960,10 +536,7 @@ Status StatementRunner::FinalCheckpoint() {
   std::unique_lock<std::shared_mutex> lock(statement_mu_);
   StatementScope scope(this);
   if (durable_ == nullptr) return Status::OK();
-  for (int k = 0; k < shards_; ++k) {
-    ERBIUM_RETURN_NOT_OK(shard_durable(k)->Checkpoint().status());
-  }
-  return Status::OK();
+  return durable_->Checkpoint().status();
 }
 
 }  // namespace api

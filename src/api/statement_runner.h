@@ -5,7 +5,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "durability/durable_db.h"
@@ -14,7 +13,6 @@
 #include "erql/query_engine.h"
 #include "mapping/database.h"
 #include "mapping/mapping_spec.h"
-#include "shard/router.h"
 
 namespace erbium {
 namespace api {
@@ -34,10 +32,6 @@ struct StatementOutcome {
   OutputShape shape = OutputShape::kMessage;
   std::string message;        // kMessage: the acknowledgement text
   erql::QueryResult result;   // kTable / kLines: the rows
-  /// Shard the statement resolved to on a sharded runner: the routed
-  /// shard of an INSERT, or a single-shard SELECT's target. -1 for
-  /// broadcast/structural statements and unsharded runners.
-  int shard = -1;
 };
 
 /// The statement-dispatch core shared by the interactive shell and the
@@ -65,7 +59,9 @@ struct StatementOutcome {
 ///     writers serialize against each other per entity-set/relationship-
 ///     set inside MappedDatabase (lock domains), not through this lock,
 ///     so writers to unrelated schema parts run in parallel with each
-///     other and with all readers.
+///     other and with all readers. A durable INSERT holds its domain only
+///     while it applies and writes its WAL record; it waits for the
+///     group-commit fdatasync after releasing it.
 ///   - Structural statements (CREATE / REMAP / ATTACH, and anything
 ///     unrecognized) take the lock exclusively: they replace the physical
 ///     database, so every other statement drains first.
@@ -92,16 +88,6 @@ class StatementRunner {
     /// Crash/gate hooks passed through to the durable database on
     /// ATTACH; not owned, may be null. For the fault-injection tests.
     durability::FaultInjector* faults = nullptr;
-    /// Number of intra-process shards. 1 (the default) is the classic
-    /// single-database engine. At N > 1 entity sets are hash-partitioned
-    /// by their anchor key across N databases (shard/co_partition.h):
-    /// INSERTs route to one shard, SELECTs compile to single-shard,
-    /// shard-local, or scatter-gather plans, and structural statements
-    /// (CREATE / REMAP / ATTACH / CHECKPOINT) fan out to every shard
-    /// under the exclusive statement class. Hosts usually fill this from
-    /// shard::ShardCountFromEnv() or a --shards flag. Values < 1 are
-    /// treated as 1.
-    int shards = 1;
   };
 
   /// Lock class of a statement (see the class comment): reads and CRUD
@@ -150,7 +136,6 @@ class StatementRunner {
   }
   bool attached() const { return durable_ != nullptr; }
   const MappingSpec& spec() const { return spec_; }
-  int shards() const { return shards_; }
 
   /// The prepared-statement plan cache (null when disabled) and the
   /// mapping generation its entries are keyed by. The generation counts
@@ -205,9 +190,6 @@ class StatementRunner {
   Result<StatementOutcome> InsertLocked(const std::string& statement);
   Result<StatementOutcome> RemapLocked(const std::string& statement);
   Result<StatementOutcome> AttachLocked(const std::string& statement);
-  /// SHOW SHARDS: one row per shard with its insert counter and (when
-  /// attached) WAL/snapshot state. Works at shards == 1 too.
-  Result<StatementOutcome> ShowShardsLocked();
   Status AttachDir(const std::string& dir, std::string* message);
   Status RemapSpec(const MappingSpec& next);
 
@@ -216,29 +198,6 @@ class StatementRunner {
   /// and the current spec, then swaps the schema in. Pass the existing
   /// schema for a pure remap.
   Status Rebuild(std::shared_ptr<ERSchema> next_schema);
-
-  // ---- Sharding ------------------------------------------------------------
-  /// The shard-k database (shard 0 is db_/durable_; shards 1..N-1 live
-  /// in shard_dbs_ or shard_durables_ depending on attach state).
-  MappedDatabase* shard_db(int k) {
-    if (k == 0) return current_db();
-    if (durable_ != nullptr) return shard_durables_[k - 1]->db();
-    return shard_dbs_[k - 1].get();
-  }
-  durability::DurableDatabase* shard_durable(int k) {
-    return k == 0 ? durable_.get() : shard_durables_[k - 1].get();
-  }
-  /// Rebuilds the router + plan context from the current schema/spec and
-  /// the live shard databases, then marks the context ready. Must run
-  /// under the exclusive statement lock (or before the runner is
-  /// shared), after every event that replaces any shard's database.
-  Status RefreshShardContext();
-  /// The cross-shard existence probe installed on shard `self`'s
-  /// database(s): trusts (returns true) while the shard context is not
-  /// ready — during recovery, migration, and mid-fan-out rebuilds,
-  /// sibling pointers may dangle — and otherwise routes the key and
-  /// probes the owning sibling with a versioned read.
-  MappedDatabase::RemoteEntityCheck MakeRemoteCheck(int self);
 
   /// Advances the mapping generation and purges now-stale cached plans.
   /// Must be called with the exclusive statement lock held (or before
@@ -256,20 +215,6 @@ class StatementRunner {
   std::shared_ptr<ERSchema> schema_ = std::make_shared<ERSchema>();
   std::unique_ptr<MappedDatabase> db_;
   std::unique_ptr<durability::DurableDatabase> durable_;
-  /// Shards 1..N-1 (shard 0 stays in db_/durable_ so every existing
-  /// single-shard code path is untouched at shards_ == 1). Exactly one
-  /// of the two vectors is populated, mirroring db_ vs durable_.
-  int shards_ = 1;
-  std::vector<std::unique_ptr<MappedDatabase>> shard_dbs_;
-  std::vector<std::unique_ptr<durability::DurableDatabase>> shard_durables_;
-  /// Routing state, rebuilt under the exclusive lock on every schema or
-  /// mapping change. shard_ctx_ready_ gates every consumer: readers and
-  /// INSERT routing fail closed, and the remote-entity probes fall back
-  /// to trusting while a structural statement is mid-flight (when
-  /// sibling database pointers may dangle).
-  std::unique_ptr<shard::ShardRouter> router_;
-  shard::ShardPlanContext shard_ctx_;
-  std::atomic<bool> shard_ctx_ready_{false};
   MappingSpec spec_ = MappingSpec::Normalized("m1");
   durability::WalWriter::SyncMode sync_ =
       durability::WalWriter::SyncMode::kNone;

@@ -9,9 +9,8 @@ namespace erbium {
 
 /// Union-find over string names. Path-halving find; no ranks — the
 /// schema graphs this partitions are tiny and each is built once.
-/// Shared by the MVCC lock-domain builder (one writer mutex per
-/// connected schema component) and the shard co-partitioner (one
-/// routing component per connected schema component).
+/// Used by the MVCC lock-domain builder (one writer mutex per connected
+/// schema component).
 class UnionFind {
  public:
   /// Root of `name`'s component, registering the name on first touch.

@@ -53,14 +53,6 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes) {
   return Status::OK();
 }
 
-Status SyncDirectory(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Status::OK();  // directory fsync is best-effort
-  ::fsync(fd);
-  ::close(fd);
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
@@ -112,9 +104,6 @@ Status DurableDatabase::Recover() {
     ERBIUM_RETURN_NOT_OK(DdlParser::Execute(ddl_, schema_.get()));
   }
   ERBIUM_ASSIGN_OR_RETURN(db_, MappedDatabase::Create(schema_.get(), spec_));
-  if (options_.remote_check) {
-    db_->set_remote_entity_check(options_.remote_check);
-  }
   if (recovery_.had_snapshot) {
     ERBIUM_RETURN_NOT_OK(LoadIntoDatabase(snapshot, db_.get()));
   }
@@ -168,9 +157,6 @@ Status DurableDatabase::Rebuild(std::shared_ptr<ERSchema> next_schema) {
     return fresh_result.status();
   }
   std::unique_ptr<MappedDatabase> fresh = std::move(fresh_result).value();
-  if (options_.remote_check) {
-    fresh->set_remote_entity_check(options_.remote_check);
-  }
   if (db_ != nullptr) {
     // Migration reads through the old instance's logical interface; make
     // sure it does not try to log.
@@ -218,14 +204,6 @@ Status DurableDatabase::ReplayRecord(const WalRecord& record) {
   return Status::IOError("unreachable WAL record type");
 }
 
-Status DurableDatabase::AppendRecord(WalRecord record) {
-  // Choke point for the log: every CRUD hook, DDL, and remap funnels
-  // here. Concurrent CRUD statements (serialized only per mapping lock
-  // domain) interleave freely — the WalWriter's internal mutex orders
-  // their records.
-  return wal_->Append(std::move(record));
-}
-
 Status DurableDatabase::ExecuteDdl(const std::string& ddl) {
   // DDL rebuilds the physical database; callers hold the exclusive
   // statement barrier (StatementRunner) or own the database outright.
@@ -238,7 +216,7 @@ Status DurableDatabase::ExecuteDdl(const std::string& ddl) {
   WalRecord record;
   record.type = WalRecord::Type::kDdl;
   record.name = ddl;
-  ERBIUM_RETURN_NOT_OK(AppendRecord(std::move(record)));
+  ERBIUM_RETURN_NOT_OK(wal_->Append(std::move(record)));
   ddl_ += "\n";
   ddl_ += ddl;
   return Status::OK();
@@ -259,62 +237,65 @@ Status DurableDatabase::Remap(MappingSpec new_spec) {
   WalRecord record;
   record.type = WalRecord::Type::kRemap;
   record.name = spec_.ToJson();
-  return AppendRecord(std::move(record));
+  return wal_->Append(std::move(record));
 }
 
-Status DurableDatabase::LogInsertEntity(const std::string& class_name,
-                                        const Value& entity) {
+// The CRUD hooks only write their record (under the caller's lock
+// domain); the choke point waits for durability after releasing it.
+// Concurrent CRUD statements interleave freely — the WalWriter's
+// internal mutex orders their records.
+
+Result<uint64_t> DurableDatabase::LogInsertEntity(
+    const std::string& class_name, const Value& entity) {
   WalRecord record;
   record.type = WalRecord::Type::kInsertEntity;
   record.name = class_name;
   record.value = entity;
-  return AppendRecord(std::move(record));
+  return wal_->Write(std::move(record));
 }
 
-Status DurableDatabase::LogDeleteEntity(const std::string& class_name,
-                                        const IndexKey& key) {
+Result<uint64_t> DurableDatabase::LogDeleteEntity(
+    const std::string& class_name, const IndexKey& key) {
   WalRecord record;
   record.type = WalRecord::Type::kDeleteEntity;
   record.name = class_name;
   record.key = key;
-  return AppendRecord(std::move(record));
+  return wal_->Write(std::move(record));
 }
 
-Status DurableDatabase::LogUpdateAttribute(const std::string& class_name,
-                                           const IndexKey& key,
-                                           const std::string& attr,
-                                           const Value& value) {
+Result<uint64_t> DurableDatabase::LogUpdateAttribute(
+    const std::string& class_name, const IndexKey& key,
+    const std::string& attr, const Value& value) {
   WalRecord record;
   record.type = WalRecord::Type::kUpdateAttribute;
   record.name = class_name;
   record.key = key;
   record.attr = attr;
   record.value = value;
-  return AppendRecord(std::move(record));
+  return wal_->Write(std::move(record));
 }
 
-Status DurableDatabase::LogInsertRelationship(const std::string& rel_name,
-                                              const IndexKey& left_key,
-                                              const IndexKey& right_key,
-                                              const Value& attrs) {
+Result<uint64_t> DurableDatabase::LogInsertRelationship(
+    const std::string& rel_name, const IndexKey& left_key,
+    const IndexKey& right_key, const Value& attrs) {
   WalRecord record;
   record.type = WalRecord::Type::kInsertRelationship;
   record.name = rel_name;
   record.key = left_key;
   record.right_key = right_key;
   record.value = attrs;
-  return AppendRecord(std::move(record));
+  return wal_->Write(std::move(record));
 }
 
-Status DurableDatabase::LogDeleteRelationship(const std::string& rel_name,
-                                              const IndexKey& left_key,
-                                              const IndexKey& right_key) {
+Result<uint64_t> DurableDatabase::LogDeleteRelationship(
+    const std::string& rel_name, const IndexKey& left_key,
+    const IndexKey& right_key) {
   WalRecord record;
   record.type = WalRecord::Type::kDeleteRelationship;
   record.name = rel_name;
   record.key = left_key;
   record.right_key = right_key;
-  return AppendRecord(std::move(record));
+  return wal_->Write(std::move(record));
 }
 
 Result<DurableDatabase::CheckpointPins> DurableDatabase::PrepareCheckpoint() {
@@ -414,7 +395,7 @@ Status DurableDatabase::FinishCheckpoint(const CheckpointPins& pins) {
   if (ec) {
     return Status::IOError("snapshot rename failed: " + ec.message());
   }
-  SyncDirectory(dir_);
+  ERBIUM_RETURN_NOT_OK(SyncDirectory(dir_));
   if (faults != nullptr && faults->ShouldCrash("checkpoint.renamed")) {
     return faults->Crash();
   }
@@ -430,6 +411,10 @@ Status DurableDatabase::FinishCheckpoint(const CheckpointPins& pins) {
     return faults->Crash();
   }
   return Status::OK();
+}
+
+Status DurableDatabase::WaitDurable(uint64_t lsn) {
+  return wal_->WaitDurable(lsn);
 }
 
 Result<std::string> DurableDatabase::Checkpoint() {

@@ -22,8 +22,9 @@ namespace durability {
 /// A MappedDatabase bound to a directory on disk. Opening runs recovery
 /// (latest valid snapshot + WAL tail replay); afterwards every logical
 /// CRUD operation, DDL statement, and remap is appended to the WAL via
-/// the DurabilityHook choke points before being acknowledged, and
-/// CHECKPOINT collapses the log into a fresh snapshot.
+/// the DurabilityHook choke points and made durable before being
+/// acknowledged (CRUD shares fdatasyncs through the WalWriter's group
+/// commit), and CHECKPOINT collapses the log into a fresh snapshot.
 ///
 /// Recovery invariants (the fault-injection tests assert these under
 /// every mapping M1–M6 and every crash point):
@@ -45,12 +46,6 @@ class DurableDatabase : public DurabilityHook {
     WalWriter::SyncMode sync = WalWriter::SyncMode::kNone;
     /// Crash-point hooks for tests; not owned, may be null.
     FaultInjector* faults = nullptr;
-    /// Sharded engines install a remote-existence probe so relationship
-    /// participation checks can consult sibling shards. Re-applied to
-    /// every fresh MappedDatabase this instance builds (recovery and
-    /// DDL/REMAP rebuilds), which a caller-side set_remote_entity_check
-    /// on db() would not survive.
-    MappedDatabase::RemoteEntityCheck remote_check;
   };
 
   /// What recovery found and did, for logs/tests.
@@ -94,20 +89,22 @@ class DurableDatabase : public DurabilityHook {
   Status Remap(MappingSpec new_spec);
 
   // ---- DurabilityHook ------------------------------------------------------
-  Status LogInsertEntity(const std::string& class_name,
-                         const Value& entity) override;
-  Status LogDeleteEntity(const std::string& class_name,
-                         const IndexKey& key) override;
-  Status LogUpdateAttribute(const std::string& class_name, const IndexKey& key,
-                            const std::string& attr,
-                            const Value& value) override;
-  Status LogInsertRelationship(const std::string& rel_name,
-                               const IndexKey& left_key,
-                               const IndexKey& right_key,
-                               const Value& attrs) override;
-  Status LogDeleteRelationship(const std::string& rel_name,
-                               const IndexKey& left_key,
-                               const IndexKey& right_key) override;
+  Result<uint64_t> LogInsertEntity(const std::string& class_name,
+                                   const Value& entity) override;
+  Result<uint64_t> LogDeleteEntity(const std::string& class_name,
+                                   const IndexKey& key) override;
+  Result<uint64_t> LogUpdateAttribute(const std::string& class_name,
+                                      const IndexKey& key,
+                                      const std::string& attr,
+                                      const Value& value) override;
+  Result<uint64_t> LogInsertRelationship(const std::string& rel_name,
+                                         const IndexKey& left_key,
+                                         const IndexKey& right_key,
+                                         const Value& attrs) override;
+  Result<uint64_t> LogDeleteRelationship(const std::string& rel_name,
+                                         const IndexKey& left_key,
+                                         const IndexKey& right_key) override;
+  Status WaitDurable(uint64_t lsn) override;
 
   /// Everything CHECKPOINT's write phase needs, captured under the
   /// exclusive barrier: immutable version pins of every table and pair
@@ -159,7 +156,6 @@ class DurableDatabase : public DurabilityHook {
   /// the old instance keeps reading its own schema during migration.
   Status Rebuild(std::shared_ptr<ERSchema> next_schema);
   Status ReplayRecord(const WalRecord& record);
-  Status AppendRecord(WalRecord record);
 
   std::string dir_;
   Options options_;

@@ -1,6 +1,7 @@
 #ifndef ERBIUM_DURABILITY_FAULT_H_
 #define ERBIUM_DURABILITY_FAULT_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -23,8 +24,8 @@ namespace durability {
 /// Crash points:
 ///   wal.append.before    nothing of the record reaches the file
 ///   wal.append.torn      only `partial_bytes` of the record are written
-///   wal.append.after     the record is fully written, but the operation
-///                        is never acknowledged to the caller
+///   wal.append.after     the record is durable, but the operation is
+///                        never acknowledged to the caller
 ///   checkpoint.begin     before the snapshot temp file is written
 ///   checkpoint.tmp_written   temp file durable, final rename not done
 ///   checkpoint.renamed   snapshot in place, WAL not yet truncated
@@ -51,7 +52,14 @@ class FaultInjector {
 
   /// Arms a one-shot non-fatal IO error (ENOSPC/EIO-style) at the
   /// `countdown`-th future hit of `point`. Unlike Arm, the process stays
-  /// alive: the operation fails, and later operations proceed normally.
+  /// alive: the operation fails, and later operations proceed as the
+  /// failing code path leaves them.
+  ///
+  /// Error points:
+  ///   wal.append.error   torn bytes reach the file; the write fails and
+  ///                      is rolled back, later appends proceed
+  ///   wal.sync.error     a group fdatasync fails: every record it was to
+  ///                      cover fails and the WAL writer is poisoned
   void ArmError(std::string point, int countdown = 1,
                 uint64_t partial_bytes = 0) {
     error_point_ = std::move(point);
@@ -96,6 +104,8 @@ class FaultInjector {
   // Gate points:
   //   checkpoint.writing   inside the shared snapshot-write phase, after
   //                        versions are pinned but before bytes hit disk
+  //   wal.sync             inside a group commit's fdatasync, with the
+  //                        WAL mutex and every lock domain released
 
   /// Arms the gate at `point`; the next MaybeBlock(point) parks.
   void ArmGate(std::string point) {
@@ -105,10 +115,13 @@ class FaultInjector {
     gate_blocked_ = false;
   }
 
-  /// Blocks the calling test until some thread is parked on the gate.
-  void WaitUntilBlocked() {
+  /// Blocks the calling test until some thread is parked on the gate;
+  /// returns false if none does within a minute, so a test whose code
+  /// never reaches the gate fails instead of hanging.
+  bool WaitUntilBlocked() {
     std::unique_lock<std::mutex> lock(gate_mu_);
-    gate_cv_.wait(lock, [this] { return gate_blocked_; });
+    return gate_cv_.wait_for(lock, std::chrono::minutes(1),
+                             [this] { return gate_blocked_; });
   }
 
   /// Opens the gate; the parked thread (and any future MaybeBlock on the

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "durability/serde.h"
@@ -169,6 +170,22 @@ Result<WalReadResult> ReadWal(const std::string& path) {
   return result;
 }
 
+Status SyncDirectory(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IOError("cannot open directory " + dir + " to fsync it: " +
+                           std::strerror(errno));
+  }
+  int rc = ::fsync(fd);
+  int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::IOError("fsync of directory " + dir + " failed: " +
+                           std::strerror(err));
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
                                                    uint64_t append_offset,
                                                    uint64_t next_lsn,
@@ -218,15 +235,21 @@ Status WalWriter::MaybeSync() {
   return Status::OK();
 }
 
+Status WalWriter::Poisoned() const {
+  return Status::IOError("WAL writer disabled after an earlier write "
+                         "failure on " +
+                         path_);
+}
+
 Status WalWriter::RestoreAfterFailure(Status cause) {
-  // A failed write may have left torn bytes after the last acknowledged
-  // record, and a failed sync leaves a full record that was never
-  // acknowledged; either way the fd offset sits past offset_. Chop the
-  // file back so the next Append cannot place an acknowledged record
-  // after bytes recovery will stop at (and so its LSN is not a duplicate
-  // of the unacknowledged record's).
-  if (::ftruncate(fd_, static_cast<off_t>(offset_)) != 0 ||
-      ::lseek(fd_, static_cast<off_t>(offset_), SEEK_SET) < 0 ||
+  // A failed write may have left torn bytes after the last fully written
+  // record; the fd offset sits past written_offset_. Chop the file back
+  // so the next Write cannot place a record after bytes recovery will
+  // stop at (and so its LSN is not a duplicate of the failed record's).
+  // An in-flight group sync only covers bytes below written_offset_, so
+  // cutting above it cannot disturb that sync.
+  if (::ftruncate(fd_, static_cast<off_t>(written_offset_)) != 0 ||
+      ::lseek(fd_, static_cast<off_t>(written_offset_), SEEK_SET) < 0 ||
       (sync_ == SyncMode::kFsync && ::fdatasync(fd_) != 0)) {
     // The file state is now unknown; refuse all future appends rather
     // than risk acknowledging a record behind garbage.
@@ -236,12 +259,13 @@ Status WalWriter::RestoreAfterFailure(Status cause) {
 }
 
 Status WalWriter::Append(WalRecord record) {
+  ERBIUM_ASSIGN_OR_RETURN(uint64_t lsn, Write(std::move(record)));
+  return WaitDurable(lsn);
+}
+
+Result<uint64_t> WalWriter::Write(WalRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (failed_) {
-    return Status::IOError("WAL writer disabled after an earlier write "
-                           "failure on " +
-                           path_);
-  }
+  if (failed_) return Poisoned();
   if (faults_ != nullptr) {
     ERBIUM_RETURN_NOT_OK(faults_->Check());
   }
@@ -268,7 +292,7 @@ Status WalWriter::Append(WalRecord record) {
     }
     if (faults_->ShouldFail("wal.append.error")) {
       // Simulate a non-fatal IO error (ENOSPC/EIO) mid-write: torn bytes
-      // reach the file, the process stays alive, and Append must leave
+      // reach the file, the process stays alive, and Write must leave
       // the log as if the record was never attempted.
       size_t partial = static_cast<size_t>(faults_->error_partial_bytes());
       if (partial >= bytes.size()) partial = bytes.size() - 1;
@@ -279,55 +303,82 @@ Status WalWriter::Append(WalRecord record) {
   }
   Status written = WriteAll(bytes.data(), bytes.size());
   if (!written.ok()) return RestoreAfterFailure(std::move(written));
-  Status synced = MaybeSync();
-  if (!synced.ok()) return RestoreAfterFailure(std::move(synced));
+  uint64_t lsn = next_lsn_++;
+  written_offset_ += bytes.size();
+  if (sync_ == SyncMode::kNone) {
+    // Nothing further to wait for: write(2) is all this mode promises.
+    durable_lsn_ = lsn;
+    durable_offset_ = written_offset_;
+  }
+  obs::MetricsRegistry::Global().counter("wal.appends").Increment();
+  obs::MetricsRegistry::Global().counter("wal.bytes").Increment(bytes.size());
+  return lsn;
+}
+
+Status WalWriter::WaitDurable(uint64_t lsn) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (durable_lsn_ < lsn) {
+    if (failed_) return Poisoned();
+    if (syncing_) {
+      // Another waiter's sync is in flight; it may or may not cover us.
+      synced_cv_.wait(lock, [this] { return !syncing_; });
+      continue;
+    }
+    ERBIUM_RETURN_NOT_OK(LeadSync(lock));
+  }
   if (faults_ != nullptr && faults_->ShouldCrash("wal.append.after")) {
     // The record is durable but the caller never hears the ack.
     return faults_->Crash();
   }
-  ++next_lsn_;
-  offset_ += bytes.size();
-  obs::MetricsRegistry::Global().counter("wal.appends").Increment();
-  obs::MetricsRegistry::Global().counter("wal.bytes").Increment(bytes.size());
   return Status::OK();
 }
 
-Status WalWriter::Truncate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (failed_) {
-    return Status::IOError("WAL writer disabled after an earlier write "
-                           "failure on " +
-                           path_);
-  }
-  if (faults_ != nullptr) {
-    ERBIUM_RETURN_NOT_OK(faults_->Check());
-  }
-  if (::ftruncate(fd_, 0) != 0 || ::lseek(fd_, 0, SEEK_SET) < 0) {
-    // The fd may now point somewhere other than offset_; don't append
-    // into an unknown position.
+Status WalWriter::LeadSync(std::unique_lock<std::mutex>& lock) {
+  syncing_ = true;
+  const int fd = fd_;
+  const uint64_t target_lsn = next_lsn_ - 1;
+  const uint64_t target_offset = written_offset_;
+  const bool inject_failure =
+      faults_ != nullptr && faults_->ShouldFail("wal.sync.error");
+  lock.unlock();
+  if (faults_ != nullptr) faults_->MaybeBlock("wal.sync");
+  int rc = inject_failure ? -1 : ::fdatasync(fd);
+  int err = inject_failure ? EIO : errno;
+  lock.lock();
+  syncing_ = false;
+  synced_cv_.notify_all();
+  if (rc != 0) {
+    // The kernel may have dropped the pages it failed to write, so
+    // nothing past the durable prefix can be trusted: cut the file back
+    // to it and fail every record above it (their waiters see failed_).
+    // Poison unconditionally — those records' changes may already be
+    // applied in memory with no durable log behind them.
+    if (::ftruncate(fd_, static_cast<off_t>(durable_offset_)) == 0 &&
+        ::lseek(fd_, static_cast<off_t>(durable_offset_), SEEK_SET) >= 0) {
+      written_offset_ = durable_offset_;
+    }
     failed_ = true;
-    return Status::IOError("WAL truncate failed: " +
-                           std::string(std::strerror(errno)));
+    return Status::IOError("WAL fdatasync failed: " +
+                           std::string(std::strerror(err)));
   }
-  ERBIUM_RETURN_NOT_OK(MaybeSync());
-  offset_ = 0;
-  obs::MetricsRegistry::Global().counter("wal.truncations").Increment();
+  durable_lsn_ = target_lsn;
+  durable_offset_ = target_offset;
+  obs::MetricsRegistry::Global().counter("wal.syncs").Increment();
   return Status::OK();
 }
 
 Status WalWriter::CompactThrough(uint64_t last_lsn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (failed_) {
-    return Status::IOError("WAL writer disabled after an earlier write "
-                           "failure on " +
-                           path_);
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  // The group sync runs on fd_ outside the mutex; never swap or cut the
+  // file under it.
+  synced_cv_.wait(lock, [this] { return !syncing_; });
+  if (failed_) return Poisoned();
   if (faults_ != nullptr) {
     ERBIUM_RETURN_NOT_OK(faults_->Check());
   }
-  // Re-read the acknowledged prefix and keep only records past the
-  // snapshot horizon. Appends are blocked while we hold the mutex, so
-  // the file cannot grow under the scan.
+  // Re-read the written prefix and keep only records past the snapshot
+  // horizon. Writes are blocked while we hold the mutex, so the file
+  // cannot grow under the scan.
   Result<WalReadResult> read = ReadWal(path_);
   if (!read.ok()) return read.status();
   std::string survivors;
@@ -335,6 +386,12 @@ Status WalWriter::CompactThrough(uint64_t last_lsn) {
     if (record.lsn <= last_lsn) continue;
     survivors += EncodeWalRecord(record);
   }
+  // On success every kept record is durable. No waiter is blocked
+  // meanwhile: they only wait while a sync is in flight.
+  auto all_durable = [this](uint64_t size) {
+    written_offset_ = durable_offset_ = size;
+    durable_lsn_ = next_lsn_ - 1;
+  };
   if (survivors.empty()) {
     // Nothing appended past the snapshot horizon: plain truncation.
     if (::ftruncate(fd_, 0) != 0 || ::lseek(fd_, 0, SEEK_SET) < 0) {
@@ -343,7 +400,7 @@ Status WalWriter::CompactThrough(uint64_t last_lsn) {
                              std::string(std::strerror(errno)));
     }
     ERBIUM_RETURN_NOT_OK(MaybeSync());
-    offset_ = 0;
+    all_durable(0);
     obs::MetricsRegistry::Global().counter("wal.truncations").Increment();
     return Status::OK();
   }
@@ -393,7 +450,15 @@ Status WalWriter::CompactThrough(uint64_t last_lsn) {
     return Status::IOError("cannot reopen compacted WAL " + path_ + ": " +
                            std::strerror(errno));
   }
-  offset_ = survivors.size();
+  // Later records go to the new inode: until the rename itself is on
+  // disk, a power failure would bring back the old file without them.
+  std::string dir = std::filesystem::path(path_).parent_path().string();
+  Status dir_synced = SyncDirectory(dir.empty() ? "." : dir);
+  if (!dir_synced.ok()) {
+    failed_ = true;
+    return dir_synced;
+  }
+  all_durable(survivors.size());
   obs::MetricsRegistry::Global().counter("wal.compactions").Increment();
   return Status::OK();
 }

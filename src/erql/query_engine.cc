@@ -296,7 +296,7 @@ QueryResult ShowSessions() {
   result.columns = {"id",       "session",  "peer",     "state",
                     "statements", "errors", "bytes_in", "bytes_out",
                     "pipeline", "peak_out", "age",      "idle",
-                    "shard",    "last_statement"};
+                    "last_statement"};
   for (const obs::SessionInfo& info : obs::SessionRegistry::Global().List()) {
     result.rows.push_back(Row{
         Value::Int64(static_cast<int64_t>(info.id)),
@@ -311,8 +311,6 @@ QueryResult ShowSessions() {
         Value::Int64(static_cast<int64_t>(info.peak_write_buffer)),
         Value::String(obs::FormatNs(now - info.connected_ns)),
         Value::String(obs::FormatNs(now - info.last_active_ns)),
-        Value::String(info.last_shard < 0 ? "-"
-                                          : std::to_string(info.last_shard)),
         Value::String(info.last_statement)});
   }
   return result;
@@ -544,9 +542,6 @@ Result<QueryResult> ExecuteParsed(
   }
   QueryResult result;
   result.rows = std::move(rows);
-  result.shard_route = compiled.shard_route;
-  result.shard_target = compiled.shard_target;
-  result.shard_count = compiled.shard_count;
   if (cache != nullptr) {
     // Keep the plan for the next execution of this statement; columns
     // are copied because the plan outlives this result.
@@ -609,9 +604,6 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
       QueryResult reused;
       reused.columns = cached->columns;
       reused.rows = std::move(rows);
-      reused.shard_route = cached->shard_route;
-      reused.shard_target = cached->shard_target;
-      reused.shard_count = cached->shard_count;
       cache->CheckIn(cache_key, generation, std::move(cached));
       return reused;
     }

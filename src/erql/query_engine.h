@@ -18,14 +18,6 @@ struct QueryResult {
   std::vector<std::string> columns;
   std::vector<Row> rows;
 
-  /// Shard routing of the executed plan, copied from CompiledQuery when
-  /// the statement was a SELECT against a sharded engine (shard_count
-  /// stays 1 otherwise; shard_target names the shard for single-shard
-  /// routes). The host uses these for per-route metrics and outcome tags.
-  shard::ShardRouteClass shard_route = shard::ShardRouteClass::kSingleShard;
-  int shard_target = -1;
-  int shard_count = 1;
-
   /// Pretty-prints as a bordered text table (examples / debugging).
   std::string ToTable(size_t max_rows = 20) const;
 

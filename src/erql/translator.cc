@@ -8,9 +8,7 @@
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/join.h"
-#include "exec/shard_gather.h"
 #include "exec/sort.h"
-#include "shard/co_partition.h"
 
 namespace erbium {
 namespace erql {
@@ -101,8 +99,7 @@ std::string DeriveName(const SelectItem& item, size_t index) {
 }
 
 /// The final projection over an aggregate's output: one position + name
-/// per select item. Shared between the serial path and the sharded
-/// coordinator (which applies it once above the partial-aggregate merge).
+/// per select item.
 struct AggProjection {
   std::vector<int> positions;
   std::vector<std::string> names;
@@ -145,9 +142,7 @@ Result<AggProjection> ComputeAggProjection(
   return out;
 }
 
-/// Distinct / ORDER BY / LIMIT above the projected stream. Shared by the
-/// serial path and the sharded coordinator (these must run once, above
-/// the cross-shard combine, never per branch).
+/// Distinct / ORDER BY / LIMIT above the projected stream.
 Result<OperatorPtr> FinishQueryTail(OperatorPtr plan,
                                     const std::vector<std::string>& output_names,
                                     const Query& query) {
@@ -185,34 +180,11 @@ Result<OperatorPtr> FinishQueryTail(OperatorPtr plan,
   return plan;
 }
 
-/// What a per-shard branch translation hands back to the sharded
-/// coordinator: the parts that must be assembled exactly once above the
-/// ShardGather / ShardMergeAggregate seam rather than per branch.
-struct BranchParts {
-  bool has_aggregate = false;
-  /// Aggregate queries: branch plans stop *before* aggregation and these
-  /// describe the shared accumulator the coordinator merges.
-  std::vector<ExprPtr> group_exprs;
-  std::vector<std::string> group_names;
-  std::vector<AggregateSpec> aggs;
-  /// Final projection above the merged aggregate.
-  std::vector<int> select_positions;
-  /// Output column names of the combined stream (both modes).
-  std::vector<std::string> output_names;
-  /// True when any scan site had to union all shards (the plan moves
-  /// non-driver data across shards; classifies as scatter-gather).
-  bool any_global_scan = false;
-};
-
 class TranslatorImpl {
  public:
   TranslatorImpl(MappedDatabase* db, const Query& query,
-                 const ExecOptions& opts, BranchParts* branch_out = nullptr)
-      : db_(db),
-        query_(query),
-        opts_(opts),
-        shards_(branch_out != nullptr ? opts.shards : nullptr),
-        branch_out_(branch_out) {}
+                 const ExecOptions& opts)
+      : db_(db), query_(query), opts_(opts) {}
 
   Result<CompiledQuery> Run();
 
@@ -251,30 +223,12 @@ class TranslatorImpl {
   /// Aliases referenced by an expression (resolved).
   Status ReferencedAliases(const ExprAst& ast, std::set<std::string>* out);
 
-  /// Branch mode: decides, per alias and per relationship join, whether
-  /// the branch can read only its own shard (see the call site in Run
-  /// for the partitioning argument).
-  void ComputeShardLocality();
-
   MappedDatabase* db_;
   const Query& query_;
   ExecOptions opts_;
   std::vector<AliasDecl> decls_;
   obs::StatementFootprint footprint_;
   std::set<std::string> attr_touches_seen_;
-
-  /// Branch mode (sharded broadcast): non-null when this translation
-  /// builds shard `branch_`'s pipeline of an N-way plan. db_ is then
-  /// shard `branch_`'s database and the coordinator combines the N
-  /// results above us.
-  const shard::ShardPlanContext* shards_ = nullptr;
-  BranchParts* branch_out_ = nullptr;
-  /// Aliases whose rows provably live on the branch shard (driver, weak
-  /// entities chained off it) and relationship joins whose edge scan is
-  /// co-located with a local alias.
-  std::set<std::string> local_aliases_;
-  std::set<size_t> local_rel_joins_;
-  bool any_global_scan_ = false;
 };
 
 Status TranslatorImpl::CollectAliases() {
@@ -412,97 +366,6 @@ Status TranslatorImpl::CollectFootprintAttrs() {
   return Status::OK();
 }
 
-// A branch reads shard `branch_`'s data directly and everything else
-// through cross-shard unions. This pre-pass decides which scan sites can
-// stay shard-local, mirroring the join loop's side resolution (it runs
-// before plan building because the join loop builds each right-hand plan
-// at the top of its iteration, before join-kind analysis):
-//   - the driver alias: its scan *is* the branch's partition;
-//   - a weak entity joined through its identifying relationship to a
-//     local alias: weak rows route by their owner-key prefix, so every
-//     matched pair co-locates (and the weak alias itself becomes local,
-//     chaining to further weak joins);
-//   - a relationship edge scan when the already-bound side is local AND
-//     is the relationship's dominant participant: edges route by the
-//     dominant key, so a local row's edges are on its own shard.
-// Anything else — theta joins, the new entity side of a relationship
-// join (its instances hash by their own key, not the edge's) — scans all
-// shards. Unresolvable names fall through conservatively; the join loop
-// reports the real error.
-void TranslatorImpl::ComputeShardLocality() {
-  local_aliases_.insert(decls_[0].alias);
-  auto side_score = [&](const std::string& side_entity,
-                        const std::string& entity) -> int {
-    if (EqualsIgnoreCase(side_entity, entity)) return 2;
-    if (db_->schema().IsSelfOrDescendant(entity, side_entity) ||
-        db_->schema().IsSelfOrDescendant(side_entity, entity)) {
-      return 1;
-    }
-    return 0;
-  };
-  for (size_t j = 0; j < query_.joins.size(); ++j) {
-    const JoinClause& join = query_.joins[j];
-    if (j + 1 >= decls_.size()) break;
-    AliasDecl* decl = &decls_[j + 1];
-    if (join.relationship.empty()) continue;
-    const RelationshipSetDef* rel =
-        db_->schema().FindRelationshipSet(join.relationship);
-    if (rel != nullptr) {
-      int left_new = side_score(rel->left.entity, decl->entity);
-      int right_new = side_score(rel->right.entity, decl->entity);
-      if (left_new == 0 && right_new == 0) continue;
-      bool new_is_right = right_new >= left_new;
-      const Participant& old_side = new_is_right ? rel->left : rel->right;
-      const AliasDecl* old_decl = nullptr;
-      int best = 0;
-      bool ambiguous = false;
-      for (size_t k = 0; k <= j; ++k) {
-        int score = side_score(old_side.entity, decls_[k].entity);
-        if (score > best) {
-          best = score;
-          old_decl = &decls_[k];
-          ambiguous = false;
-        } else if (score == best && score > 0 && old_decl != nullptr) {
-          ambiguous = true;
-        }
-      }
-      if (old_decl == nullptr || ambiguous) continue;
-      const shard::RelationshipPlacement* place =
-          shards_->map->relationship(rel->name);
-      if (place == nullptr) continue;
-      bool old_is_left = new_is_right;
-      if (place->dominant_is_left == old_is_left &&
-          local_aliases_.count(old_decl->alias) > 0) {
-        local_rel_joins_.insert(j);
-      }
-      continue;
-    }
-    // Weak identifying join.
-    const EntitySetDef* weak = nullptr;
-    for (const std::string& entity_name : db_->schema().EntitySetNames()) {
-      const EntitySetDef* def = db_->schema().FindEntitySet(entity_name);
-      if (def->weak &&
-          EqualsIgnoreCase(def->identifying_relationship,
-                           join.relationship)) {
-        weak = def;
-        break;
-      }
-    }
-    if (weak == nullptr) continue;
-    bool new_is_weak = EqualsIgnoreCase(decl->entity, weak->name);
-    const std::string& other = new_is_weak ? weak->owner : weak->name;
-    for (size_t k = 0; k <= j; ++k) {
-      if (EqualsIgnoreCase(decls_[k].entity, other)) {
-        if (local_aliases_.count(decls_[k].alias) > 0) {
-          local_aliases_.insert(decl->alias);
-          local_rel_joins_.insert(j);
-        }
-        break;
-      }
-    }
-  }
-}
-
 Status TranslatorImpl::ReferencedAliases(const ExprAst& ast,
                                          std::set<std::string>* out) {
   if (ast.kind == ExprAst::Kind::kIdent) {
@@ -636,38 +499,15 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
   TouchEntity(decl->entity, join_side       ? obs::EntityPath::kJoinSide
                             : point_lookup ? obs::EntityPath::kProbe
                                            : obs::EntityPath::kScan);
-  bool branch_local =
-      shards_ == nullptr || local_aliases_.count(decl->alias) > 0;
   if (point_lookup) {
     IndexKey key;
     for (const std::string& name : decl->key_names) {
       key.push_back(pinned.at(name));
     }
-    MappedDatabase* target = db_;
-    if (!branch_local) {
-      // A pinned full key names exactly one shard (the routing prefix is
-      // part of it) — probe that shard directly instead of unioning
-      // every shard's index.
-      ERBIUM_ASSIGN_OR_RETURN(int s,
-                              shards_->map->RouteKey(decl->entity, key));
-      target = shards_->dbs[s];
-    }
     ERBIUM_ASSIGN_OR_RETURN(
-        plan, target->LookupEntity(decl->entity, key, decl->needed));
-  } else if (branch_local) {
-    ERBIUM_ASSIGN_OR_RETURN(plan, db_->ScanEntity(decl->entity, decl->needed));
-    std::fill(consumed.begin(), consumed.end(), false);
+        plan, db_->LookupEntity(decl->entity, key, decl->needed));
   } else {
-    // Rows for this alias may live anywhere: union every shard's scan.
-    std::vector<OperatorPtr> children;
-    children.reserve(shards_->dbs.size());
-    for (MappedDatabase* sdb : shards_->dbs) {
-      ERBIUM_ASSIGN_OR_RETURN(OperatorPtr child,
-                              sdb->ScanEntity(decl->entity, decl->needed));
-      children.push_back(std::move(child));
-    }
-    plan = std::make_unique<UnionAllOp>(std::move(children));
-    any_global_scan_ = true;
+    ERBIUM_ASSIGN_OR_RETURN(plan, db_->ScanEntity(decl->entity, decl->needed));
     std::fill(consumed.begin(), consumed.end(), false);
   }
   // Local scope of this alias's output.
@@ -698,7 +538,6 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
 Result<CompiledQuery> TranslatorImpl::Run() {
   ERBIUM_RETURN_NOT_OK(CollectAliases());
   ERBIUM_RETURN_NOT_OK(CollectFootprintAttrs());
-  if (shards_ != nullptr) ComputeShardLocality();
 
   // ---- Unnest fast path --------------------------------------------------
   // SELECT <key attrs...>, unnest(<mv attr>) FROM E [WHERE <key-only>]:
@@ -804,13 +643,6 @@ Result<CompiledQuery> TranslatorImpl::Run() {
         compiled.columns = std::move(names);
         compiled.footprint =
             std::make_shared<obs::StatementFootprint>(std::move(footprint_));
-        if (branch_out_ != nullptr) {
-          // Branch mode: the driver's side table is shard-local, and the
-          // per-branch LimitOp above only trims what the coordinator's
-          // own limit re-enforces.
-          branch_out_->output_names = compiled.columns;
-          branch_out_->any_global_scan = false;
-        }
         return compiled;
       }
     }
@@ -864,10 +696,7 @@ Result<CompiledQuery> TranslatorImpl::Run() {
   Scope scope;
   OperatorPtr plan;
   size_t first_join = 0;
-  // Fused storages are rejected at shards > 1 (ValidateShardable), so
-  // the fused path can never apply to a branch; skip probing for it.
-  if (shards_ == nullptr && !query_.joins.empty() &&
-      !query_.joins[0].relationship.empty()) {
+  if (!query_.joins.empty() && !query_.joins[0].relationship.empty()) {
     const RelationshipSetDef* rel =
         db_->schema().FindRelationshipSet(query_.joins[0].relationship);
     if (rel != nullptr) {
@@ -1013,23 +842,8 @@ Result<CompiledQuery> TranslatorImpl::Run() {
         }
         // plan ⋈ rel-instances ⋈ new entity.
         TouchRelationship(rel_name, /*fused=*/false);
-        OperatorPtr rel_scan;
-        if (shards_ == nullptr || local_rel_joins_.count(j) > 0) {
-          ERBIUM_ASSIGN_OR_RETURN(rel_scan, db_->ScanRelationship(rel_name));
-        } else {
-          // Edges route by the dominant participant; the bound side here
-          // is non-dominant (or itself global), so its edges may live on
-          // any shard.
-          std::vector<OperatorPtr> children;
-          children.reserve(shards_->dbs.size());
-          for (MappedDatabase* sdb : shards_->dbs) {
-            ERBIUM_ASSIGN_OR_RETURN(OperatorPtr child,
-                                    sdb->ScanRelationship(rel_name));
-            children.push_back(std::move(child));
-          }
-          rel_scan = std::make_unique<UnionAllOp>(std::move(children));
-          any_global_scan_ = true;
-        }
+        ERBIUM_ASSIGN_OR_RETURN(OperatorPtr rel_scan,
+                                db_->ScanRelationship(rel_name));
         ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> old_key_cols,
                                 db_->mapping().KeyColumns(old_side.entity));
         ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> new_key_cols,
@@ -1316,26 +1130,6 @@ Result<CompiledQuery> TranslatorImpl::Run() {
     }
     ERBIUM_ASSIGN_OR_RETURN(AggProjection proj,
                             ComputeAggProjection(query_, group_asts));
-    if (branch_out_ != nullptr) {
-      // Branch mode stops *before* aggregation: finalizing per shard and
-      // re-aggregating would be wrong (avg of avgs), so the coordinator
-      // merges accumulator partials (ShardMergeAggregateOp) and applies
-      // the final projection once. Branch 0's copy of the shared specs
-      // wins; all branches build identical ones.
-      branch_out_->has_aggregate = true;
-      branch_out_->group_exprs = std::move(group_exprs);
-      branch_out_->group_names = std::move(group_names);
-      branch_out_->aggs = std::move(aggs);
-      branch_out_->select_positions = std::move(proj.positions);
-      branch_out_->output_names = std::move(proj.names);
-      branch_out_->any_global_scan = any_global_scan_;
-      CompiledQuery compiled;
-      compiled.plan = std::move(plan);
-      compiled.columns = branch_out_->output_names;
-      compiled.footprint =
-          std::make_shared<obs::StatementFootprint>(std::move(footprint_));
-      return compiled;
-    }
     plan = MakeAggregatePlan(std::move(plan), std::move(group_exprs),
                              group_names, std::move(aggs), opts_);
     // Final projection maps select items onto the aggregate output.
@@ -1383,20 +1177,6 @@ Result<CompiledQuery> TranslatorImpl::Run() {
     // Parallelize the scan→filter→project pipeline; Distinct/Sort/Limit
     // above stay serial consumers of the gathered stream.
     plan = MaybeParallelGather(std::move(plan), opts_);
-  }
-
-  if (branch_out_ != nullptr) {
-    // Branch mode (non-aggregate; the aggregate arm returned above):
-    // Distinct/Sort/Limit must see the combined stream, so they move up
-    // to the coordinator, above the cross-shard gather.
-    branch_out_->output_names = output_names;
-    branch_out_->any_global_scan = any_global_scan_;
-    CompiledQuery compiled;
-    compiled.plan = std::move(plan);
-    compiled.columns = std::move(output_names);
-    compiled.footprint =
-        std::make_shared<obs::StatementFootprint>(std::move(footprint_));
-    return compiled;
   }
 
   ERBIUM_ASSIGN_OR_RETURN(plan,
@@ -1495,152 +1275,17 @@ std::vector<std::string> BuildMappingNotes(const PhysicalMapping& m,
   return notes;
 }
 
-// ---- Sharded compilation ---------------------------------------------------
-
-/// True when the WHERE clause pins every routing attribute of the FROM
-/// entity with a top-level `attr = literal` equality and the query has
-/// no joins: every qualifying row then lives on one shard, and the whole
-/// statement (aggregates included) compiles unsharded against that
-/// shard's database.
-bool RouteSingleShard(const Query& query, const shard::ShardPlanContext& ctx,
-                      MappedDatabase* db0, int* shard_out) {
-  if (!query.joins.empty()) return false;
-  const EntitySetDef* def = db0->schema().FindEntitySet(query.from.entity);
-  if (def == nullptr) return false;  // let normal analysis report it
-  const shard::EntityPlacement* place = ctx.map->entity(def->name);
-  if (place == nullptr || place->routing_attrs.empty()) return false;
-  std::vector<ExprAstPtr> conjuncts;
-  SplitConjuncts(query.where, &conjuncts);
-  std::map<std::string, Value> pinned;
-  for (const ExprAstPtr& c : conjuncts) {
-    if (c->kind != ExprAst::Kind::kBinary || c->op != "=") continue;
-    const ExprAst* ident = nullptr;
-    const ExprAst* literal = nullptr;
-    for (int side : {0, 1}) {
-      if (c->children[side]->kind == ExprAst::Kind::kIdent &&
-          c->children[1 - side]->kind == ExprAst::Kind::kLiteral) {
-        ident = c->children[side].get();
-        literal = c->children[1 - side].get();
-      }
-    }
-    if (ident == nullptr) continue;
-    if (!ident->qualifier.empty() &&
-        !EqualsIgnoreCase(ident->qualifier, query.from.alias)) {
-      continue;
-    }
-    pinned.emplace(ident->name, literal->literal);
-  }
-  std::vector<Value> routing;
-  routing.reserve(place->routing_attrs.size());
-  for (const std::string& attr : place->routing_attrs) {
-    auto it = pinned.find(attr);
-    if (it == pinned.end()) return false;
-    routing.push_back(it->second);
-  }
-  *shard_out = ctx.map->RouteValues(routing);
-  return true;
-}
-
-/// The sharded coordinator: single-shard fast path, else one branch
-/// pipeline per shard combined by ShardGatherOp (bag union) or
-/// ShardMergeAggregateOp (accumulator merge), with the final projection,
-/// Distinct, Sort, and Limit applied exactly once above the combine.
-Result<CompiledQuery> TranslateSharded(const Query& query,
-                                       const ExecOptions& opts) {
-  const shard::ShardPlanContext& ctx = *opts.shards;
-  const int n = static_cast<int>(ctx.dbs.size());
-
-  int target = -1;
-  if (RouteSingleShard(query, ctx, ctx.dbs[0], &target)) {
-    ExecOptions inner = opts;
-    inner.shards = nullptr;
-    TranslatorImpl impl(ctx.dbs[target], query, inner);
-    ERBIUM_ASSIGN_OR_RETURN(CompiledQuery compiled, impl.Run());
-    compiled.shard_route = shard::ShardRouteClass::kSingleShard;
-    compiled.shard_target = target;
-    compiled.shard_count = n;
-    return compiled;
-  }
-
-  // Broadcast: translate one branch per shard. Branches compile serially
-  // inside (num_threads = 1), so the pool tasks that drain them never
-  // contain a nested GatherOp waiting on more pool tasks; cross-shard
-  // parallelism replaces morsel parallelism here.
-  ExecOptions branch_opts = opts;
-  branch_opts.num_threads = 1;
-  BranchParts parts;
-  std::vector<OperatorPtr> branches;
-  std::shared_ptr<obs::StatementFootprint> footprint;
-  branches.reserve(n);
-  for (int k = 0; k < n; ++k) {
-    BranchParts branch_parts;
-    TranslatorImpl impl(ctx.dbs[k], query, branch_opts, &branch_parts);
-    ERBIUM_ASSIGN_OR_RETURN(CompiledQuery branch, impl.Run());
-    branches.push_back(std::move(branch.plan));
-    if (k == 0) {
-      parts = std::move(branch_parts);
-      footprint = std::move(branch.footprint);
-    }
-  }
-
-  OperatorPtr plan;
-  std::vector<std::string> output_names = parts.output_names;
-  if (parts.has_aggregate) {
-    plan = std::make_unique<ShardMergeAggregateOp>(
-        std::move(branches), std::move(parts.group_exprs), parts.group_names,
-        std::move(parts.aggs));
-    std::vector<ExprPtr> out_exprs;
-    std::vector<Column> out_cols;
-    for (size_t i = 0; i < output_names.size(); ++i) {
-      out_cols.push_back(Column{output_names[i], Type::Null(), true});
-      out_exprs.push_back(
-          MakeColumnRef(parts.select_positions[i], output_names[i]));
-    }
-    plan = std::make_unique<ProjectOp>(std::move(plan), std::move(out_cols),
-                                       std::move(out_exprs));
-  } else {
-    plan = std::make_unique<ShardGatherOp>(std::move(branches));
-  }
-  ERBIUM_ASSIGN_OR_RETURN(plan,
-                          FinishQueryTail(std::move(plan), output_names,
-                                          query));
-
-  CompiledQuery compiled;
-  compiled.plan = std::move(plan);
-  compiled.columns = std::move(output_names);
-  compiled.footprint = std::move(footprint);
-  compiled.shard_route = (parts.any_global_scan || parts.has_aggregate)
-                             ? shard::ShardRouteClass::kScatterGather
-                             : shard::ShardRouteClass::kLocalJoin;
-  compiled.shard_count = n;
-  return compiled;
-}
-
 }  // namespace
 
 Result<CompiledQuery> Translator::Translate(MappedDatabase* db,
                                             const Query& query,
                                             const ExecOptions& opts) {
-  CompiledQuery compiled;
-  if (opts.shards != nullptr && opts.shards->dbs.size() > 1) {
-    ERBIUM_ASSIGN_OR_RETURN(compiled, TranslateSharded(query, opts));
-  } else {
-    TranslatorImpl impl(db, query, opts);
-    ERBIUM_ASSIGN_OR_RETURN(compiled, impl.Run());
-  }
+  TranslatorImpl impl(db, query, opts);
+  ERBIUM_ASSIGN_OR_RETURN(CompiledQuery compiled, impl.Run());
   compiled.explain = query.explain;
   if (query.explain != ExplainMode::kNone) {
     compiled.mapping_summary = db->mapping().spec().ToString();
     compiled.mapping_notes = BuildMappingNotes(db->mapping(), query);
-    if (compiled.shard_count > 1) {
-      std::string note = std::string("shard routing: ") +
-                         shard::ShardRouteClassName(compiled.shard_route);
-      if (compiled.shard_target >= 0) {
-        note += " -> shard " + std::to_string(compiled.shard_target);
-      }
-      note += " (" + std::to_string(compiled.shard_count) + " shards)";
-      compiled.mapping_notes.push_back(std::move(note));
-    }
   }
   return compiled;
 }

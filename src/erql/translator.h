@@ -12,7 +12,6 @@
 #include "exec/parallel.h"
 #include "mapping/database.h"
 #include "obs/workload_profile.h"
-#include "shard/co_partition.h"
 
 namespace erbium {
 namespace erql {
@@ -36,13 +35,6 @@ struct CompiledQuery {
   /// stamps `footprint->shape` once after translation and treats it as
   /// immutable from then on.
   std::shared_ptr<obs::StatementFootprint> footprint;
-
-  /// Shard routing decision, meaningful when compiled against a sharded
-  /// engine (opts.shards set with more than one shard; shard_count stays
-  /// 1 otherwise). kSingleShard plans name their target in shard_target.
-  shard::ShardRouteClass shard_route = shard::ShardRouteClass::kSingleShard;
-  int shard_target = -1;
-  int shard_count = 1;
 };
 
 /// Compiles a parsed ERQL query against a database's E/R schema and its

@@ -129,9 +129,9 @@ Value AdaptValue(const Value& v, bool src_multi, bool dst_multi) {
 
 }  // namespace
 
-Status MigrateEntities(MappedDatabase* src, const MigrateSinks& sinks) {
+Status MigrateData(MappedDatabase* src, MappedDatabase* dst) {
   const ERSchema& src_schema = src->schema();
-  const ERSchema& dst_schema = *sinks.dst_schema;
+  const ERSchema& dst_schema = dst->schema();
 
   // Entities: roots (and their hierarchies) first, then weak entity sets
   // ordered so owners precede the weak sets they own.
@@ -223,7 +223,7 @@ Status MigrateEntities(MappedDatabase* src, const MigrateSinks& sinks) {
         fields.emplace_back(attr.name, std::move(adapted));
       }
       ERBIUM_RETURN_NOT_OK(
-          sinks.insert_entity(dst_class, Value::Struct(std::move(fields))));
+          dst->InsertEntity(dst_class, Value::Struct(std::move(fields))));
     }
     return Status::OK();
   };
@@ -234,12 +234,8 @@ Status MigrateEntities(MappedDatabase* src, const MigrateSinks& sinks) {
   for (const std::string& weak : weak_sets) {
     ERBIUM_RETURN_NOT_OK(migrate_class_instances(weak));
   }
-  return Status::OK();
-}
 
-Status MigrateRelationships(MappedDatabase* src, const MigrateSinks& sinks) {
-  const ERSchema& src_schema = src->schema();
-  const ERSchema& dst_schema = *sinks.dst_schema;
+  // Relationship instances, once every participant is in place.
   for (const std::string& rel_name : src_schema.RelationshipSetNames()) {
     const RelationshipSetDef* dst_rel =
         dst_schema.FindRelationshipSet(rel_name);
@@ -266,25 +262,10 @@ Status MigrateRelationships(MappedDatabase* src, const MigrateSinks& sinks) {
         }
         attrs = Value::Struct(std::move(fields));
       }
-      ERBIUM_RETURN_NOT_OK(
-          sinks.insert_relationship(rel_name, left, right, attrs));
+      ERBIUM_RETURN_NOT_OK(dst->InsertRelationship(rel_name, left, right, attrs));
     }
   }
   return Status::OK();
-}
-
-Status MigrateData(MappedDatabase* src, MappedDatabase* dst) {
-  MigrateSinks sinks;
-  sinks.dst_schema = &dst->schema();
-  sinks.insert_entity = [dst](const std::string& cls, Value fields) {
-    return dst->InsertEntity(cls, std::move(fields));
-  };
-  sinks.insert_relationship = [dst](const std::string& rel, IndexKey left,
-                                    IndexKey right, Value attrs) {
-    return dst->InsertRelationship(rel, left, right, attrs);
-  };
-  ERBIUM_RETURN_NOT_OK(MigrateEntities(src, sinks));
-  return MigrateRelationships(src, sinks);
 }
 
 }  // namespace evolution

@@ -51,25 +51,6 @@ Status AddSubclass(ERSchema* schema, const std::string& parent,
 /// mapping reversibility (paper Section 4 requirement 1).
 Status MigrateData(MappedDatabase* src, MappedDatabase* dst);
 
-/// Sink form of the same migration, for hosts that spread the stream
-/// over several destination databases (the sharded engine re-routes
-/// every instance: entity placement is schema-derived, but relationship
-/// edges follow their dominant participant, which the mapping spec can
-/// flip). `dst_schema` drives the value adaptation exactly as dst's
-/// schema does in MigrateData. The two passes are separate so a
-/// multi-source host can land *all* entities (from every source) before
-/// any relationship edge — foreign-key edge storage needs the dominant
-/// side's rows in place.
-struct MigrateSinks {
-  const ERSchema* dst_schema = nullptr;
-  std::function<Status(const std::string& cls, Value fields)> insert_entity;
-  std::function<Status(const std::string& rel, IndexKey left, IndexKey right,
-                       Value attrs)>
-      insert_relationship;
-};
-Status MigrateEntities(MappedDatabase* src, const MigrateSinks& sinks);
-Status MigrateRelationships(MappedDatabase* src, const MigrateSinks& sinks);
-
 }  // namespace evolution
 
 /// A database with native schema/mapping versioning (paper Sections 3

@@ -13,8 +13,7 @@ namespace erbium {
 
 /// Merges per-producer bounded batch queues under one mutex: producers
 /// wait for space in their own queue, the single consumer waits for any
-/// batch. Extracted from GatherOp so every exchange-shaped operator
-/// (morsel-parallel gather, cross-shard gather) shares one implementation.
+/// batch. Used by the morsel-parallel GatherOp.
 class RowExchange {
  public:
   explicit RowExchange(size_t num_producers, size_t max_queued_per_producer = 4)

@@ -16,10 +16,6 @@
 
 namespace erbium {
 
-namespace shard {
-struct ShardPlanContext;
-}  // namespace shard
-
 // Morsel-driven parallel execution (Leis et al., SIGMOD'14) over the
 // Volcano operators. A serial plan is cloned into N identical worker
 // pipelines whose leaf scans share an atomic morsel cursor; a GatherOp (or
@@ -37,12 +33,6 @@ struct ExecOptions {
   /// Minimum total base-table slots feeding a plan before the translator
   /// inserts parallel operators; smaller plans keep their serial shape.
   size_t parallel_row_threshold = 8192;
-  /// Non-null when the statement compiles against a sharded engine: the
-  /// translator builds one branch pipeline per shard and combines them
-  /// with a cross-shard gather / partial-aggregate merge. Not owned;
-  /// valid for the statement's lifetime (the runner rebuilds it under
-  /// the exclusive lock on DDL/REMAP).
-  const shard::ShardPlanContext* shards = nullptr;
 
   static ExecOptions Serial() { return ExecOptions(); }
   /// num_threads from ERBIUM_THREADS (default: hardware concurrency) and

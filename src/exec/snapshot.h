@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 namespace erbium {
 namespace exec {
@@ -51,17 +50,6 @@ class ReadSnapshot {
     }
     return std::static_pointer_cast<const typename Versioned::VersionType>(
         it->second);
-  }
-
-  /// Shared ownership of every pin taken so far. Operators that hand
-  /// pipelines to detached pool workers (cross-shard gather) copy these
-  /// after opening their children, so the versions the children resolved
-  /// stay valid even if the workers outlive the statement's snapshot.
-  std::vector<std::shared_ptr<const void>> SharedPins() const {
-    std::vector<std::shared_ptr<const void>> out;
-    out.reserve(pins_.size());
-    for (const auto& [key, pin] : pins_) out.push_back(pin);
-    return out;
   }
 
  private:

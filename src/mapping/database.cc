@@ -44,71 +44,85 @@ Status MappedDatabase::Counted(Status s, const char* counter_name) {
 // ---- logical CRUD choke points -------------------------------------------------
 //
 // Each public mutation applies in memory first, then bumps its crud.*
-// counter and reports the operation to the durability hook (when one is
-// attached) *before* acknowledging the caller. A hook failure — real I/O
-// trouble or an injected crash — is returned to the caller: the write was
-// applied in memory but never acknowledged, so recovery is free to drop
-// it.
+// counter and writes its record through the durability hook (when one is
+// attached) while still holding its lock domain. It acknowledges the
+// caller only once that record is durable, a wait that happens after the
+// domain is released. A hook failure (real I/O trouble or an injected
+// crash) is returned to the caller: the write was applied in memory but
+// never acknowledged, so recovery is free to drop it.
+
+template <typename Apply, typename Log>
+Status MappedDatabase::ApplyAndLog(const std::string& construct,
+                                   const char* counter_name, Apply apply,
+                                   Log log) {
+  DurabilityHook* hook = nullptr;
+  uint64_t lsn = 0;
+  {
+    std::lock_guard<std::mutex> domain(LockDomain(construct));
+    ERBIUM_RETURN_NOT_OK(Counted(apply(), counter_name));
+    hook = durability_;
+    if (hook == nullptr) return Status::OK();
+    ERBIUM_ASSIGN_OR_RETURN(lsn, log(hook));
+  }
+  return hook->WaitDurable(lsn);
+}
 
 Status MappedDatabase::InsertEntity(const std::string& class_name,
                                     const Value& entity) {
-  std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
-  Status s = Counted(InsertEntityImpl(class_name, entity),
-                     "crud.entity_inserts");
-  if (s.ok() && durability_ != nullptr) {
-    return durability_->LogInsertEntity(class_name, entity);
-  }
-  return s;
+  return ApplyAndLog(
+      class_name, "crud.entity_inserts",
+      [&] { return InsertEntityImpl(class_name, entity); },
+      [&](DurabilityHook* hook) {
+        return hook->LogInsertEntity(class_name, entity);
+      });
 }
 
 Status MappedDatabase::DeleteEntity(const std::string& class_name,
                                     const IndexKey& key) {
-  std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
-  Status s = Counted(DeleteEntityImpl(class_name, key), "crud.entity_deletes");
-  if (s.ok() && durability_ != nullptr) {
-    return durability_->LogDeleteEntity(class_name, key);
-  }
-  return s;
+  return ApplyAndLog(
+      class_name, "crud.entity_deletes",
+      [&] { return DeleteEntityImpl(class_name, key); },
+      [&](DurabilityHook* hook) {
+        return hook->LogDeleteEntity(class_name, key);
+      });
 }
 
 Status MappedDatabase::UpdateAttribute(const std::string& class_name,
                                        const IndexKey& key,
                                        const std::string& attr,
                                        const Value& value) {
-  std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
-  Status s = Counted(UpdateAttributeImpl(class_name, key, attr, value),
-                     "crud.attribute_updates");
-  if (s.ok() && durability_ != nullptr) {
-    return durability_->LogUpdateAttribute(class_name, key, attr, value);
-  }
-  return s;
+  return ApplyAndLog(
+      class_name, "crud.attribute_updates",
+      [&] { return UpdateAttributeImpl(class_name, key, attr, value); },
+      [&](DurabilityHook* hook) {
+        return hook->LogUpdateAttribute(class_name, key, attr, value);
+      });
 }
 
 Status MappedDatabase::InsertRelationship(const std::string& rel_name,
                                           const IndexKey& left_key,
                                           const IndexKey& right_key,
                                           const Value& attrs) {
-  std::lock_guard<std::recursive_mutex> domain(LockDomain(rel_name));
-  Status s = Counted(InsertRelationshipImpl(rel_name, left_key, right_key,
-                                            attrs),
-                     "crud.relationship_inserts");
-  if (s.ok() && durability_ != nullptr) {
-    return durability_->LogInsertRelationship(rel_name, left_key, right_key,
-                                              attrs);
-  }
-  return s;
+  return ApplyAndLog(
+      rel_name, "crud.relationship_inserts",
+      [&] {
+        return InsertRelationshipImpl(rel_name, left_key, right_key, attrs);
+      },
+      [&](DurabilityHook* hook) {
+        return hook->LogInsertRelationship(rel_name, left_key, right_key,
+                                           attrs);
+      });
 }
 
 Status MappedDatabase::DeleteRelationship(const std::string& rel_name,
                                           const IndexKey& left_key,
                                           const IndexKey& right_key) {
-  std::lock_guard<std::recursive_mutex> domain(LockDomain(rel_name));
-  Status s = Counted(DeleteRelationshipImpl(rel_name, left_key, right_key),
-                     "crud.relationship_deletes");
-  if (s.ok() && durability_ != nullptr) {
-    return durability_->LogDeleteRelationship(rel_name, left_key, right_key);
-  }
-  return s;
+  return ApplyAndLog(
+      rel_name, "crud.relationship_deletes",
+      [&] { return DeleteRelationshipImpl(rel_name, left_key, right_key); },
+      [&](DurabilityHook* hook) {
+        return hook->LogDeleteRelationship(rel_name, left_key, right_key);
+      });
 }
 
 Result<std::unique_ptr<MappedDatabase>> MappedDatabase::Create(
@@ -170,19 +184,16 @@ void MappedDatabase::BuildLockDomains() {
     components.Unite(name, def->right.entity);
   }
 
-  std::unordered_map<std::string, std::shared_ptr<std::recursive_mutex>>
-      by_root;
+  std::unordered_map<std::string, std::shared_ptr<std::mutex>> by_root;
   lock_domains_.clear();
   for (const std::string& name : components.Names()) {
-    std::shared_ptr<std::recursive_mutex>& mu =
-        by_root[components.Find(name)];
-    if (mu == nullptr) mu = std::make_shared<std::recursive_mutex>();
+    std::shared_ptr<std::mutex>& mu = by_root[components.Find(name)];
+    if (mu == nullptr) mu = std::make_shared<std::mutex>();
     lock_domains_.emplace(name, mu);
   }
 }
 
-std::recursive_mutex& MappedDatabase::LockDomain(
-    const std::string& construct) {
+std::mutex& MappedDatabase::LockDomain(const std::string& construct) {
   auto it = lock_domains_.find(construct);
   return it == lock_domains_.end() ? *fallback_domain_ : *it->second;
 }
@@ -786,8 +797,17 @@ Status MappedDatabase::DeleteEntityImpl(const std::string& class_name,
           if (owned) weak_keys.push_back(std::move(weak_key));
         }
       }
+      // The cascade runs inside the owner's lock domain (weak entities
+      // share it). Each owned instance is applied and logged like a
+      // public delete; the owner's own, later record is the one the
+      // caller waits on, and its durability covers these.
       for (const IndexKey& weak_key : weak_keys) {
-        ERBIUM_RETURN_NOT_OK(DeleteEntity(weak, weak_key));
+        ERBIUM_RETURN_NOT_OK(
+            Counted(DeleteEntityImpl(weak, weak_key), "crud.entity_deletes"));
+        if (durability_ != nullptr) {
+          ERBIUM_RETURN_NOT_OK(
+              durability_->LogDeleteEntity(weak, weak_key).status());
+        }
       }
     }
   }

@@ -1,7 +1,6 @@
 #ifndef ERBIUM_MAPPING_DATABASE_H_
 #define ERBIUM_MAPPING_DATABASE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,26 +52,11 @@ class MappedDatabase {
 
   /// Attaches (or detaches, with nullptr) the write-ahead-log sink. Every
   /// successfully applied logical CRUD operation below is reported to the
-  /// hook before being acknowledged; these five methods are the single
-  /// choke point all writers (EntityStore, workloads, migration) funnel
-  /// through. Not owned.
+  /// hook and made durable before being acknowledged; these five methods
+  /// are the single choke point all writers (EntityStore, workloads,
+  /// migration) funnel through. Not owned.
   void set_durability_hook(DurabilityHook* hook) { durability_ = hook; }
   DurabilityHook* durability_hook() const { return durability_; }
-
-  /// Cross-shard referential existence. When this database is one shard
-  /// of a partitioned engine, a relationship participant may legitimately
-  /// live on a sibling shard: InsertRelationship consults the hook after
-  /// a local EntityExists miss before declaring a constraint violation.
-  /// The hook must be a pure read (sibling EntityExists is a versioned
-  /// read taking no writer locks, so cross-shard probes cannot deadlock).
-  using RemoteEntityCheck =
-      std::function<Result<bool>(const std::string&, const IndexKey&)>;
-  void set_remote_entity_check(RemoteEntityCheck check) {
-    remote_entity_check_ = std::move(check);
-  }
-  bool has_remote_entity_check() const {
-    return static_cast<bool>(remote_entity_check_);
-  }
 
   // ---- Entity CRUD -----------------------------------------------------------
 
@@ -170,6 +154,16 @@ class MappedDatabase {
   /// so counters reflect applied changes, not attempts.
   static Status Counted(Status s, const char* counter_name);
 
+  /// The body of the five public CRUD entry points. Under the construct's
+  /// lock domain, `apply` changes memory and `log` (only when a hook is
+  /// attached) writes the WAL record, so WAL order equals apply order
+  /// within a domain. The domain is released *before* waiting for the
+  /// record to become durable (early lock release): writers of one domain
+  /// then share a group-commit sync instead of queueing one fsync each.
+  template <typename Apply, typename Log>
+  Status ApplyAndLog(const std::string& construct, const char* counter_name,
+                     Apply apply, Log log);
+
   Status InsertEntityImpl(const std::string& class_name, const Value& entity);
   Status DeleteEntityImpl(const std::string& class_name, const IndexKey& key);
   Status UpdateAttributeImpl(const std::string& class_name,
@@ -235,7 +229,7 @@ class MappedDatabase {
   /// The writer lock domain of an entity or relationship set. Unknown
   /// names (analysis errors surface inside the Impl) fall back to one
   /// shared mutex.
-  std::recursive_mutex& LockDomain(const std::string& construct);
+  std::mutex& LockDomain(const std::string& construct);
 
   /// Partitions the schema graph into connected components (edges: ISA
   /// parent, weak→owner, relationship→both participants) and assigns one
@@ -250,14 +244,11 @@ class MappedDatabase {
   /// construct's domain — every physical structure one logical mutation
   /// can reach (hierarchy segments, weak cascades, FK clears, pair
   /// edges) lives inside a single domain, so writers in unrelated parts
-  /// of the schema run in parallel. Recursive because DeleteEntity's
-  /// weak-entity cascade re-enters through the public entry point.
-  /// Readers never take these locks: they pin published versions.
-  std::unordered_map<std::string, std::shared_ptr<std::recursive_mutex>>
-      lock_domains_;
-  std::shared_ptr<std::recursive_mutex> fallback_domain_ =
-      std::make_shared<std::recursive_mutex>();
-  RemoteEntityCheck remote_entity_check_;
+  /// of the schema run in parallel. Readers never take these locks: they
+  /// pin published versions.
+  std::unordered_map<std::string, std::shared_ptr<std::mutex>> lock_domains_;
+  std::shared_ptr<std::mutex> fallback_domain_ =
+      std::make_shared<std::mutex>();
 };
 
 }  // namespace erbium

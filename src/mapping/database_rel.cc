@@ -39,20 +39,12 @@ Status MappedDatabase::InsertRelationshipImpl(const std::string& rel_name,
   // mapping here (the paper notes this is hard on raw relational M3).
   ERBIUM_ASSIGN_OR_RETURN(bool left_exists,
                           EntityExists(rel->left.entity, left_key));
-  if (!left_exists && remote_entity_check_) {
-    ERBIUM_ASSIGN_OR_RETURN(left_exists,
-                            remote_entity_check_(rel->left.entity, left_key));
-  }
   if (!left_exists) {
     return Status::ConstraintViolation("left participant of " + rel_name +
                                        " does not exist");
   }
   ERBIUM_ASSIGN_OR_RETURN(bool right_exists,
                           EntityExists(rel->right.entity, right_key));
-  if (!right_exists && remote_entity_check_) {
-    ERBIUM_ASSIGN_OR_RETURN(
-        right_exists, remote_entity_check_(rel->right.entity, right_key));
-  }
   if (!right_exists) {
     return Status::ConstraintViolation("right participant of " + rel_name +
                                        " does not exist");

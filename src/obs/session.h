@@ -24,11 +24,6 @@ struct SessionInfo {
   uint64_t statements = 0;  // statements executed so far
   uint64_t errors = 0;      // of which failed
   std::string last_statement;
-  /// Shard the last routed statement resolved to (StatementOutcome::
-  /// shard): the routed shard of an INSERT or a single-shard SELECT's
-  /// target. -1 until a statement routes (broadcasts keep the last
-  /// value's slot at -1 too) — SHOW SESSIONS renders it as "-".
-  int last_shard = -1;
   uint64_t connected_ns = 0;    // MonotonicNowNs() at registration
   uint64_t last_active_ns = 0;  // MonotonicNowNs() of the last statement
 

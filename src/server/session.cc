@@ -49,12 +49,10 @@ Result<api::StatementOutcome> Session::Execute(const std::string& statement) {
                  {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000})
       .Observe(static_cast<double>(wall_ns) / 1000.0);
   bool failed = !outcome.ok();
-  int shard = outcome.ok() ? outcome->shard : -1;
-  registry.Update(id_, [failed, shard](obs::SessionInfo* info) {
+  registry.Update(id_, [failed](obs::SessionInfo* info) {
     info->state = "idle";
     ++info->statements;
     if (failed) ++info->errors;
-    info->last_shard = shard;
     info->last_active_ns = obs::MonotonicNowNs();
   });
   return outcome;

@@ -64,8 +64,8 @@ struct Figure4Config {
 /// two databases with different mappings hold identical logical data.
 Status PopulateFigure4(MappedDatabase* db, const Figure4Config& config);
 
-/// Insert sinks for hosts that spread the generated stream over several
-/// databases (the sharded engine routes each insert by key). The rng
+/// Insert sinks for hosts that observe or redirect the generated stream
+/// (e.g. counting rows while loading a durable database). The rng
 /// stream is consumed identically whatever the sinks do, so the logical
 /// dataset for a given seed is the same as the single-database overload.
 struct Figure4Sinks {

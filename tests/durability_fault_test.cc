@@ -20,12 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "api/statement_runner.h"
 #include "durability/durable_db.h"
 #include "durability/fault.h"
 #include "durability/wal.h"
 #include "durability_testlib.h"
-#include "obs/metrics.h"
 #include "workload/figure4.h"
 
 namespace erbium {
@@ -370,200 +368,6 @@ TEST(BitFlipSweep, RecordBoundariesAllMappings) {
           << spec.name << " bit flip at " << offset;
     }
   }
-}
-
-// ---- Sharded per-shard crash recovery --------------------------------------
-//
-// The sharded engine keeps one WAL per shard (<dir>/shard-<k>/wal.erblog),
-// so a crash tears at most the tail of each shard's log *independently*.
-// On reattach every shard must recover exactly its own acked prefix while
-// its siblings lose nothing — and a shard whose log lost the fan-out DDL
-// itself must fail-stop the whole attach (schema divergence), never serve
-// a partial schema.
-
-using api::StatementRunner;
-
-constexpr int kShards = 4;
-constexpr int64_t kShardedInserts = 32;
-
-std::unique_ptr<StatementRunner> OpenSharded(const std::string& dir,
-                                             Status* status = nullptr) {
-  StatementRunner::Options options;
-  options.attach_dir = dir;
-  options.shards = kShards;
-  auto runner = StatementRunner::Create(std::move(options));
-  if (status != nullptr) *status = runner.status();
-  return runner.ok() ? std::move(runner).value() : nullptr;
-}
-
-/// Per-shard WAL sizes via SHOW SHARDS (columns shard | inserts |
-/// wal_bytes | next_lsn | snapshot_gen).
-std::vector<uint64_t> ShardWalBytes(StatementRunner* runner) {
-  std::vector<uint64_t> out;
-  auto show = runner->Execute("SHOW SHARDS");
-  EXPECT_TRUE(show.ok()) << show.status().ToString();
-  if (!show.ok()) return out;
-  for (const Row& row : show->result.rows) {
-    out.push_back(static_cast<uint64_t>(row[2].as_int64()));
-  }
-  return out;
-}
-
-/// One clean sharded run: which shard every insert routed to, and each
-/// shard's WAL end offset after the DDL and after every routed insert —
-/// the per-shard record boundaries the truncation sweep cuts at.
-struct ShardedRun {
-  std::vector<uint64_t> ddl_baseline;
-  std::vector<std::vector<int64_t>> ids;
-  std::vector<std::vector<uint64_t>> end_offsets;
-};
-
-ShardedRun BuildShardedDatabase(const std::string& dir) {
-  ShardedRun run;
-  run.ids.resize(kShards);
-  run.end_offsets.resize(kShards);
-  std::unique_ptr<StatementRunner> runner = OpenSharded(dir);
-  EXPECT_NE(runner, nullptr);
-  if (runner == nullptr) return run;
-  EXPECT_TRUE(runner->Execute("CREATE ENTITY H ( id INT KEY, v INT )").ok());
-  run.ddl_baseline = ShardWalBytes(runner.get());
-  for (int64_t id = 0; id < kShardedInserts; ++id) {
-    auto outcome = runner->Execute("INSERT H (id = " + std::to_string(id) +
-                                   ", v = " + std::to_string(7 * id) + ")");
-    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-    if (!outcome.ok()) return run;
-    int shard = outcome->shard;
-    EXPECT_GE(shard, 0);
-    EXPECT_LT(shard, kShards);
-    run.ids[shard].push_back(id);
-    run.end_offsets[shard].push_back(ShardWalBytes(runner.get())[shard]);
-  }
-  // The runner closes cleanly here without a checkpoint: every shard's
-  // WAL stays on disk exactly as written.
-  return run;
-}
-
-void RestoreDir(const std::string& pristine, const std::string& scratch) {
-  std::filesystem::remove_all(scratch);
-  std::filesystem::copy(pristine, scratch,
-                        std::filesystem::copy_options::recursive);
-}
-
-/// Reopens `dir` sharded and checks the surviving rows are exactly
-/// `expected_ids` with the v = 7*id invariant intact.
-void CheckShardedRecovery(const std::string& dir,
-                          const std::vector<int64_t>& expected_ids) {
-  std::unique_ptr<StatementRunner> runner = OpenSharded(dir);
-  ASSERT_NE(runner, nullptr);
-  auto rows = runner->Execute("SELECT id, v FROM H");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::vector<int64_t> got;
-  for (const Row& row : rows->result.rows) {
-    ASSERT_EQ(row[1].as_int64(), 7 * row[0].as_int64());
-    got.push_back(row[0].as_int64());
-  }
-  std::sort(got.begin(), got.end());
-  std::vector<int64_t> want = expected_ids;
-  std::sort(want.begin(), want.end());
-  ASSERT_EQ(got, want);
-}
-
-TEST(ShardedRecovery, VictimShardTornTailSweepOthersIntact) {
-  // Crash one shard's WAL at every record boundary and mid-record, while
-  // its three siblings shut down cleanly. Recovery must keep every
-  // sibling insert plus exactly the victim's fully-written prefix.
-  std::string pristine = FreshDir("sharded_pristine");
-  ShardedRun run = BuildShardedDatabase(pristine);
-  ASSERT_EQ(run.ddl_baseline.size(), static_cast<size_t>(kShards));
-  std::string dir = FreshDir("sharded_sweep");
-  for (int victim = 0; victim < kShards; ++victim) {
-    ASSERT_FALSE(run.ids[victim].empty()) << "shard " << victim
-                                          << " received no inserts";
-    // Cut offsets: the post-DDL baseline (all victim inserts lost), every
-    // insert-record boundary (clean prefixes), and every midpoint (torn
-    // records that recovery must discard).
-    std::vector<uint64_t> cuts = {run.ddl_baseline[victim]};
-    uint64_t prev = run.ddl_baseline[victim];
-    for (uint64_t end : run.end_offsets[victim]) {
-      cuts.push_back(prev + (end - prev) / 2);
-      cuts.push_back(end);
-      prev = end;
-    }
-    for (uint64_t cut : cuts) {
-      SCOPED_TRACE("victim shard " + std::to_string(victim) + " cut at " +
-                   std::to_string(cut));
-      RestoreDir(pristine, dir);
-      std::filesystem::resize_file(
-          dir + "/shard-" + std::to_string(victim) + "/wal.erblog", cut);
-      std::vector<int64_t> expected;
-      for (int k = 0; k < kShards; ++k) {
-        if (k == victim) continue;
-        expected.insert(expected.end(), run.ids[k].begin(), run.ids[k].end());
-      }
-      for (size_t i = 0; i < run.ids[victim].size(); ++i) {
-        if (run.end_offsets[victim][i] <= cut) {
-          expected.push_back(run.ids[victim][i]);
-        }
-      }
-      CheckShardedRecovery(dir, expected);
-    }
-  }
-}
-
-TEST(ShardedRecovery, LosingTheFanOutDdlFailsStopTheAttach) {
-  // A cut below the DDL baseline loses the CREATE that every sibling
-  // logged: the victim recovers a different (empty) schema, and the
-  // attach must refuse to serve rather than route into a shard that
-  // lacks the entity set.
-  std::string pristine = FreshDir("sharded_ddl_pristine");
-  ShardedRun run = BuildShardedDatabase(pristine);
-  ASSERT_EQ(run.ddl_baseline.size(), static_cast<size_t>(kShards));
-  std::string dir = FreshDir("sharded_ddl");
-  const int victim = 1;
-  for (uint64_t cut : {uint64_t{0}, run.ddl_baseline[victim] / 2}) {
-    SCOPED_TRACE("cut at " + std::to_string(cut));
-    RestoreDir(pristine, dir);
-    std::filesystem::resize_file(
-        dir + "/shard-" + std::to_string(victim) + "/wal.erblog", cut);
-    Status status = Status::OK();
-    std::unique_ptr<StatementRunner> runner = OpenSharded(dir, &status);
-    ASSERT_EQ(runner, nullptr);
-    EXPECT_NE(status.ToString().find("refusing to serve"), std::string::npos)
-        << status.ToString();
-  }
-}
-
-TEST(ShardedRecovery, SnapshotGenerationSkewIsAbsorbed) {
-  // kill -9 between the per-shard phases of a fan-out CHECKPOINT leaves
-  // the shards at different snapshot generations. Simulate it by
-  // checkpointing ONE shard's database directly; reattach must take the
-  // skew in stride (each shard's own WAL covers its gap), keep every
-  // row, and count the event on shard.recovery.gen_skew.
-  std::string dir = FreshDir("sharded_genskew");
-  ShardedRun run = BuildShardedDatabase(dir);
-  ASSERT_EQ(run.ddl_baseline.size(), static_cast<size_t>(kShards));
-  {
-    std::unique_ptr<StatementRunner> runner = OpenSharded(dir);
-    ASSERT_NE(runner, nullptr);
-    ASSERT_TRUE(runner->Execute("CHECKPOINT").ok());
-  }
-  {
-    durability::DurableDatabase::Options options;
-    options.spec = MappingSpec::Normalized("m1");
-    auto one = DurableDatabase::Open(dir + "/shard-2", std::move(options));
-    ASSERT_TRUE(one.ok()) << one.status().ToString();
-    ASSERT_TRUE((*one)->Checkpoint().ok());
-  }
-  uint64_t skew_before = obs::MetricsRegistry::Global().CounterValue(
-      "shard.recovery.gen_skew");
-  std::vector<int64_t> expected;
-  for (int k = 0; k < kShards; ++k) {
-    expected.insert(expected.end(), run.ids[k].begin(), run.ids[k].end());
-  }
-  CheckShardedRecovery(dir, expected);
-  EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
-                "shard.recovery.gen_skew"),
-            skew_before);
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "durability/durable_db.h"
 #include "durability/serde.h"
@@ -569,6 +573,136 @@ TEST(DurableDatabaseTest, TornTailDiscardedOnReopen) {
                                                   {"s_a1", Value::Int64(6)},
                                                   {"s_a2", Value::String("t")}}))
                   .ok());
+}
+
+// ---- Group commit -------------------------------------------------------------
+//
+// Both cases park appender A inside its group fdatasync (the wal.sync
+// gate) and then run appender B against the same lock domain (R), so
+// each step of the early-lock-release protocol is observable.
+
+/// Polls `done` for up to ten seconds.
+bool Eventually(const std::function<bool()>& done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+Value RRow(int64_t id) { return MakeStruct({{"r_id", Value::Int64(id)}}); }
+
+bool Acknowledged(const std::future<Status>& op) {
+  return op.wait_for(std::chrono::milliseconds(50)) ==
+         std::future_status::ready;
+}
+
+DurableDatabase::Options FsyncOptions(durability::FaultInjector* faults) {
+  DurableDatabase::Options options = Figure4Options(Figure4M1(), faults);
+  options.sync = durability::WalWriter::SyncMode::kFsync;
+  return options;
+}
+
+TEST(GroupCommitTest, WaiterReleasesTheDomainAndAcksOnlyWhenSynced) {
+  std::string dir = FreshDir("group_commit");
+  durability::FaultInjector faults;
+  auto db = DurableDatabase::Open(dir, FsyncOptions(&faults));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  MappedDatabase* live = (*db)->db();
+  const uint64_t first_lsn = (*db)->next_lsn();
+  obs::Counter syncs = obs::MetricsRegistry::Global().counter("wal.syncs");
+  const uint64_t syncs_before = syncs.Value();
+
+  faults.ArmGate("wal.sync");
+  std::future<Status> a = std::async(std::launch::async, [&] {
+    return live->InsertEntity("R", RRow(900001));
+  });
+  // A's record is written and its sync is parked at the gate.
+  bool a_parked = faults.WaitUntilBlocked();
+  if (!a_parked) faults.ReleaseGate();
+  ASSERT_TRUE(a_parked);
+
+  std::future<Status> b = std::async(std::launch::async, [&] {
+    return live->InsertEntity("R", RRow(900002));
+  });
+  // B applies and writes its record while A's sync is still in flight:
+  // A holds neither R's lock domain nor the WAL mutex while it syncs.
+  bool b_written =
+      Eventually([&] { return (*db)->next_lsn() == first_lsn + 2; });
+  if (!b_written) faults.ReleaseGate();  // unblock A and B, then fail
+  ASSERT_TRUE(b_written);
+  auto visible = live->EntityExists("R", {Value::Int64(900002)});
+  EXPECT_TRUE(visible.ok() && *visible);
+  // Neither is acknowledged: A's sync has not finished, and it started
+  // before B's record existed, so it cannot cover B anyway.
+  EXPECT_FALSE(Acknowledged(a));
+  EXPECT_FALSE(Acknowledged(b));
+
+  faults.ReleaseGate();
+  Status a_status = a.get();
+  Status b_status = b.get();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_TRUE(b_status.ok()) << b_status.ToString();
+  // A's sync started before B's record existed, so B needed a second.
+  EXPECT_EQ(syncs.Value() - syncs_before, 2u);
+  db->reset();
+
+  auto wal = durability::ReadWal(dir + "/wal.erblog");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_TRUE(wal->clean);
+  ASSERT_EQ(wal->records.size(), 2u);
+  EXPECT_EQ(wal->records[0].lsn, first_lsn);
+  EXPECT_EQ(wal->records[1].lsn, first_lsn + 1);
+  auto reopened = DurableDatabase::Open(dir, Figure4Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (int64_t id : {900001, 900002}) {
+    auto exists = (*reopened)->db()->EntityExists("R", {Value::Int64(id)});
+    ASSERT_TRUE(exists.ok());
+    EXPECT_TRUE(*exists) << id;
+  }
+}
+
+TEST(GroupCommitTest, SyncFailureFailsEveryWaiterAndPoisonsTheWriter) {
+  std::string dir = FreshDir("group_commit_failure");
+  durability::FaultInjector faults;
+  auto db = DurableDatabase::Open(dir, FsyncOptions(&faults));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  MappedDatabase* live = (*db)->db();
+  const uint64_t first_lsn = (*db)->next_lsn();
+
+  faults.ArmGate("wal.sync");
+  faults.ArmError("wal.sync.error");  // A's sync is the one that fails
+  std::future<Status> a = std::async(std::launch::async, [&] {
+    return live->InsertEntity("R", RRow(900011));
+  });
+  bool a_parked = faults.WaitUntilBlocked();
+  if (!a_parked) faults.ReleaseGate();
+  ASSERT_TRUE(a_parked);
+  std::future<Status> b = std::async(std::launch::async, [&] {
+    return live->InsertEntity("R", RRow(900012));
+  });
+  bool b_written =
+      Eventually([&] { return (*db)->next_lsn() == first_lsn + 2; });
+  faults.ReleaseGate();
+  ASSERT_TRUE(b_written);
+  EXPECT_FALSE(a.get().ok());
+  EXPECT_FALSE(b.get().ok());
+  // Both changes are applied in memory with no durable record behind
+  // them, so the writer refuses everything from here on.
+  EXPECT_FALSE(live->InsertEntity("R", RRow(900013)).ok());
+  EXPECT_EQ((*db)->wal_bytes(), 0u);
+  db->reset();
+
+  auto reopened = DurableDatabase::Open(dir, Figure4Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE((*reopened)->recovery_info().wal_clean);
+  EXPECT_EQ((*reopened)->recovery_info().records_replayed, 0u);
+  for (int64_t id : {900011, 900012, 900013}) {
+    auto exists = (*reopened)->db()->EntityExists("R", {Value::Int64(id)});
+    ASSERT_TRUE(exists.ok());
+    EXPECT_FALSE(*exists) << id;
+  }
 }
 
 }  // namespace
