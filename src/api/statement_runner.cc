@@ -83,6 +83,9 @@ Result<std::unique_ptr<StatementRunner>> StatementRunner::Create(
   runner->spec_ = std::move(options.spec);
   runner->sync_ = options.sync;
   runner->faults_ = options.faults;
+  // Resolved once: cached plans are shaped by these options and the plan
+  // cache key excludes them, so they must not change under the cache.
+  runner->exec_options_ = ExecOptions::Default();
   if (options.plan_cache_capacity > 0) {
     runner->plan_cache_ =
         std::make_unique<erql::PlanCache>(options.plan_cache_capacity);
@@ -175,9 +178,8 @@ Result<StatementOutcome> StatementRunner::ExecuteClassified(
     erql::PlanCache* cache = word == "select" ? plan_cache_.get() : nullptr;
     ERBIUM_ASSIGN_OR_RETURN(
         erql::QueryResult result,
-        erql::QueryEngine::Execute(current_db(), statement,
-                                   ExecOptions::Default(), cache,
-                                   mapping_generation()));
+        erql::QueryEngine::Execute(current_db(), statement, exec_options_,
+                                   cache, mapping_generation()));
     StatementOutcome outcome;
     // EXPLAIN / TRACE / EXPORT / LOAD output is plain lines; SELECT and
     // SHOW render as tables.

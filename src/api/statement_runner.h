@@ -229,6 +229,9 @@ class StatementRunner {
   /// the exclusive lock, so a stale plan can never execute.
   std::unique_ptr<erql::PlanCache> plan_cache_;
   std::atomic<uint64_t> mapping_generation_{1};
+  /// ExecOptions::Default() as of Create, for every statement: plan shape
+  /// depends on it and the plan cache key does not.
+  ExecOptions exec_options_;
   /// Statements currently inside Execute (any lock class); the unlocked
   /// introspection accessors assert this is zero in debug builds.
   mutable std::atomic<int> active_statements_{0};

@@ -57,11 +57,23 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes) {
 
 Result<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
     const std::string& dir, Options options) {
+  // Every directory created here must reach disk, through its parent's
+  // entry, before anything inside it is acknowledged. Reopening an
+  // existing database creates nothing and syncs nothing.
+  std::vector<std::string> created;
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
+  for (auto p = std::filesystem::absolute(dir, ec);
+       !ec && !p.empty() && !std::filesystem::exists(p, ec);
+       p = p.parent_path()) {
+    created.push_back(p.string());
+  }
+  if (!ec) std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("cannot create database directory " + dir + ": " +
                            ec.message());
+  }
+  for (auto it = created.rbegin(); it != created.rend(); ++it) {
+    ERBIUM_RETURN_NOT_OK(SyncDirectory(ParentDirectory(*it), options.faults));
   }
   std::unique_ptr<DurableDatabase> durable(
       new DurableDatabase(dir, std::move(options)));

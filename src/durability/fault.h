@@ -60,6 +60,9 @@ class FaultInjector {
   ///                      is rolled back, later appends proceed
   ///   wal.sync.error     a group fdatasync fails: every record it was to
   ///                      cover fails and the WAL writer is poisoned
+  ///   dir.sync.error     a directory fsync fails (SyncDirectory callers
+  ///                      that pass the injector: opening a new database
+  ///                      or WAL), failing the operation that needed it
   void ArmError(std::string point, int countdown = 1,
                 uint64_t partial_bytes = 0) {
     error_point_ = std::move(point);

@@ -170,7 +170,11 @@ Result<WalReadResult> ReadWal(const std::string& path) {
   return result;
 }
 
-Status SyncDirectory(const std::string& dir) {
+Status SyncDirectory(const std::string& dir, FaultInjector* faults) {
+  if (faults != nullptr && faults->ShouldFail("dir.sync.error")) {
+    return Status::IOError("fsync of directory " + dir +
+                           " failed: injected fault");
+  }
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
     return Status::IOError("cannot open directory " + dir + " to fsync it: " +
@@ -186,15 +190,31 @@ Status SyncDirectory(const std::string& dir) {
   return Status::OK();
 }
 
+std::string ParentDirectory(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  return dir.empty() ? "." : dir;
+}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
                                                    uint64_t append_offset,
                                                    uint64_t next_lsn,
                                                    SyncMode sync,
                                                    FaultInjector* faults) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
+  int fd = ::open(path.c_str(), O_WRONLY);
+  const bool created = fd < 0 && errno == ENOENT;
+  if (created) fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
   if (fd < 0) {
     return Status::IOError("cannot open WAL " + path + ": " +
                            std::strerror(errno));
+  }
+  // A new log's directory entry is not durable until its directory is
+  // synced; until then, power loss could drop acknowledged records.
+  if (created) {
+    Status synced = SyncDirectory(ParentDirectory(path), faults);
+    if (!synced.ok()) {
+      ::close(fd);
+      return synced;
+    }
   }
   // Chop any torn tail left by a previous life so new records append
   // right after the last valid one.
@@ -452,8 +472,7 @@ Status WalWriter::CompactThrough(uint64_t last_lsn) {
   }
   // Later records go to the new inode: until the rename itself is on
   // disk, a power failure would bring back the old file without them.
-  std::string dir = std::filesystem::path(path_).parent_path().string();
-  Status dir_synced = SyncDirectory(dir.empty() ? "." : dir);
+  Status dir_synced = SyncDirectory(ParentDirectory(path_));
   if (!dir_synced.ok()) {
     failed_ = true;
     return dir_synced;

@@ -70,8 +70,11 @@ struct WalReadResult {
 Result<WalReadResult> ReadWal(const std::string& path);
 
 /// Fsyncs a directory so that entries created or renamed inside it
-/// survive power loss.
-Status SyncDirectory(const std::string& dir);
+/// survive power loss. `faults` may inject a failure (`dir.sync.error`).
+Status SyncDirectory(const std::string& dir, FaultInjector* faults = nullptr);
+
+/// The directory holding `path` ("." for a bare file name).
+std::string ParentDirectory(const std::string& path);
 
 /// Append-only writer over a POSIX fd. Assigns consecutive LSNs starting
 /// at the `next_lsn` it was opened with. All fault-injection points of

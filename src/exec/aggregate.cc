@@ -1,7 +1,5 @@
 #include "exec/aggregate.h"
 
-#include <unordered_map>
-
 #include "common/string_util.h"
 
 namespace erbium {
@@ -37,7 +35,7 @@ Result<AggKind> AggKindByName(const std::string& name) {
   return Status::AnalysisError("unknown aggregate function: " + name);
 }
 
-void AggAccumulator::Update(const AggregateSpec& spec, const Value& v) {
+void AggAccumulator::Update(const AggregateSpec& spec, Value v) {
   if (spec.kind == AggKind::kCountStar) {
     ++count_;
     return;
@@ -70,13 +68,13 @@ void AggAccumulator::Update(const AggregateSpec& spec, const Value& v) {
       }
       break;
     case AggKind::kMin:
-      if (min_.is_null() || v.Compare(min_) < 0) min_ = v;
+      if (min_.is_null() || v.Compare(min_) < 0) min_ = std::move(v);
       break;
     case AggKind::kMax:
-      if (max_.is_null() || v.Compare(max_) > 0) max_ = v;
+      if (max_.is_null() || v.Compare(max_) > 0) max_ = std::move(v);
       break;
     case AggKind::kArrayAgg:
-      collected_.push_back(v);
+      collected_.push_back(std::move(v));
       break;
   }
 }
@@ -153,53 +151,58 @@ Value AggAccumulator::Finalize(const AggregateSpec& spec) {
   return Value::Null();
 }
 
+void AggGroupTable::Reset(size_t expected_groups) {
+  // A global aggregate has one group whatever its input size.
+  keys_.Reset(keys_.arity() == 0 ? 1 : expected_groups);
+  aggs_.clear();
+}
+
+AggAccumulator* AggGroupTable::GroupAggs(std::pair<uint32_t, bool> found) {
+  if (found.second) aggs_.resize(aggs_.size() + num_aggs_);
+  return aggs_.data() + found.first * num_aggs_;
+}
+
 void AggGroupTable::Accumulate(const std::vector<ExprPtr>& group_exprs,
                                const std::vector<AggregateSpec>& aggregates,
                                const Row& row) {
-  std::vector<Value> key;
-  key.reserve(group_exprs.size());
-  for (const ExprPtr& e : group_exprs) key.push_back(e->Eval(row));
-  auto [it, inserted] = index.emplace(key, states.size());
-  if (inserted) {
-    AggGroupState state;
-    state.key = std::move(key);
-    state.aggs.resize(aggregates.size());
-    states.push_back(std::move(state));
-  }
-  AggGroupState& state = states[it->second];
+  EvalKeys(group_exprs, row, &key_);
+  AggAccumulator* aggs = GroupAggs(
+      keys_.FindOrInsert(HashKey(key_.data(), key_.size()), key_.data()));
   for (size_t i = 0; i < aggregates.size(); ++i) {
     const AggregateSpec& spec = aggregates[i];
-    Value v = spec.input ? spec.input->Eval(row) : Value::Null();
-    state.aggs[i].Update(spec, v);
+    aggs[i].Update(spec, spec.input ? spec.input->Eval(row) : Value::Null());
   }
 }
 
 void AggGroupTable::Merge(const std::vector<AggregateSpec>& aggregates,
                           AggGroupTable&& other) {
-  for (AggGroupState& incoming : other.states) {
-    auto [it, inserted] = index.emplace(incoming.key, states.size());
-    if (inserted) {
-      states.push_back(std::move(incoming));
-      continue;
-    }
-    AggGroupState& state = states[it->second];
+  for (uint32_t g = 0; g < other.num_groups(); ++g) {
+    AggAccumulator* aggs = GroupAggs(
+        keys_.FindOrInsert(other.keys_.hash(g), other.keys_.key(g)));
+    AggAccumulator* incoming = other.aggs_.data() + g * num_aggs_;
     for (size_t i = 0; i < aggregates.size(); ++i) {
-      state.aggs[i].Merge(aggregates[i], std::move(incoming.aggs[i]));
+      aggs[i].Merge(aggregates[i], std::move(incoming[i]));
     }
   }
-  other.index.clear();
-  other.states.clear();
+  other.Reset(0);
+}
+
+void AggGroupTable::EnsureGlobalGroup() {
+  if (keys_.arity() == 0 && num_groups() == 0) {
+    GroupAggs(keys_.FindOrInsert(HashKey(nullptr, 0), nullptr));
+  }
 }
 
 void AggGroupTable::EmitGroup(size_t i,
                               const std::vector<AggregateSpec>& aggregates,
                               Row* out) {
-  AggGroupState& state = states[i];
+  Value* key = keys_.mutable_key(static_cast<uint32_t>(i));
+  AggAccumulator* aggs = aggs_.data() + i * num_aggs_;
   out->clear();
-  out->reserve(state.key.size() + aggregates.size());
-  for (Value& v : state.key) out->push_back(std::move(v));
+  out->reserve(keys_.arity() + aggregates.size());
+  for (size_t k = 0; k < keys_.arity(); ++k) out->push_back(std::move(key[k]));
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    out->push_back(state.aggs[a].Finalize(aggregates[a]));
+    out->push_back(aggs[a].Finalize(aggregates[a]));
   }
 }
 
@@ -236,34 +239,26 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
                                  std::vector<AggregateSpec> aggregates)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
-      aggregates_(std::move(aggregates)) {
+      aggregates_(std::move(aggregates)),
+      groups_(group_exprs_.size(), aggregates_.size()) {
   output_ = AggregateOutputColumns(group_names, aggregates_);
 }
 
-HashAggregateOp::~HashAggregateOp() = default;
-
 Status HashAggregateOp::OpenImpl() {
-  groups_ = std::make_unique<AggGroupTable>();
+  groups_.Reset(child_->EstimatedRowCount());
   next_group_ = 0;
   ERBIUM_RETURN_NOT_OK(child_->Open());
   Row row;
   while (child_->Next(&row)) {
-    groups_->Accumulate(group_exprs_, aggregates_, row);
+    groups_.Accumulate(group_exprs_, aggregates_, row);
   }
-  // Global aggregate over empty input still emits one row.
-  if (group_exprs_.empty() && groups_->states.empty()) {
-    AggGroupState state;
-    state.aggs.resize(aggregates_.size());
-    groups_->states.push_back(std::move(state));
-  }
+  groups_.EnsureGlobalGroup();
   return Status::OK();
 }
 
 bool HashAggregateOp::NextImpl(Row* out) {
-  if (groups_ == nullptr || next_group_ >= groups_->states.size()) {
-    return false;
-  }
-  groups_->EmitGroup(next_group_++, aggregates_, out);
+  if (next_group_ >= groups_.num_groups()) return false;
+  groups_.EmitGroup(next_group_++, aggregates_, out);
   return true;
 }
 

@@ -3,10 +3,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "exec/hash_table.h"
 #include "exec/operator.h"
 
 namespace erbium {
@@ -38,7 +39,7 @@ struct AggregateSpec {
 class AggAccumulator {
  public:
   /// Feeds one input value (pass any value for kCountStar).
-  void Update(const AggregateSpec& spec, const Value& v);
+  void Update(const AggregateSpec& spec, Value v);
   /// Folds another accumulator of the same spec into this one; `other` is
   /// consumed. Combining partial aggregates is exact for every kind except
   /// float sums, whose rounding depends on merge order (as in any parallel
@@ -58,34 +59,48 @@ class AggAccumulator {
   std::unique_ptr<std::unordered_set<Value, ValueHash>> distinct_seen_;
 };
 
-/// One group's key and accumulated aggregate states.
-struct AggGroupState {
-  std::vector<Value> key;
-  std::vector<AggAccumulator> aggs;
-};
+/// Groups in first-seen order, shared between the serial HashAggregateOp
+/// and parallel partial aggregation (each worker fills its own table; the
+/// tables are then merged). Group keys live in a KeyTable whose entry id
+/// is the group index; the groups' accumulators are stored group-major,
+/// one per aggregate.
+class AggGroupTable {
+ public:
+  AggGroupTable(size_t num_keys, size_t num_aggs)
+      : keys_(num_keys), num_aggs_(num_aggs) {}
 
-/// Hash table of groups in first-seen order, shared between the serial
-/// HashAggregateOp and parallel partial aggregation (each worker fills its
-/// own table; tables are then merged pairwise).
-struct AggGroupTable {
-  std::unordered_map<std::vector<Value>, size_t, ValueVectorHash,
-                     ValueVectorEq>
-      index;
-  std::vector<AggGroupState> states;
+  /// Drops every group; `expected_groups` sizes the first allocation.
+  void Reset(size_t expected_groups);
 
   /// Accumulates one input row into its group (creating it if new).
   void Accumulate(const std::vector<ExprPtr>& group_exprs,
                   const std::vector<AggregateSpec>& aggregates,
                   const Row& row);
 
-  /// Folds `other` into this table; `other` is consumed.
+  /// Folds `other` into this table, reusing its stored key hashes;
+  /// `other` is consumed.
   void Merge(const std::vector<AggregateSpec>& aggregates,
              AggGroupTable&& other);
 
+  /// A global aggregate (no group keys) over empty input still emits one
+  /// row: adds that group when the table is empty.
+  void EnsureGlobalGroup();
+
+  size_t num_groups() const { return keys_.size(); }
+
   /// Emits group `i` as an output row (group keys then aggregate results);
-  /// the group's state is consumed.
+  /// the group's keys and state are consumed.
   void EmitGroup(size_t i, const std::vector<AggregateSpec>& aggregates,
                  Row* out);
+
+ private:
+  /// Adds accumulators for the group `FindOrInsert` just reported.
+  AggAccumulator* GroupAggs(std::pair<uint32_t, bool> found);
+
+  KeyTable keys_;
+  size_t num_aggs_;
+  std::vector<AggAccumulator> aggs_;
+  Row key_;  // scratch for Accumulate
 };
 
 /// Output column layout shared by the serial and parallel aggregate
@@ -106,7 +121,6 @@ class HashAggregateOp : public Operator {
   HashAggregateOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
                   std::vector<std::string> group_names,
                   std::vector<AggregateSpec> aggregates);
-  ~HashAggregateOp() override;
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -119,7 +133,7 @@ class HashAggregateOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggregateSpec> aggregates_;
-  std::unique_ptr<AggGroupTable> groups_;
+  AggGroupTable groups_;
   size_t next_group_ = 0;
 };
 

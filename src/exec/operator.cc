@@ -1,7 +1,5 @@
 #include "exec/operator.h"
 
-#include <unordered_set>
-
 #include "exec/parallel.h"
 #include "exec/snapshot.h"
 
@@ -168,11 +166,10 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<Column> output,
 Status ProjectOp::OpenImpl() { return child_->Open(); }
 
 bool ProjectOp::NextImpl(Row* out) {
-  Row input;
-  if (!child_->Next(&input)) return false;
+  if (!child_->Next(&input_)) return false;
   out->clear();
   out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) out->push_back(e->Eval(input));
+  for (const ExprPtr& e : exprs_) out->push_back(e->Eval(input_));
   return true;
 }
 
@@ -213,24 +210,22 @@ bool LimitOp::NextImpl(Row* out) {
 
 // ---- DistinctOp -------------------------------------------------------------
 
-struct DistinctOp::SeenSet {
-  std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq> rows;
-};
-
-DistinctOp::DistinctOp(OperatorPtr child) : child_(std::move(child)) {
+DistinctOp::DistinctOp(OperatorPtr child)
+    : child_(std::move(child)), seen_(child_->output_columns().size()) {
   output_ = child_->output_columns();
 }
 
-DistinctOp::~DistinctOp() = default;
-
 Status DistinctOp::OpenImpl() {
-  seen_ = std::make_unique<SeenSet>();
+  seen_.Reset(child_->EstimatedRowCount());
   return child_->Open();
 }
 
 bool DistinctOp::NextImpl(Row* out) {
   while (child_->Next(out)) {
-    if (seen_->rows.insert(*out).second) return true;
+    if (seen_.FindOrInsert(HashKey(out->data(), out->size()), out->data())
+            .second) {
+      return true;
+    }
   }
   return false;
 }

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "exec/expr.h"
+#include "exec/hash_table.h"
 #include "obs/trace.h"
 #include "storage/table.h"
 
@@ -209,6 +210,7 @@ class ProjectOp : public Operator {
  private:
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
+  Row input_;
 };
 
 class LimitOp : public Operator {
@@ -238,7 +240,6 @@ class LimitOp : public Operator {
 class DistinctOp : public Operator {
  public:
   explicit DistinctOp(OperatorPtr child);
-  ~DistinctOp() override;
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -251,9 +252,8 @@ class DistinctOp : public Operator {
   }
 
  private:
-  struct SeenSet;
   OperatorPtr child_;
-  std::unique_ptr<SeenSet> seen_;
+  KeyTable seen_;
 };
 
 /// Expands an array column: one output row per element, with the array

@@ -23,34 +23,6 @@ namespace {
 constexpr size_t kGatherBatchRows = 1024;
 constexpr size_t kMaxQueuedBatchesPerWorker = 4;
 
-// Partition count for parallel hash-join builds; a small prime so the
-// partition index (hash % count) is independent of the power-of-two
-// bucket choice inside each partition's unordered_map.
-constexpr size_t kJoinBuildPartitions = 61;
-
-void AppendRow(const Row& src, Row* dst) {
-  dst->insert(dst->end(), src.begin(), src.end());
-}
-
-void AppendNulls(size_t n, Row* dst) {
-  for (size_t i = 0; i < n; ++i) dst->push_back(Value::Null());
-}
-
-bool KeyHasNull(const std::vector<Value>& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-std::vector<Value> EvalKeys(const std::vector<ExprPtr>& exprs,
-                            const Row& row) {
-  std::vector<Value> key;
-  key.reserve(exprs.size());
-  for (const ExprPtr& e : exprs) key.push_back(e->Eval(row));
-  return key;
-}
-
 /// Strictly parsed integer environment variable. Garbage ("abc", "4x",
 /// out-of-range) falls back to `fallback` with a one-time stderr warning
 /// per variable instead of silently becoming 0 the way atoi would.
@@ -141,6 +113,30 @@ void ParallelContext::ResetForExecution() {
   for (auto& [site, state] : join_states_) state->Invalidate();
 }
 
+Status ParallelContext::PrebuildJoins() {
+  std::vector<JoinBuildState*> builds;
+  for (auto& [site, state] : join_states_) {
+    if (state->CanBuildOnPool()) builds.push_back(state.get());
+  }
+  if (builds.size() < 2) return Status::OK();
+  // The tasks resolve table versions through this statement's snapshot;
+  // it outlives them because this thread waits for every task.
+  exec::ReadSnapshot* snapshot = exec::ReadSnapshot::Current();
+  std::vector<Status> statuses(builds.size());
+  std::vector<std::future<void>> futures;
+  futures.reserve(builds.size() - 1);
+  for (size_t i = 1; i < builds.size(); ++i) {
+    futures.push_back(pool_->Submit([&builds, &statuses, snapshot, i] {
+      exec::ReadSnapshot::Adopt adopt(snapshot);
+      statuses[i] = builds[i]->EnsureBuilt();
+    }));
+  }
+  statuses[0] = builds[0]->EnsureBuilt();
+  for (std::future<void>& f : futures) f.wait();
+  for (Status& status : statuses) ERBIUM_RETURN_NOT_OK(status);
+  return Status::OK();
+}
+
 size_t ParallelContext::TotalScanSlots() const {
   size_t total = 0;
   for (const auto& [site, cursor] : cursors_) {
@@ -212,165 +208,6 @@ bool ParallelScanOp::NextImpl(Row* out) {
   }
 }
 
-// ---- JoinBuildState ---------------------------------------------------------
-
-JoinBuildState::JoinBuildState(ParallelContext* parent, Operator* build_plan,
-                               std::vector<ExprPtr> build_keys)
-    : build_plan_(build_plan),
-      build_keys_(std::move(build_keys)),
-      num_partitions_(kJoinBuildPartitions) {
-  // Try to parallelize the build itself. Build pipelines run on pool
-  // threads, so they must not contain nested probe operators (a pool task
-  // waiting on another pool task can deadlock); the sub-context's parent
-  // link disables join-probe cloning.
-  sub_ctx_ = std::make_unique<ParallelContext>(parent->pool(),
-                                              parent->options(), parent);
-  for (int i = 0; i < parent->options().num_threads; ++i) {
-    OperatorPtr worker = build_plan_->CloneForWorker(sub_ctx_.get());
-    if (worker == nullptr) {
-      build_workers_.clear();
-      break;
-    }
-    build_workers_.push_back(std::move(worker));
-  }
-}
-
-JoinBuildState::~JoinBuildState() = default;
-
-size_t JoinBuildState::ScanSlots() const { return sub_ctx_->TotalScanSlots(); }
-
-void JoinBuildState::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  built_ = false;
-  partitions_.clear();
-}
-
-void JoinBuildState::InsertBuildRow(Row row) {
-  std::vector<Value> key = EvalKeys(build_keys_, row);
-  if (KeyHasNull(key)) return;  // null never joins
-  size_t h = ValueVectorHash()(key);
-  partitions_[h % num_partitions_][std::move(key)].push_back(std::move(row));
-}
-
-Status JoinBuildState::EnsureBuilt() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (built_) return Status::OK();
-  partitions_.assign(num_partitions_, Partition());
-  if (build_workers_.empty()) {
-    // Serial build through the original child.
-    ERBIUM_RETURN_NOT_OK(build_plan_->Open());
-    Row row;
-    while (build_plan_->Next(&row)) InsertBuildRow(std::move(row));
-    built_ = true;
-    return Status::OK();
-  }
-
-  sub_ctx_->ResetForExecution();
-  for (const OperatorPtr& w : build_workers_) {
-    ERBIUM_RETURN_NOT_OK(w->Open());
-  }
-  // Phase 1: each build worker partitions its share of the rows by key
-  // hash into thread-local buckets.
-  using KeyedRow = std::pair<std::vector<Value>, Row>;
-  std::vector<std::vector<std::vector<KeyedRow>>> scratch(
-      build_workers_.size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(build_workers_.size());
-  for (size_t b = 0; b < build_workers_.size(); ++b) {
-    futures.push_back(sub_ctx_->pool()->Submit([this, b, &scratch] {
-      std::vector<std::vector<KeyedRow>> local(num_partitions_);
-      Row row;
-      while (build_workers_[b]->Next(&row)) {
-        std::vector<Value> key = EvalKeys(build_keys_, row);
-        if (KeyHasNull(key)) continue;
-        size_t h = ValueVectorHash()(key);
-        local[h % num_partitions_].emplace_back(std::move(key),
-                                                std::move(row));
-      }
-      scratch[b] = std::move(local);
-    }));
-  }
-  for (std::future<void>& f : futures) f.wait();
-  futures.clear();
-
-  // Phase 2: merge partition-wise — each partition's hash table touches
-  // only that partition's buckets, so partitions build independently.
-  for (size_t p = 0; p < num_partitions_; ++p) {
-    futures.push_back(sub_ctx_->pool()->Submit([this, p, &scratch] {
-      size_t total = 0;
-      for (const auto& local : scratch) total += local[p].size();
-      if (total == 0) return;
-      partitions_[p].reserve(total);
-      for (auto& local : scratch) {
-        for (KeyedRow& kr : local[p]) {
-          partitions_[p][std::move(kr.first)].push_back(std::move(kr.second));
-        }
-      }
-    }));
-  }
-  for (std::future<void>& f : futures) f.wait();
-  built_ = true;
-  return Status::OK();
-}
-
-const std::vector<Row>* JoinBuildState::Probe(
-    const std::vector<Value>& key) const {
-  size_t h = ValueVectorHash()(key);
-  const Partition& part = partitions_[h % num_partitions_];
-  auto it = part.find(key);
-  return it == part.end() ? nullptr : &it->second;
-}
-
-// ---- HashJoinProbeOp --------------------------------------------------------
-
-HashJoinProbeOp::HashJoinProbeOp(OperatorPtr probe_child,
-                                 std::vector<ExprPtr> probe_keys,
-                                 std::shared_ptr<JoinBuildState> state,
-                                 JoinType join_type,
-                                 std::vector<Column> output,
-                                 size_t build_arity, std::string display_name)
-    : probe_child_(std::move(probe_child)),
-      probe_keys_(std::move(probe_keys)),
-      state_(std::move(state)),
-      join_type_(join_type),
-      build_arity_(build_arity),
-      display_name_(std::move(display_name)) {
-  output_ = std::move(output);
-}
-
-Status HashJoinProbeOp::OpenImpl() {
-  current_matches_ = nullptr;
-  match_index_ = 0;
-  ERBIUM_RETURN_NOT_OK(state_->EnsureBuilt());
-  return probe_child_->Open();
-}
-
-bool HashJoinProbeOp::NextImpl(Row* out) {
-  while (true) {
-    if (current_matches_ != nullptr &&
-        match_index_ < current_matches_->size()) {
-      *out = current_left_;
-      AppendRow((*current_matches_)[match_index_++], out);
-      return true;
-    }
-    current_matches_ = nullptr;
-    if (!probe_child_->Next(&current_left_)) return false;
-    std::vector<Value> key = EvalKeys(probe_keys_, current_left_);
-    const std::vector<Row>* matches =
-        KeyHasNull(key) ? nullptr : state_->Probe(key);
-    if (matches == nullptr) {
-      if (join_type_ == JoinType::kLeftOuter) {
-        *out = current_left_;
-        AppendNulls(build_arity_, out);
-        return true;
-      }
-      continue;
-    }
-    current_matches_ = matches;
-    match_index_ = 0;
-  }
-}
-
 // ---- GatherOp ---------------------------------------------------------------
 
 GatherOp::GatherOp(OperatorPtr serial_plan, std::vector<OperatorPtr> workers,
@@ -400,13 +237,15 @@ Status GatherOp::OpenImpl() {
   ctx_->ResetForExecution();
   ctx_->PinScanVersions();
   // Worker Opens run serially on the caller thread; the first probe of
-  // each parallelized hash join builds the shared table here.
-  for (const OperatorPtr& w : workers_) {
-    Status s = w->Open();
-    if (!s.ok()) {
-      ctx_->ReleaseScanVersions();
-      return s;
-    }
+  // each parallelized hash join builds the shared table here, unless
+  // PrebuildJoins already did.
+  Status s = ctx_->PrebuildJoins();
+  for (size_t i = 0; s.ok() && i < workers_.size(); ++i) {
+    s = workers_[i]->Open();
+  }
+  if (!s.ok()) {
+    ctx_->ReleaseScanVersions();
+    return s;
   }
   ctx_->pool()->EnsureWorkers(static_cast<int>(workers_.size()));
   exchange_ = std::make_unique<RowExchange>(workers_.size(),
@@ -468,25 +307,27 @@ ParallelHashAggregateOp::ParallelHashAggregateOp(
       worker_children_(std::move(worker_children)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
-      ctx_(std::move(ctx)) {
+      ctx_(std::move(ctx)),
+      merged_(group_exprs_.size(), aggregates_.size()) {
   output_ = AggregateOutputColumns(group_names, aggregates_);
 }
 
-ParallelHashAggregateOp::~ParallelHashAggregateOp() = default;
-
 Status ParallelHashAggregateOp::OpenImpl() {
-  merged_ = std::make_unique<AggGroupTable>();
+  merged_.Reset(0);
   next_group_ = 0;
   ctx_->ResetForExecution();
   ctx_->PinScanVersions();
-  Status status = Status::OK();
-  for (const OperatorPtr& w : worker_children_) {
-    status = w->Open();
-    if (!status.ok()) break;
+  Status status = ctx_->PrebuildJoins();
+  for (size_t i = 0; status.ok() && i < worker_children_.size(); ++i) {
+    status = worker_children_[i]->Open();
   }
   if (status.ok()) {
     ctx_->pool()->EnsureWorkers(static_cast<int>(worker_children_.size()));
-    std::vector<AggGroupTable> partials(worker_children_.size());
+    std::vector<AggGroupTable> partials;
+    partials.reserve(worker_children_.size());
+    for (size_t i = 0; i < worker_children_.size(); ++i) {
+      partials.emplace_back(group_exprs_.size(), aggregates_.size());
+    }
     std::vector<std::future<void>> futures;
     futures.reserve(worker_children_.size());
     for (size_t i = 0; i < worker_children_.size(); ++i) {
@@ -498,26 +339,20 @@ Status ParallelHashAggregateOp::OpenImpl() {
       }));
     }
     for (std::future<void>& f : futures) f.wait();
-    for (AggGroupTable& partial : partials) {
-      merged_->Merge(aggregates_, std::move(partial));
+    merged_ = std::move(partials.front());
+    for (size_t i = 1; i < partials.size(); ++i) {
+      merged_.Merge(aggregates_, std::move(partials[i]));
     }
   }
   ctx_->ReleaseScanVersions();
   ERBIUM_RETURN_NOT_OK(status);
-  // Global aggregate over empty input still emits one row.
-  if (group_exprs_.empty() && merged_->states.empty()) {
-    AggGroupState state;
-    state.aggs.resize(aggregates_.size());
-    merged_->states.push_back(std::move(state));
-  }
+  merged_.EnsureGlobalGroup();
   return Status::OK();
 }
 
 bool ParallelHashAggregateOp::NextImpl(Row* out) {
-  if (merged_ == nullptr || next_group_ >= merged_->states.size()) {
-    return false;
-  }
-  merged_->EmitGroup(next_group_++, aggregates_, out);
+  if (next_group_ >= merged_.num_groups()) return false;
+  merged_.EmitGroup(next_group_++, aggregates_, out);
   return true;
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,6 +106,13 @@ class ParallelContext {
   /// Called by the top operator's Open(); must not race with workers.
   void ResetForExecution();
 
+  /// Builds every join whose build runs serially and may run on the pool
+  /// (JoinBuildState::CanBuildOnPool), each as its own pool task with one
+  /// on the calling thread, and waits for them: independent build sides
+  /// fill concurrently rather than one after another in the worker
+  /// Opens. Call after ResetForExecution, from a non-pool thread.
+  Status PrebuildJoins();
+
   /// Sum of slot counts over all registered scan sites, including build
   /// sides — the translator's parallelism-threshold input.
   size_t TotalScanSlots() const;
@@ -166,87 +172,6 @@ class ParallelScanOp : public Operator {
   uint64_t morsels_ = 0;
 };
 
-/// Build side of a parallelized hash join, shared by the N probe clones.
-/// The build runs once per execution, on the first probe's Open (caller
-/// thread): build rows are partitioned by key hash — in parallel when the
-/// build child is itself clonable — and merged partition-wise into
-/// per-partition hash tables that the probes then read concurrently.
-class JoinBuildState {
- public:
-  JoinBuildState(ParallelContext* parent, Operator* build_plan,
-                 std::vector<ExprPtr> build_keys);
-  ~JoinBuildState();
-
-  /// Idempotent per execution; serialized by the caller (worker Opens run
-  /// on one thread) with a mutex as backstop.
-  Status EnsureBuilt();
-  void Invalidate();
-
-  /// Slot count of the build side's scans (threshold accounting).
-  size_t ScanSlots() const;
-
-  /// Rows matching `key`, or nullptr. Key must have no null values.
-  const std::vector<Row>* Probe(const std::vector<Value>& key) const;
-
-  /// The serial build child (owned by the original plan) and the worker
-  /// clones used when the build itself ran parallel (empty for a serial
-  /// build). EXPLAIN ANALYZE merges their stats onto the serial node.
-  const Operator* build_plan() const { return build_plan_; }
-  const std::vector<OperatorPtr>& build_workers() const {
-    return build_workers_;
-  }
-
- private:
-  using Partition = std::unordered_map<std::vector<Value>, std::vector<Row>,
-                                       ValueVectorHash, ValueVectorEq>;
-
-  void InsertBuildRow(Row row);
-
-  Operator* build_plan_;
-  std::vector<ExprPtr> build_keys_;
-  size_t num_partitions_;
-  std::unique_ptr<ParallelContext> sub_ctx_;
-  std::vector<OperatorPtr> build_workers_;  // empty => serial build
-  std::vector<Partition> partitions_;
-  std::mutex mu_;
-  bool built_ = false;
-};
-
-/// Probe side of a parallelized hash join; one per worker pipeline. Same
-/// semantics as HashJoinOp (inner / left-outer, null keys never join) but
-/// probing the shared JoinBuildState.
-class HashJoinProbeOp : public Operator {
- public:
-  HashJoinProbeOp(OperatorPtr probe_child, std::vector<ExprPtr> probe_keys,
-                  std::shared_ptr<JoinBuildState> state, JoinType join_type,
-                  std::vector<Column> output, size_t build_arity,
-                  std::string display_name);
-
-  Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
-  std::string name() const override { return display_name_; }
-  std::vector<const Operator*> children() const override {
-    return {probe_child_.get()};
-  }
-  size_t EstimatedRowCount() const override {
-    return probe_child_->EstimatedRowCount();
-  }
-  const Operator* probe_child() const { return probe_child_.get(); }
-  const JoinBuildState* build_state() const { return state_.get(); }
-
- private:
-  OperatorPtr probe_child_;
-  std::vector<ExprPtr> probe_keys_;
-  std::shared_ptr<JoinBuildState> state_;
-  JoinType join_type_;
-  size_t build_arity_;
-  std::string display_name_;
-
-  Row current_left_;
-  const std::vector<Row>* current_matches_ = nullptr;
-  size_t match_index_ = 0;
-};
-
 /// Exchange at the top of a parallel pipeline segment: runs N worker
 /// pipelines on the thread pool and merges their bounded output queues
 /// into one row stream for the (serial) consumer above. Owns the serial
@@ -300,7 +225,6 @@ class ParallelHashAggregateOp : public Operator {
                           std::vector<std::string> group_names,
                           std::vector<AggregateSpec> aggregates,
                           std::shared_ptr<ParallelContext> ctx);
-  ~ParallelHashAggregateOp() override;
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -320,7 +244,7 @@ class ParallelHashAggregateOp : public Operator {
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggregateSpec> aggregates_;
   std::shared_ptr<ParallelContext> ctx_;
-  std::unique_ptr<AggGroupTable> merged_;
+  AggGroupTable merged_;
   size_t next_group_ = 0;
 };
 

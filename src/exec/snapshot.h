@@ -2,6 +2,7 @@
 #define ERBIUM_EXEC_SNAPSHOT_H_
 
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 
 namespace erbium {
@@ -26,7 +27,10 @@ namespace exec {
 ///
 /// Pool workers must not resolve versions themselves: worker pipelines
 /// are Open()ed on the statement thread, and ParallelContext pins the
-/// scanned versions for the workers' (possibly detached) lifetime.
+/// scanned versions for the workers' (possibly detached) lifetime. The
+/// one exception is a join build run as a pool task while the statement
+/// thread waits for it (ParallelContext::PrebuildJoins): it Adopts the
+/// statement's snapshot, so it reads the same versions.
 class ReadSnapshot {
  public:
   ReadSnapshot() : prev_(tls_current_) { tls_current_ = this; }
@@ -38,12 +42,29 @@ class ReadSnapshot {
   /// The snapshot installed on this thread, or nullptr.
   static ReadSnapshot* Current() { return tls_current_; }
 
+  /// Installs another thread's snapshot (or none) on this thread for the
+  /// scope's lifetime. The snapshot must outlive the scope.
+  class Adopt {
+   public:
+    explicit Adopt(ReadSnapshot* snapshot) : prev_(tls_current_) {
+      tls_current_ = snapshot;
+    }
+    ~Adopt() { tls_current_ = prev_; }
+    Adopt(const Adopt&) = delete;
+    Adopt& operator=(const Adopt&) = delete;
+
+   private:
+    ReadSnapshot* prev_;
+  };
+
   /// The pinned version of `obj` (Table or FactorizedPair), pinning on
   /// first touch. The pointer stays valid while this snapshot lives.
+  /// Thread-safe: adopting threads may pin concurrently.
   template <typename Versioned>
   std::shared_ptr<const typename Versioned::VersionType> Pin(
       const Versioned* obj) {
     const void* key = obj;
+    std::lock_guard<std::mutex> lock(mu_);
     auto it = pins_.find(key);
     if (it == pins_.end()) {
       it = pins_.emplace(key, obj->PinVersion()).first;
@@ -55,6 +76,7 @@ class ReadSnapshot {
  private:
   static thread_local ReadSnapshot* tls_current_;
 
+  std::mutex mu_;
   std::unordered_map<const void*, std::shared_ptr<const void>> pins_;
   ReadSnapshot* prev_;
 };

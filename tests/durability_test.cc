@@ -331,6 +331,43 @@ TEST(DurableDatabaseTest, InsertSurvivesReopen) {
   EXPECT_EQ(MustDigest((*reopened)->db()), digest);
 }
 
+TEST(DurableDatabaseTest, FailedDirectorySyncFailsOpenOfANewDatabase) {
+  // A brand-new database syncs two directory entries before it can
+  // acknowledge a write: the database directory's (1st sync) and the new
+  // WAL file's (2nd). Either failing must fail Open, so no write is ever
+  // acknowledged into a log that power loss could drop.
+  for (int countdown : {1, 2}) {
+    SCOPED_TRACE("failing directory sync #" + std::to_string(countdown));
+    std::string dir = FreshDir("dirsync" + std::to_string(countdown));
+    durability::FaultInjector faults;
+    faults.ArmError("dir.sync.error", countdown);
+    auto db = DurableDatabase::Open(dir, Figure4Options(Figure4M1(), &faults));
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kIOError);
+    EXPECT_NE(db.status().ToString().find("fsync of directory"),
+              std::string::npos)
+        << db.status().ToString();
+  }
+}
+
+TEST(DurableDatabaseTest, ReopeningAnExistingDatabaseSyncsNoDirectory) {
+  std::string dir = FreshDir("dirsync_reopen");
+  {
+    auto db = DurableDatabase::Open(dir, Figure4Options());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(FaultScript().front().apply((*db)->db()).ok());
+  }
+  durability::FaultInjector faults;
+  faults.ArmError("dir.sync.error");
+  auto reopened =
+      DurableDatabase::Open(dir, Figure4Options(Figure4M1(), &faults));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_info().records_replayed, 1u);
+  ASSERT_TRUE(FaultScript()[1].apply((*reopened)->db()).ok());
+  // The armed failure never fired: nothing on the reopen path synced.
+  EXPECT_TRUE(faults.ShouldFail("dir.sync.error"));
+}
+
 TEST(DurableDatabaseTest, CheckpointTruncatesAndCompacts) {
   std::string dir = FreshDir("checkpoint");
   std::string digest;

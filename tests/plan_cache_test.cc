@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -210,6 +211,79 @@ TEST_F(PlanCacheRunnerTest, InsertIsVisibleThroughACachedPlan) {
 }
 
 // ---- Concurrency: readers hammer the cache while remaps invalidate --------
+
+// Restores an environment variable on scope exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST(PlanCacheOptionsTest, EnvChangesAfterCreateDoNotReshapePlans) {
+  // The cache key excludes ExecOptions, so the runner resolves them once
+  // at Create: a later ERBIUM_THREADS change must neither reshape new
+  // plans nor mix plan shapes inside the cache.
+  ScopedEnv threads("ERBIUM_THREADS", "4");
+  ScopedEnv threshold("ERBIUM_PARALLEL_THRESHOLD", "0");
+  api::StatementRunner::Options options;
+  options.figure4 = true;
+  options.figure4_num_r = 200;
+  options.figure4_num_s = 60;
+  auto created = api::StatementRunner::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  api::StatementRunner* runner = created->get();
+  const std::string q = "SELECT r_id, r_mv1, r_mv2 FROM R WHERE r_a1 < 900";
+  auto plan_text = [&](api::StatementRunner* r) {
+    auto explained = r->Execute("EXPLAIN " + q);
+    EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+    std::string text;
+    if (explained.ok()) {
+      for (const Row& row : explained->result.rows) {
+        text += row[0].ToString() + "\n";
+      }
+    }
+    return text;
+  };
+  const std::string plan = plan_text(runner);
+  EXPECT_NE(plan.find("Gather(threads=4"), std::string::npos) << plan;
+  auto first = runner->Execute(q);  // compiles and caches a 4-thread plan
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  ScopedEnv serial("ERBIUM_THREADS", "1");
+  EXPECT_EQ(plan_text(runner), plan);
+  uint64_t hits_before = Hits();
+  auto cached = runner->Execute(q);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(Hits(), hits_before + 1);
+  EXPECT_EQ(cached->result.ToCanonicalString(),
+            first->result.ToCanonicalString());
+
+  // A runner created now picks the new value up: the env var is read at
+  // Create, not per statement.
+  auto fresh = api::StatementRunner::Create(options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(plan_text(fresh->get()).find("Gather"), std::string::npos);
+  auto serial_result = (*fresh)->Execute(q);
+  ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
+  EXPECT_EQ(serial_result->result.ToCanonicalString(),
+            first->result.ToCanonicalString());
+}
 
 TEST(PlanCacheHammerTest, ConcurrentReadersSurviveRemapStorm) {
   api::StatementRunner::Options options;
