@@ -47,7 +47,7 @@ void BM_FilteredScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FilteredScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Relationship hash join: parallel partitioned build + parallel probe.
+// Relationship hash join: shared serial builds + parallel probe.
 void BM_RelationshipJoin(benchmark::State& state) {
   RunThreaded(state, Figure4M1(),
               "SELECT r.r_id, s.s_id, rs_a1 FROM R r JOIN S s ON RS "

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the benchmarks in Release mode and runs every bench_* binary,
-# collecting results under bench/results/:
-#   <name>.gbench.json  google-benchmark's own JSON report (not committed)
+# collecting results under bench/results/ (gitignored):
+#   <name>.gbench.json  google-benchmark's own JSON report
 #   BENCH_<name>.json   the metrics-registry dump written on exit
 #   BENCH_<name>.prom   the same registry, Prometheus text exposition
 #
@@ -72,9 +72,9 @@ for bin in "$build"/bench/bench_*; do
   rm -f "$results/$name.json"
 done
 
-# Conformance gate: every committed Prometheus exposition must pass the
-# same validator CI runs against live scrapes. Catches a broken exporter
-# (or a bench that wrote an empty/truncated .prom) before it lands.
+# Conformance gate: every Prometheus exposition written here must pass
+# the same validator CI runs against live scrapes. Catches a broken
+# exporter (or a bench that wrote an empty/truncated .prom).
 validator="$build/examples/prom_validate"
 if [ ! -x "$validator" ]; then
   cmake --build "$build" -j "$(nproc)" --target prom_validate >/dev/null

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/join.h"
 #include "exec/parallel.h"
 
 namespace erbium {
@@ -74,26 +73,9 @@ void Collect(const Operator* rep, std::vector<const Operator*> peers,
             out);
     return;
   }
-  // Probe clones of a serial HashJoinOp: the probe children pair with the
-  // serial left child; the serial build child pairs with the shared
-  // build-worker clones (empty for a serial build, whose stats already
-  // accumulated on the serial node when EnsureBuilt drained it).
-  if (!peers.empty()) {
-    if (const auto* probe0 =
-            dynamic_cast<const HashJoinProbeOp*>(peers.front())) {
-      std::vector<const Operator*> rep_children = rep->children();
-      std::vector<const Operator*> probe_children;
-      probe_children.reserve(peers.size());
-      for (const Operator* peer : peers) {
-        probe_children.push_back(
-            static_cast<const HashJoinProbeOp*>(peer)->probe_child());
-      }
-      Collect(rep_children[0], std::move(probe_children), depth + 1, out);
-      Collect(rep_children[1], Ptrs(probe0->build_state()->build_workers()),
-              depth + 1, out);
-      return;
-    }
-  }
+  // Probe clones of a serial HashJoinOp have one child, which pairs with
+  // the serial left child; the build child ran serially, so its stats
+  // already accumulated on the serial node.
   CollectChildren(rep, peers, depth + 1, out);
 }
 

@@ -7,9 +7,6 @@ namespace erbium {
 
 namespace {
 
-// Partition count of a parallel build (a power of two, see Partition).
-constexpr size_t kJoinBuildPartitions = 64;
-
 /// Appends src to dst.
 void AppendRow(const Row& src, Row* dst) {
   dst->insert(dst->end(), src.begin(), src.end());
@@ -26,55 +23,15 @@ std::vector<Column> ConcatColumns(const std::vector<Column>& a,
   return out;
 }
 
-/// True when `op`'s subtree submits work to the thread pool and waits
-/// for it.
-bool UsesPool(const Operator& op) {
-  if (dynamic_cast<const GatherOp*>(&op) != nullptr ||
-      dynamic_cast<const ParallelHashAggregateOp*>(&op) != nullptr) {
-    return true;
-  }
-  for (const Operator* child : op.children()) {
-    if (UsesPool(*child)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 // ---- JoinBuildState ---------------------------------------------------------
 
-JoinBuildState::JoinBuildState(ParallelContext* parent, Operator* build_plan,
+JoinBuildState::JoinBuildState(Operator* build_plan,
                                std::vector<ExprPtr> build_keys)
-    : build_plan_(build_plan), build_keys_(std::move(build_keys)) {
-  if (parent != nullptr) {
-    // Try to parallelize the build itself. Build pipelines run on pool
-    // threads, so they must not contain nested probe operators (a pool
-    // task waiting on another pool task can deadlock); the sub-context's
-    // parent link disables join-probe cloning.
-    sub_ctx_ = std::make_unique<ParallelContext>(parent->pool(),
-                                                parent->options(), parent);
-    for (int i = 0; i < parent->options().num_threads; ++i) {
-      OperatorPtr worker = build_plan_->CloneForWorker(sub_ctx_.get());
-      if (worker == nullptr) {
-        build_workers_.clear();
-        break;
-      }
-      build_workers_.push_back(std::move(worker));
-    }
-    pool_safe_ = build_workers_.empty() && !UsesPool(*build_plan_);
-  }
-  size_t partitions = build_workers_.empty() ? 1 : kJoinBuildPartitions;
-  tables_.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    tables_.emplace_back(build_keys_.size());
-  }
-}
-
-JoinBuildState::~JoinBuildState() = default;
-
-size_t JoinBuildState::ScanSlots() const {
-  return sub_ctx_ == nullptr ? 0 : sub_ctx_->TotalScanSlots();
-}
+    : build_plan_(build_plan),
+      build_keys_(std::move(build_keys)),
+      table_(build_keys_.size()) {}
 
 void JoinBuildState::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -84,76 +41,16 @@ void JoinBuildState::Invalidate() {
 Status JoinBuildState::EnsureBuilt() {
   std::lock_guard<std::mutex> lock(mu_);
   if (built_) return Status::OK();
-  if (!build_workers_.empty()) {
-    ERBIUM_RETURN_NOT_OK(BuildParallel());
-    built_ = true;
-    return Status::OK();
-  }
-  JoinTable& table = tables_.front();
-  table.Reset(build_plan_->EstimatedRowCount());
+  table_.Reset(build_plan_->EstimatedRowCount());
   ERBIUM_RETURN_NOT_OK(build_plan_->Open());
   Row row;
   Row key;
   while (build_plan_->Next(&row)) {
     EvalKeys(build_keys_, row, &key);
     if (KeyHasNull(key.data(), key.size())) continue;  // null never joins
-    table.Insert(HashKey(key.data(), key.size()), key.data(), std::move(row));
+    table_.Insert(HashKey(key.data(), key.size()), key.data(), std::move(row));
   }
   built_ = true;
-  return Status::OK();
-}
-
-Status JoinBuildState::BuildParallel() {
-  sub_ctx_->ResetForExecution();
-  for (const OperatorPtr& w : build_workers_) {
-    ERBIUM_RETURN_NOT_OK(w->Open());
-  }
-  const size_t num_workers = build_workers_.size();
-  const size_t num_tables = tables_.size();
-  // Phase 1: each build worker partitions its share of the rows by key
-  // hash into thread-local buckets, keeping each row's hash.
-  using HashedRow = std::pair<uint64_t, Row>;
-  std::vector<std::vector<std::vector<HashedRow>>> scratch(
-      num_workers, std::vector<std::vector<HashedRow>>(num_tables));
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_workers);
-  for (size_t b = 0; b < num_workers; ++b) {
-    futures.push_back(sub_ctx_->pool()->Submit([this, b, &scratch] {
-      std::vector<std::vector<HashedRow>>& local = scratch[b];
-      Row row;
-      Row key;
-      while (build_workers_[b]->Next(&row)) {
-        EvalKeys(build_keys_, row, &key);
-        if (KeyHasNull(key.data(), key.size())) continue;
-        uint64_t hash = HashKey(key.data(), key.size());
-        local[Partition(hash, local.size())].emplace_back(hash,
-                                                          std::move(row));
-      }
-    }));
-  }
-  for (std::future<void>& f : futures) f.wait();
-  futures.clear();
-
-  // Phase 2: each task fills a strided subset of the tables; a table
-  // reads only its own buckets, so tables fill independently.
-  for (size_t w = 0; w < num_workers; ++w) {
-    futures.push_back(sub_ctx_->pool()->Submit([this, w, num_workers,
-                                                &scratch] {
-      Row key;
-      for (size_t p = w; p < tables_.size(); p += num_workers) {
-        size_t total = 0;
-        for (const auto& local : scratch) total += local[p].size();
-        tables_[p].Reset(total);
-        for (auto& local : scratch) {
-          for (HashedRow& hr : local[p]) {
-            EvalKeys(build_keys_, hr.second, &key);
-            tables_[p].Insert(hr.first, key.data(), std::move(hr.second));
-          }
-        }
-      }
-    }));
-  }
-  for (std::future<void>& f : futures) f.wait();
   return Status::OK();
 }
 
@@ -165,11 +62,11 @@ JoinProbe::JoinProbe(std::vector<ExprPtr> keys, JoinType join_type,
       join_type_(join_type),
       build_arity_(build_arity) {}
 
-bool JoinProbe::Next(Operator* child, const JoinBuildState& build, Row* out) {
+bool JoinProbe::Next(Operator* child, const JoinTable& table, Row* out) {
   while (true) {
     if (match_ >= 0) {
-      const Row& build_row = table_->row(match_);
-      match_ = table_->next(match_);
+      const Row& build_row = table.row(match_);
+      match_ = table.next(match_);
       // The last match takes the buffered left row; `out`'s old buffer
       // becomes the next left row's.
       if (match_ < 0) {
@@ -183,9 +80,7 @@ bool JoinProbe::Next(Operator* child, const JoinBuildState& build, Row* out) {
     if (!child->Next(&left_)) return false;
     EvalKeys(keys_, left_, &key_);
     if (!KeyHasNull(key_.data(), key_.size())) {
-      uint64_t hash = HashKey(key_.data(), key_.size());
-      table_ = &build.TableFor(hash);
-      match_ = table_->Find(hash, key_.data());
+      match_ = table.Find(HashKey(key_.data(), key_.size()), key_.data());
     }
     if (match_ < 0 && join_type_ == JoinType::kLeftOuter) {
       out->swap(left_);
@@ -203,7 +98,7 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
     : left_(std::move(left)),
       right_(std::move(right)),
       right_arity_(right_->output_columns().size()),
-      build_(nullptr, right_.get(), std::move(right_keys)),
+      build_(right_.get(), std::move(right_keys)),
       probe_(std::move(left_keys), join_type, right_arity_) {
   output_ = ConcatColumns(left_->output_columns(), right_->output_columns());
   if (join_type == JoinType::kLeftOuter) {
@@ -221,13 +116,10 @@ Status HashJoinOp::OpenImpl() {
 }
 
 bool HashJoinOp::NextImpl(Row* out) {
-  return probe_.Next(left_.get(), build_, out);
+  return probe_.Next(left_.get(), build_.table(), out);
 }
 
 OperatorPtr HashJoinOp::CloneForWorker(ParallelContext* ctx) const {
-  // Inside a join-build pipeline a probe would make a pool task wait on
-  // another pool task; decline and let that join run serially.
-  if (!ctx->allow_join_probe()) return nullptr;
   OperatorPtr probe = left_->CloneForWorker(ctx);
   if (probe == nullptr) return nullptr;
   std::shared_ptr<JoinBuildState> state =
@@ -273,7 +165,7 @@ Status HashJoinProbeOp::OpenImpl() {
 }
 
 bool HashJoinProbeOp::NextImpl(Row* out) {
-  return probe_.Next(probe_child_.get(), *state_, out);
+  return probe_.Next(probe_child_.get(), state_->table(), out);
 }
 
 // ---- NestedLoopJoinOp --------------------------------------------------------

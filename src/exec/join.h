@@ -14,62 +14,28 @@ namespace erbium {
 enum class JoinType { kInner, kLeftOuter };
 
 /// Build side of a hash join: the build child's rows keyed by their join
-/// key in flat JoinTables (exec/hash_table.h), filled once per execution.
-/// A serial HashJoinOp owns one (one table, built through the child). The
-/// worker clones of a parallelized join share one from their
-/// ParallelContext; when its build child is itself clonable, build
-/// workers partition rows by key hash in parallel and the partitions fill
-/// independently, otherwise the serial child fills one table — possibly
-/// as a pool task, concurrently with the plan's other serial builds
+/// key in one flat JoinTable (exec/hash_table.h), filled through the child
+/// once per execution. A serial HashJoinOp owns one. The worker clones of
+/// a parallelized join share one from their ParallelContext, which may
+/// fill it as a pool task concurrently with the plan's other builds
 /// (ParallelContext::PrebuildJoins).
 class JoinBuildState {
  public:
-  /// `parent` is the plan's ParallelContext, or null for a serial join.
-  JoinBuildState(ParallelContext* parent, Operator* build_plan,
-                 std::vector<ExprPtr> build_keys);
-  ~JoinBuildState();
+  JoinBuildState(Operator* build_plan, std::vector<ExprPtr> build_keys);
 
   /// Builds unless already built this execution; serialized with a mutex
   /// (worker Opens and a prebuild task may both ask).
   Status EnsureBuilt();
   void Invalidate();
 
-  /// Slot count of the build side's scans (threshold accounting).
-  size_t ScanSlots() const;
-
-  /// True for a serial build that submits nothing to the thread pool (no
-  /// Gather or ParallelHashAggregate under it): it may run as a pool
-  /// task, since a pool task must never wait on another pool task.
-  bool CanBuildOnPool() const { return pool_safe_; }
-
-  /// The table holding keys with this hash.
-  const JoinTable& TableFor(uint64_t hash) const {
-    return tables_[Partition(hash, tables_.size())];
-  }
-
+  const Operator& build_plan() const { return *build_plan_; }
   const std::vector<ExprPtr>& build_keys() const { return build_keys_; }
-  /// The worker clones used when the build itself runs parallel (empty
-  /// for a serial build). EXPLAIN ANALYZE merges their stats onto the
-  /// serial build child.
-  const std::vector<OperatorPtr>& build_workers() const {
-    return build_workers_;
-  }
+  const JoinTable& table() const { return table_; }
 
  private:
-  /// Partition of `hash` among `count` (a power of two) tables: bits
-  /// above the ones a table uses for its slot index.
-  static size_t Partition(uint64_t hash, size_t count) {
-    return (hash >> 32) & (count - 1);
-  }
-
-  Status BuildParallel();
-
   Operator* build_plan_;
   std::vector<ExprPtr> build_keys_;
-  std::unique_ptr<ParallelContext> sub_ctx_;
-  std::vector<OperatorPtr> build_workers_;  // empty => serial build
-  std::vector<JoinTable> tables_;  // power-of-two count, by hash bits
-  bool pool_safe_ = false;
+  JoinTable table_;
   std::mutex mu_;
   bool built_ = false;
 };
@@ -82,8 +48,8 @@ class JoinProbe {
             size_t build_arity);
 
   void Reset() { match_ = -1; }
-  /// Next joined row of `child`'s rows against `build`.
-  bool Next(Operator* child, const JoinBuildState& build, Row* out);
+  /// Next joined row of `child`'s rows against `table`.
+  bool Next(Operator* child, const JoinTable& table, Row* out);
 
   const std::vector<ExprPtr>& keys() const { return keys_; }
   JoinType join_type() const { return join_type_; }
@@ -94,7 +60,6 @@ class JoinProbe {
   size_t build_arity_;
   Row left_;
   Row key_;
-  const JoinTable* table_ = nullptr;
   int32_t match_ = -1;
 };
 
@@ -144,8 +109,6 @@ class HashJoinProbeOp : public Operator {
   size_t EstimatedRowCount() const override {
     return probe_child_->EstimatedRowCount();
   }
-  const Operator* probe_child() const { return probe_child_.get(); }
-  const JoinBuildState* build_state() const { return state_.get(); }
 
  private:
   OperatorPtr probe_child_;

@@ -47,6 +47,19 @@ int EnvInt(const char* name, int fallback) {
   return static_cast<int>(parsed);
 }
 
+/// True when `op`'s subtree submits work to the thread pool and waits
+/// for it.
+bool UsesPool(const Operator& op) {
+  if (dynamic_cast<const GatherOp*>(&op) != nullptr ||
+      dynamic_cast<const ParallelHashAggregateOp*>(&op) != nullptr) {
+    return true;
+  }
+  for (const Operator* child : op.children()) {
+    if (UsesPool(*child)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 ExecOptions ExecOptions::Default() {
@@ -63,9 +76,8 @@ ExecOptions ExecOptions::Default() {
 
 // ---- ParallelContext --------------------------------------------------------
 
-ParallelContext::ParallelContext(ThreadPool* pool, const ExecOptions& opts,
-                                 ParallelContext* parent)
-    : pool_(pool), opts_(opts), parent_(parent) {
+ParallelContext::ParallelContext(ThreadPool* pool, const ExecOptions& opts)
+    : pool_(pool), opts_(opts) {
   // Grow the shared pool up-front so tests can run more workers than the
   // machine has cores.
   pool_->EnsureWorkers(opts_.num_threads);
@@ -89,19 +101,15 @@ std::shared_ptr<MorselCursor> ParallelContext::CursorFor(const void* site,
 std::shared_ptr<JoinBuildState> ParallelContext::JoinStateFor(
     const void* site, Operator* build_plan,
     const std::vector<ExprPtr>& build_keys) {
-  for (const auto& [s, state] : join_states_) {
-    if (s == site) return state;
+  for (const JoinSite& js : join_sites_) {
+    if (js.site == site) return js.state;
   }
-  auto state = std::make_shared<JoinBuildState>(this, build_plan, build_keys);
-  join_states_.emplace_back(site, state);
+  auto state = std::make_shared<JoinBuildState>(build_plan, build_keys);
+  join_sites_.push_back({site, state, !UsesPool(*build_plan)});
   return state;
 }
 
 void ParallelContext::RegisterTable(const Table* table) {
-  if (parent_ != nullptr) {
-    parent_->RegisterTable(table);
-    return;
-  }
   for (const Table* t : tables_) {
     if (t == table) return;
   }
@@ -110,13 +118,13 @@ void ParallelContext::RegisterTable(const Table* table) {
 
 void ParallelContext::ResetForExecution() {
   for (auto& [site, cursor] : cursors_) cursor->Reset();
-  for (auto& [site, state] : join_states_) state->Invalidate();
+  for (JoinSite& js : join_sites_) js.state->Invalidate();
 }
 
 Status ParallelContext::PrebuildJoins() {
   std::vector<JoinBuildState*> builds;
-  for (auto& [site, state] : join_states_) {
-    if (state->CanBuildOnPool()) builds.push_back(state.get());
+  for (JoinSite& js : join_sites_) {
+    if (js.pool_safe) builds.push_back(js.state.get());
   }
   if (builds.size() < 2) return Status::OK();
   // The tasks resolve table versions through this statement's snapshot;
@@ -142,14 +150,13 @@ size_t ParallelContext::TotalScanSlots() const {
   for (const auto& [site, cursor] : cursors_) {
     total += cursor->table->slot_count();
   }
-  for (const auto& [site, state] : join_states_) {
-    total += state->ScanSlots();
+  for (const JoinSite& js : join_sites_) {
+    total += js.state->build_plan().EstimatedRowCount();
   }
   return total;
 }
 
 void ParallelContext::PinScanVersions() {
-  if (parent_ != nullptr) return;  // root holds the pins
   if (pins_held_) return;
   // exec::SharedVersion resolves through the ambient ReadSnapshot when one
   // is installed, so these pins are the SAME versions the worker pipelines
@@ -166,7 +173,6 @@ void ParallelContext::PinScanVersions() {
 }
 
 void ParallelContext::ReleaseScanVersions() {
-  if (parent_ != nullptr) return;
   if (!pins_held_) return;
   pinned_versions_.clear();
   pins_held_ = false;

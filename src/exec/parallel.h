@@ -78,8 +78,7 @@ class RowExchange;
 /// CloneForWorker, reset before each execution.
 class ParallelContext {
  public:
-  ParallelContext(ThreadPool* pool, const ExecOptions& opts,
-                  ParallelContext* parent = nullptr);
+  ParallelContext(ThreadPool* pool, const ExecOptions& opts);
   ~ParallelContext();
 
   /// Returns the shared cursor for a scan site, creating it on first use
@@ -89,7 +88,8 @@ class ParallelContext {
 
   /// Returns the shared build state for a hash-join site, creating it on
   /// first use. `build_plan` is the serial build child (owned by the
-  /// original plan); `build_keys` are its key expressions.
+  /// original plan), through which the build runs; it is never cloned.
+  /// `build_keys` are its key expressions.
   std::shared_ptr<JoinBuildState> JoinStateFor(
       const void* site, Operator* build_plan,
       const std::vector<ExprPtr>& build_keys);
@@ -97,24 +97,21 @@ class ParallelContext {
   /// Records a table the worker pipelines will read (index-join targets).
   void RegisterTable(const Table* table);
 
-  /// False inside a join-build sub-context: build pipelines run on pool
-  /// threads and must not wait on a nested build (pool tasks never wait
-  /// on pool tasks), so HashJoinOp declines to clone there.
-  bool allow_join_probe() const { return parent_ == nullptr; }
-
   /// Re-arms cursors (re-reading slot counts) and invalidates join builds.
   /// Called by the top operator's Open(); must not race with workers.
   void ResetForExecution();
 
-  /// Builds every join whose build runs serially and may run on the pool
-  /// (JoinBuildState::CanBuildOnPool), each as its own pool task with one
-  /// on the calling thread, and waits for them: independent build sides
-  /// fill concurrently rather than one after another in the worker
-  /// Opens. Call after ResetForExecution, from a non-pool thread.
+  /// Builds every join whose build may run on the pool (no Gather or
+  /// ParallelHashAggregate in its build plan: a pool task must never wait
+  /// on another pool task), each as its own pool task with one on the
+  /// calling thread, and waits for them: independent build sides fill
+  /// concurrently rather than one after another in the worker Opens.
+  /// Call after ResetForExecution, from a non-pool thread.
   Status PrebuildJoins();
 
-  /// Sum of slot counts over all registered scan sites, including build
-  /// sides — the translator's parallelism-threshold input.
+  /// Sum of slot counts over all registered scan sites plus the estimated
+  /// rows of every join build side — the translator's parallelism-threshold
+  /// input.
   size_t TotalScanSlots() const;
 
   /// Pin/release the current version of every registered table. Pinned
@@ -131,10 +128,14 @@ class ParallelContext {
  private:
   ThreadPool* pool_;
   ExecOptions opts_;
-  ParallelContext* parent_;  // root owns the table set
+  struct JoinSite {
+    const void* site;
+    std::shared_ptr<JoinBuildState> state;
+    bool pool_safe;  // may build as a pool task (see PrebuildJoins)
+  };
+
   std::vector<std::pair<const void*, std::shared_ptr<MorselCursor>>> cursors_;
-  std::vector<std::pair<const void*, std::shared_ptr<JoinBuildState>>>
-      join_states_;
+  std::vector<JoinSite> join_sites_;
   std::vector<const Table*> tables_;
   std::vector<std::shared_ptr<const TableVersion>> pinned_versions_;
   bool pins_held_ = false;

@@ -102,15 +102,46 @@ std::vector<std::string> LogicalShape(const erql::QueryResult& result) {
   return out;
 }
 
+// rows=N from an ANALYZE plan line.
+uint64_t LineRows(const std::string& line) {
+  size_t pos = line.find("rows=");
+  EXPECT_NE(pos, std::string::npos) << line;
+  if (pos == std::string::npos) return 0;
+  return std::stoull(line.substr(pos + 5));
+}
+
 // rows=N from the first (root) plan line of an ANALYZE result.
 uint64_t RootRows(const erql::QueryResult& result) {
   std::vector<std::string> tree = TreeLines(result);
   EXPECT_FALSE(tree.empty());
-  if (tree.empty()) return 0;
-  size_t pos = tree[0].find("rows=");
-  EXPECT_NE(pos, std::string::npos) << tree[0];
-  if (pos == std::string::npos) return 0;
-  return std::stoull(tree[0].substr(pos + 5));
+  return tree.empty() ? 0 : LineRows(tree[0]);
+}
+
+// rows=N of every hash join's build (second) child in an ANALYZE result,
+// top to bottom.
+std::vector<uint64_t> BuildChildRows(const erql::QueryResult& result) {
+  std::vector<std::string> tree = TreeLines(result);
+  auto indent = [](const std::string& line) {
+    return line.find_first_not_of(' ');
+  };
+  std::vector<uint64_t> out;
+  for (size_t i = 0; i < tree.size(); ++i) {
+    std::string name = LogicalName(tree[i]);
+    if (name.rfind("HashJoin(", 0) != 0 &&
+        name.rfind("HashLeftJoin(", 0) != 0) {
+      continue;
+    }
+    size_t child_indent = indent(tree[i]) + 2;
+    int children = 0;
+    for (size_t j = i + 1; j < tree.size() && indent(tree[j]) >= child_indent;
+         ++j) {
+      if (indent(tree[j]) == child_indent && ++children == 2) {
+        out.push_back(LineRows(tree[j]));
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 erql::QueryResult RunQuery(MappedDatabase* db, const std::string& query,
@@ -195,6 +226,12 @@ TEST(ErqlExplainTest, AnalyzeRowCountsMatchCardinalityParallel) {
     EXPECT_EQ(RootRows(analyzed), actual) << query;
     EXPECT_GT(actual, 0u) << query;
   }
+  // A parallelized join's build child runs once, serially: it reports the
+  // serial run's row count.
+  std::string join = std::string("EXPLAIN ANALYZE ") + kJoinQuery;
+  std::vector<uint64_t> serial = BuildChildRows(RunQuery(f.db.get(), join));
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(BuildChildRows(RunQuery(f.db.get(), join, Parallel8())), serial);
 }
 
 TEST(ErqlExplainTest, AnalyzeReportsTimings) {

@@ -327,6 +327,36 @@ TEST(ParallelExecTest, SerialOptionsLeavePlanUntouched) {
   EXPECT_EQ(plan->name(), "SeqScan(t)");
 }
 
+// The threshold counts a join's build side too: a probe scan below it
+// still parallelizes when the build side takes the total over it, as the
+// R2 JOIN S1 queries do at benchmark scale.
+TEST(ParallelExecTest, ThresholdCountsJoinBuildSide) {
+  auto probe = MakeTable("probe", 300, 20);  // 300 scan slots
+  auto build = MakeTable("build", 500, 12);  // 461 live rows
+  auto make_plan = [&]() -> OperatorPtr {
+    std::vector<ExprPtr> left_keys{MakeColumnRef(1, "b")};
+    std::vector<ExprPtr> right_keys{MakeColumnRef(1, "b")};
+    return std::make_unique<HashJoinOp>(
+        std::make_unique<SeqScan>(probe.get()),
+        std::make_unique<SeqScan>(build.get()), std::move(left_keys),
+        std::move(right_keys));
+  };
+  OperatorPtr serial = make_plan();
+  std::vector<std::string> expected = Canonical(Drain(serial.get()));
+  ASSERT_FALSE(expected.empty());
+
+  ExecOptions opts = Opts(4, 64);
+  opts.parallel_row_threshold = 600;  // above the probe, below the total
+  OperatorPtr plan = MaybeParallelGather(make_plan(), opts);
+  EXPECT_EQ(plan->name().rfind("Gather(", 0), 0u) << PrintPlan(*plan);
+  EXPECT_EQ(Canonical(Drain(plan.get())), expected);
+
+  opts.parallel_row_threshold = 800;  // above the total
+  plan = MaybeParallelGather(make_plan(), opts);
+  EXPECT_EQ(plan->name().rfind("HashJoin(", 0), 0u) << PrintPlan(*plan);
+  EXPECT_EQ(Canonical(Drain(plan.get())), expected);
+}
+
 // ---- End-to-end through ERQL on the Figure 4 workload -----------------------
 
 class ParallelErqlTest : public ::testing::Test {
