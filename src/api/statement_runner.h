@@ -82,8 +82,8 @@ class StatementRunner {
     std::string attach_dir;
     durability::WalWriter::SyncMode sync =
         durability::WalWriter::SyncMode::kNone;
-    /// Prepared-statement plan cache capacity (distinct normalized
-    /// SELECT texts); 0 disables caching entirely.
+    /// Prepared-statement plan cache capacity (distinct SELECT shapes,
+    /// see erql::Query::cache_key); 0 disables caching entirely.
     size_t plan_cache_capacity = 1024;
     /// Crash/gate hooks passed through to the durable database on
     /// ATTACH; not owned, may be null. For the fault-injection tests.
@@ -224,7 +224,7 @@ class StatementRunner {
   std::string ddl_history_;
 
   /// Prepared-statement support: compiled SELECT plans keyed by
-  /// (normalized text, mapping_generation_). Readers check plans out
+  /// (query shape, mapping_generation_). Readers check plans out
   /// under the shared lock; DDL/REMAP/ATTACH bump the generation under
   /// the exclusive lock, so a stale plan can never execute.
   std::unique_ptr<erql::PlanCache> plan_cache_;

@@ -161,6 +161,19 @@ const Token& TokenStream::Peek(size_t ahead) const {
 const Token& TokenStream::Advance() {
   const Token& token = tokens_[pos_];
   if (pos_ + 1 < tokens_.size()) ++pos_;
+  if (key_ != nullptr && token.kind != TokenKind::kEnd) {
+    if (!key_->empty()) key_->push_back(' ');
+    if (token.kind == TokenKind::kString) {
+      key_->push_back('\'');
+      for (char c : token.text) {
+        if (c == '\'') key_->push_back('\'');
+        key_->push_back(c);
+      }
+      key_->push_back('\'');
+    } else {
+      key_->append(token.text);
+    }
+  }
   return token;
 }
 

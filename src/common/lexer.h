@@ -50,6 +50,11 @@ class TokenStream {
 
   const Token& Peek(size_t ahead = 0) const;
   const Token& Advance();
+
+  /// From now on, appends every consumed token to `*key`, one space
+  /// apart: identifiers, symbols and numbers as written, strings
+  /// re-quoted with '' escapes (the ERQL plan-cache key).
+  void RecordInto(std::string* key) { key_ = key; }
   bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
 
   /// If the next token is the given case-insensitive keyword, consumes it.
@@ -71,6 +76,7 @@ class TokenStream {
  private:
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  std::string* key_ = nullptr;
 };
 
 }  // namespace erbium

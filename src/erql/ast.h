@@ -32,6 +32,8 @@ struct ExprAst {
   std::string qualifier;            // kIdent
   std::string name;                 // kIdent / kFunction
   Value literal;                    // kLiteral
+  /// kLiteral read inside WHERE: its index in Query::params, else -1.
+  int slot = -1;
   std::string op;                   // kBinary
   std::vector<ExprAstPtr> children;
   std::vector<std::string> field_names;  // kStruct
@@ -136,6 +138,17 @@ struct Query {
   bool explicit_group_by = false;
   std::vector<OrderItem> order_by;
   int64_t limit = -1;                 // -1 -> none
+
+  /// Plan-cache key: the consumed tokens, one space apart and without a
+  /// trailing ';', with every integer, float or string literal read
+  /// inside WHERE replaced by a typed marker (?i, ?f, ?s). Everything
+  /// else — identifiers in their original case, select list, JOIN ON,
+  /// GROUP BY, ORDER BY, LIMIT, IN lists, array literals, true/false/
+  /// null — stays verbatim, and verbatim strings are re-quoted, so a
+  /// marker never collides with literal text.
+  std::string cache_key;
+  /// The replaced WHERE literals in order; ExprAst::slot indexes them.
+  std::vector<Value> params;
 };
 
 }  // namespace erql

@@ -26,6 +26,22 @@ class QueryParser {
  public:
   explicit QueryParser(TokenStream ts) : ts_(std::move(ts)) {}
 
+  /// Parses one statement and attaches its plan-cache key and WHERE
+  /// parameters (see Query::cache_key), both built as tokens are consumed.
+  Result<Query> Parse() {
+    ts_.RecordInto(&key_);
+    ERBIUM_ASSIGN_OR_RETURN(Query query, ParseQuery());
+    // A trailing ';' (shell habit) does not change the statement.
+    if (!key_.empty() && key_.back() == ';') {
+      key_.pop_back();
+      if (!key_.empty() && key_.back() == ' ') key_.pop_back();
+    }
+    query.cache_key = std::move(key_);
+    query.params = std::move(params_);
+    return query;
+  }
+
+ private:
   Result<Query> ParseQuery() {
     Query query;
     if (ts_.ConsumeKeyword("show")) {
@@ -124,7 +140,9 @@ class QueryParser {
       query.joins.push_back(std::move(join));
     }
     if (ts_.ConsumeKeyword("where")) {
+      in_where_ = true;
       ERBIUM_ASSIGN_OR_RETURN(query.where, ParseExpr());
+      in_where_ = false;
     }
     if (ts_.ConsumeKeyword("group")) {
       ERBIUM_RETURN_NOT_OK(ts_.ExpectKeyword("by"));
@@ -161,7 +179,6 @@ class QueryParser {
     return query;
   }
 
- private:
   Status ExpectEnd() {
     if (!ts_.AtEnd() && !ts_.ConsumeSymbol(";")) {
       return ts_.ErrorHere("unexpected trailing input");
@@ -387,9 +404,24 @@ class QueryParser {
         token.IsKeyword("false") || token.IsKeyword("null") ||
         (token.IsSymbol("-") && (ts_.Peek(1).kind == TokenKind::kInteger ||
                                  ts_.Peek(1).kind == TokenKind::kFloat))) {
+      size_t key_mark = key_.size();
       ERBIUM_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
       auto ast = std::make_shared<ExprAst>();
       ast->kind = ExprAst::Kind::kLiteral;
+      const char* marker = v.kind() == TypeKind::kInt64     ? " ?i"
+                           : v.kind() == TypeKind::kFloat64 ? " ?f"
+                           : v.kind() == TypeKind::kString  ? " ?s"
+                                                            : nullptr;
+      if (in_where_ && marker != nullptr) {
+        // A WHERE literal becomes a parameter slot: the key keeps only
+        // its type class (a folded leading '-' included), so one plan
+        // serves every value. Literals elsewhere can steer plan choices
+        // (GROUP BY matching, LIMIT) and stay verbatim.
+        key_.resize(key_mark);
+        key_ += marker;
+        ast->slot = static_cast<int>(params_.size());
+        params_.push_back(v);
+      }
       ast->literal = std::move(v);
       return ExprAstPtr(ast);
     }
@@ -496,6 +528,9 @@ class QueryParser {
   }
 
   TokenStream ts_;
+  std::string key_;
+  std::vector<Value> params_;
+  bool in_where_ = false;
 };
 
 }  // namespace
@@ -548,7 +583,7 @@ std::string ExprAst::ToString() const {
 Result<Query> Parser::Parse(const std::string& text) {
   ERBIUM_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lexer::Tokenize(text));
   QueryParser parser{TokenStream(std::move(tokens))};
-  return parser.ParseQuery();
+  return parser.Parse();
 }
 
 }  // namespace erql

@@ -1,6 +1,5 @@
 #include "erql/plan_cache.h"
 
-#include <cctype>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,23 +9,33 @@ namespace erql {
 
 namespace {
 
+// Handles resolve once: a name lookup per statement would cost more
+// than the hit it counts.
 obs::Counter HitCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.hits");
+  static const obs::Counter c =
+      obs::MetricsRegistry::Global().counter("plan_cache.hits");
+  return c;
 }
 obs::Counter MissCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.misses");
+  static const obs::Counter c =
+      obs::MetricsRegistry::Global().counter("plan_cache.misses");
+  return c;
 }
 obs::Counter EvictionCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.evictions");
+  static const obs::Counter c =
+      obs::MetricsRegistry::Global().counter("plan_cache.evictions");
+  return c;
 }
 obs::Counter InvalidationCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.invalidations");
+  static const obs::Counter c =
+      obs::MetricsRegistry::Global().counter("plan_cache.invalidations");
+  return c;
 }
 
 void UpdateEntriesGauge(size_t entries) {
-  obs::MetricsRegistry::Global()
-      .gauge("plan_cache.entries")
-      .Set(static_cast<int64_t>(entries));
+  static const obs::Gauge g =
+      obs::MetricsRegistry::Global().gauge("plan_cache.entries");
+  g.Set(static_cast<int64_t>(entries));
 }
 
 }  // namespace
@@ -34,35 +43,6 @@ void UpdateEntriesGauge(size_t entries) {
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 PlanCache::~PlanCache() = default;
-
-std::string PlanCache::NormalizeStatement(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  bool in_string = false;
-  bool pending_space = false;
-  for (char c : text) {
-    if (in_string) {
-      out.push_back(c);
-      if (c == '\'') in_string = false;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
-      continue;
-    }
-    if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
-    }
-    out.push_back(c);
-    if (c == '\'') in_string = true;
-  }
-  // A trailing ';' (shell habit) does not change the statement.
-  while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return out;
-}
 
 std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
                                                    uint64_t generation) {

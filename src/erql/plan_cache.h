@@ -16,12 +16,14 @@ namespace erql {
 
 /// LRU cache of compiled SELECT plans — the paper's point that the E/R
 /// layer is the *stable* abstraction above volatile physical mappings,
-/// applied to the hot path: parse→translate is paid once per
-/// (normalized statement text, mapping generation) and reused until the
-/// mapping changes underneath it. The owner (api::StatementRunner) bumps
-/// the generation on every DDL / REMAP / ATTACH; entries compiled under
-/// an older generation hold dangling Table pointers and are never
-/// returned, only purged.
+/// applied to the hot path: translate is paid once per (statement
+/// shape, mapping generation) and reused until the mapping changes
+/// underneath it. The key is the parser's literal-free shape
+/// (Query::cache_key): WHERE literals become typed parameter slots that
+/// the engine rebinds on every checkout. The owner
+/// (api::StatementRunner) bumps the generation on every DDL / REMAP /
+/// ATTACH; entries compiled under an older generation hold dangling
+/// Table pointers and are never returned, only purged.
 ///
 /// Operator trees carry cursor state (Open() resets it, but two threads
 /// may not drive one tree at once), so entries are *checked out* for the
@@ -47,12 +49,6 @@ class PlanCache {
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
-
-  /// The cache key of a statement: whitespace runs outside quoted
-  /// strings collapse to one space, leading/trailing whitespace and a
-  /// trailing ';' drop. Formatting variants of one statement share an
-  /// entry; literals stay significant (no parameterization yet).
-  static std::string NormalizeStatement(const std::string& text);
 
   /// Removes and returns one plan compiled for `key` under exactly
   /// `generation`, or nullptr (miss). A surviving entry from an older

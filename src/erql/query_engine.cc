@@ -428,12 +428,12 @@ Result<QueryResult> TraceQuery(
 /// fills it from the result for everything else). Statements that run a
 /// plan under an analyze window export the span tree via `stats_out`.
 /// A plain SELECT compiled here is checked into `cache` (when non-null)
-/// under `cache_key`/`generation` after a successful run.
+/// under `query.cache_key`/`generation` after a successful run.
 Result<QueryResult> ExecuteParsed(
     MappedDatabase* db, const Query& query, const std::string& text,
     const ExecOptions& opts, uint64_t start_wall_ns, obs::QueryRecord* record,
     obs::QueryStats* stats_out, bool* have_stats, PlanCache* cache,
-    uint64_t generation, const std::string& cache_key,
+    uint64_t generation,
     std::shared_ptr<obs::StatementFootprint>* footprint_out) {
   record->kind = StatementKindName(query);
   switch (query.statement) {
@@ -546,7 +546,7 @@ Result<QueryResult> ExecuteParsed(
     // Keep the plan for the next execution of this statement; columns
     // are copied because the plan outlives this result.
     result.columns = compiled.columns;
-    cache->CheckIn(cache_key, generation,
+    cache->CheckIn(query.cache_key, generation,
                    std::make_unique<CompiledQuery>(std::move(compiled)));
   } else {
     result.columns = std::move(compiled.columns);
@@ -574,43 +574,43 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
   record.threads = opts.num_threads;
   record.kind = "invalid";  // overwritten once the statement parses
 
-  // Prepared-statement fast path: a cached plan skips parse + translate.
-  // Only plain SELECTs ever live in the cache, so a hit implies the kind.
-  std::string cache_key;
-  std::unique_ptr<CompiledQuery> cached;
-  if (cache != nullptr) {
-    cache_key = PlanCache::NormalizeStatement(text);
-    cached = cache->Checkout(cache_key, generation);
-  }
-
   obs::QueryStats stats;
   bool have_stats = false;
   std::shared_ptr<obs::StatementFootprint> footprint;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (cached != nullptr) {
-      record.kind = "select";
-      // The footprint was derived when this plan was first compiled; a
-      // cache hit replays it into the workload profile for free.
-      footprint = cached->footprint;
-      // A failed run drops the plan (`cached` dies on early return) —
-      // only healthy plans go back in the pool.
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                              CollectRows(cached->plan.get()));
-      uint64_t threshold = obs::QueryTelemetry::Global().slow_threshold_ns();
-      if (obs::MonotonicNowNs() - start_wall >= threshold) {
-        stats = CollectQueryStats(*cached->plan);
-        have_stats = true;
-      }
-      QueryResult reused;
-      reused.columns = cached->columns;
-      reused.rows = std::move(rows);
-      cache->CheckIn(cache_key, generation, std::move(cached));
-      return reused;
-    }
     ERBIUM_ASSIGN_OR_RETURN(Query query, Parser::Parse(text));
-    return ExecuteParsed(db, query, text, opts, start_wall, &record, &stats,
-                         &have_stats, cache, generation, cache_key,
-                         &footprint);
+    // Prepared-statement fast path: plain SELECTs are cached by their
+    // literal-free key, so a hit binds this statement's WHERE literals
+    // into the plan's parameter slots and skips translation.
+    std::unique_ptr<CompiledQuery> cached;
+    if (cache != nullptr && query.statement == StatementKind::kSelect &&
+        query.explain == ExplainMode::kNone) {
+      cached = cache->Checkout(query.cache_key, generation);
+    }
+    if (cached == nullptr) {
+      return ExecuteParsed(db, query, text, opts, start_wall, &record, &stats,
+                           &have_stats, cache, generation, &footprint);
+    }
+    record.kind = "select";
+    // The footprint was derived when this plan was first compiled; a
+    // cache hit replays it into the workload profile for free.
+    footprint = cached->footprint;
+    // Equal keys carry equal slot markers, so the counts match.
+    *cached->params = std::move(query.params);
+    // A failed run drops the plan (`cached` dies on early return) —
+    // only healthy plans go back in the pool.
+    ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                            CollectRows(cached->plan.get()));
+    uint64_t threshold = obs::QueryTelemetry::Global().slow_threshold_ns();
+    if (obs::MonotonicNowNs() - start_wall >= threshold) {
+      stats = CollectQueryStats(*cached->plan);
+      have_stats = true;
+    }
+    QueryResult reused;
+    reused.columns = cached->columns;
+    reused.rows = std::move(rows);
+    cache->CheckIn(query.cache_key, generation, std::move(cached));
+    return reused;
   }();
 
   record.wall_ns = obs::MonotonicNowNs() - start_wall;

@@ -46,7 +46,8 @@ struct QueryResult {
 class QueryEngine {
  public:
   /// Compiles a query without running it (plan inspection, benchmarks
-  /// that amortize compilation). Only SELECT statements compile to
+  /// that amortize compilation). The plan comes bound to the statement's
+  /// own literals, ready to Open(). Only SELECT statements compile to
   /// plans; SHOW/TRACE statements are rejected here — Execute() them.
   /// Does not touch the query log.
   static Result<CompiledQuery> Compile(
@@ -56,11 +57,14 @@ class QueryEngine {
   /// Parses, compiles, executes, and materializes.
   ///
   /// With a non-null `cache`, plain SELECTs (no EXPLAIN/TRACE) first try
-  /// to check a compiled plan out of the cache under `generation` — a
-  /// hit skips parse and translate entirely — and check the plan back in
-  /// after a successful run (a failed run drops it). The caller owns the
-  /// generation counter and must bump it whenever the database the plans
-  /// are bound to is rebuilt (DDL/REMAP/ATTACH); it must also ensure no
+  /// to check a compiled plan out of the cache under their literal-free
+  /// key (Query::cache_key) and `generation` — a hit binds the
+  /// statement's WHERE literals into the plan's parameter slots and
+  /// skips translation — and check the plan back in after a successful
+  /// run (a failed run drops it). A miss compiles the already-parsed
+  /// statement. The caller owns the generation counter and must bump it
+  /// whenever the database the plans are bound to is rebuilt
+  /// (DDL/REMAP/ATTACH); it must also ensure no
   /// writer mutates the database while a checked-out plan executes (the
   /// statement lock in api::StatementRunner provides both). All cached
   /// executions must share one ExecOptions value: plan shape depends on

@@ -184,9 +184,15 @@ class TranslatorImpl {
  public:
   TranslatorImpl(MappedDatabase* db, const Query& query,
                  const ExecOptions& opts)
-      : db_(db), query_(query), opts_(opts) {}
+      : db_(db),
+        query_(query),
+        opts_(opts),
+        params_(std::make_shared<std::vector<Value>>(query.params)) {}
 
   Result<CompiledQuery> Run();
+
+  /// The plan's parameter block, bound to the query's own literals.
+  std::shared_ptr<std::vector<Value>> params() const { return params_; }
 
  private:
   struct AliasDecl {
@@ -220,12 +226,17 @@ class TranslatorImpl {
 
   Result<ExprPtr> Bind(const ExprAst& ast, Scope* scope);
 
+  /// A literal AST node as an expression: a WHERE slot reads the
+  /// parameter block, any other literal is a constant.
+  ExprPtr BindLiteral(const ExprAst& literal) const;
+
   /// Aliases referenced by an expression (resolved).
   Status ReferencedAliases(const ExprAst& ast, std::set<std::string>* out);
 
   MappedDatabase* db_;
   const Query& query_;
   ExecOptions opts_;
+  std::shared_ptr<std::vector<Value>> params_;
   std::vector<AliasDecl> decls_;
   obs::StatementFootprint footprint_;
   std::set<std::string> attr_touches_seen_;
@@ -393,7 +404,7 @@ Result<ExprPtr> TranslatorImpl::Bind(const ExprAst& ast, Scope* scope) {
       return MakeColumnRef(position, ast.ToString());
     }
     case ExprAst::Kind::kLiteral:
-      return MakeLiteral(ast.literal);
+      return BindLiteral(ast);
     case ExprAst::Kind::kBinary: {
       ERBIUM_ASSIGN_OR_RETURN(ExprPtr left, Bind(*ast.children[0], scope));
       ERBIUM_ASSIGN_OR_RETURN(ExprPtr right, Bind(*ast.children[1], scope));
@@ -466,12 +477,20 @@ Result<ExprPtr> TranslatorImpl::Bind(const ExprAst& ast, Scope* scope) {
   return Status::Internal("unreachable expression kind");
 }
 
+ExprPtr TranslatorImpl::BindLiteral(const ExprAst& literal) const {
+  if (literal.slot < 0) return MakeLiteral(literal.literal);
+  return std::make_shared<ParamExpr>(params_,
+                                     static_cast<size_t>(literal.slot));
+}
+
 Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
     AliasDecl* decl, std::vector<ExprAstPtr> conjuncts, AliasInfo* info_out,
     bool join_side) {
   // Detect a full-key point lookup: equality conjuncts ident = literal
-  // (or literal = ident) covering every key attribute.
-  std::map<std::string, Value> pinned;
+  // (or literal = ident) covering every key attribute. The choice looks
+  // only at where literals are, never at their values, so a cached plan
+  // stays right for every value bound into its slots.
+  std::map<std::string, const ExprAst*> pinned;
   std::vector<bool> consumed(conjuncts.size(), false);
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const ExprAst& c = *conjuncts[i];
@@ -489,7 +508,7 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
     bool is_key = std::find(decl->key_names.begin(), decl->key_names.end(),
                             ident->name) != decl->key_names.end();
     if (is_key && pinned.count(ident->name) == 0) {
-      pinned.emplace(ident->name, literal->literal);
+      pinned.emplace(ident->name, literal);
       consumed[i] = true;
     }
   }
@@ -500,9 +519,9 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
                             : point_lookup ? obs::EntityPath::kProbe
                                            : obs::EntityPath::kScan);
   if (point_lookup) {
-    IndexKey key;
+    std::vector<ExprPtr> key;
     for (const std::string& name : decl->key_names) {
-      key.push_back(pinned.at(name));
+      key.push_back(BindLiteral(*pinned.at(name)));
     }
     ERBIUM_ASSIGN_OR_RETURN(
         plan, db_->LookupEntity(decl->entity, key, decl->needed));
@@ -1282,6 +1301,7 @@ Result<CompiledQuery> Translator::Translate(MappedDatabase* db,
                                             const ExecOptions& opts) {
   TranslatorImpl impl(db, query, opts);
   ERBIUM_ASSIGN_OR_RETURN(CompiledQuery compiled, impl.Run());
+  compiled.params = impl.params();
   compiled.explain = query.explain;
   if (query.explain != ExplainMode::kNone) {
     compiled.mapping_summary = db->mapping().spec().ToString();

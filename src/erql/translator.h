@@ -21,6 +21,12 @@ struct CompiledQuery {
   OperatorPtr plan;
   std::vector<std::string> columns;
 
+  /// The statement parameters (WHERE literals, see Query::params) the
+  /// plan's ParamExprs read. Heap-stable so the plan survives moves of
+  /// this struct; Translate binds it to the query's own literals, and
+  /// the engine overwrites it before each run of a cached plan.
+  std::shared_ptr<std::vector<Value>> params;
+
   /// EXPLAIN support, filled by the translator when the query carried an
   /// EXPLAIN prefix and consumed by QueryEngine::Execute: the mapping's
   /// one-line summary plus one note per logical construct saying which

@@ -52,6 +52,24 @@ class LiteralExpr : public Expr {
   Value value_;
 };
 
+/// A statement parameter: slot `slot` of a parameter block shared with
+/// the compiled plan, which the query engine rebinds before each run of
+/// a cached plan. Prints the bound value, like a literal.
+class ParamExpr : public Expr {
+ public:
+  ParamExpr(std::shared_ptr<const std::vector<Value>> params, size_t slot)
+      : params_(std::move(params)), slot_(slot) {}
+
+  Value Eval(const Row&) const override { return (*params_)[slot_]; }
+  std::string ToString() const override {
+    return (*params_)[slot_].ToString();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<Value>> params_;
+  size_t slot_;
+};
+
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// Three-valued comparison: null operand -> null result.

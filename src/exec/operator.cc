@@ -94,10 +94,10 @@ OperatorPtr SeqScan::CloneForWorker(ParallelContext* ctx) const {
 // ---- IndexLookup ------------------------------------------------------------
 
 IndexLookup::IndexLookup(const Table* table, std::vector<int> column_indexes,
-                         IndexKey key)
+                         std::vector<ExprPtr> key)
     : table_(table),
       column_indexes_(std::move(column_indexes)),
-      key_(std::move(key)) {
+      key_exprs_(std::move(key)) {
   output_ = table->schema().columns();
 }
 
@@ -105,6 +105,9 @@ Status IndexLookup::OpenImpl() {
   version_ = exec::ResolveVersion(table_, &owned_pin_);
   matches_.clear();
   next_ = 0;
+  static const Row kNoRow;
+  key_.clear();
+  for (const ExprPtr& part : key_exprs_) key_.push_back(part->Eval(kNoRow));
   table_->LookupEqualIn(*version_, column_indexes_, key_, &matches_);
   return Status::OK();
 }

@@ -128,10 +128,12 @@ class SeqScan : public Operator {
 /// Point lookup of one key through the table's index on the given columns
 /// (falls back to scan if no index exists), probing a version pinned at
 /// Open() so it never blocks behind — or observes half of — a writer.
+/// The key is evaluated at Open(), so a cached plan whose key reads
+/// statement parameters probes the values bound for this run.
 class IndexLookup : public Operator {
  public:
   IndexLookup(const Table* table, std::vector<int> column_indexes,
-              IndexKey key);
+              std::vector<ExprPtr> key);
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -144,6 +146,7 @@ class IndexLookup : public Operator {
   const TableVersion* version_ = nullptr;
   std::shared_ptr<const TableVersion> owned_pin_;
   std::vector<int> column_indexes_;
+  std::vector<ExprPtr> key_exprs_;
   IndexKey key_;
   std::vector<RowId> matches_;
   size_t next_ = 0;

@@ -120,6 +120,11 @@ class MappedDatabase {
   Result<OperatorPtr> LookupEntity(const std::string& class_name,
                                    const IndexKey& key,
                                    const std::vector<std::string>& attrs);
+  /// Same, with the key given as expressions evaluated when the plan is
+  /// opened (statement parameters of a cached plan).
+  Result<OperatorPtr> LookupEntity(const std::string& class_name,
+                                   const std::vector<ExprPtr>& key,
+                                   const std::vector<std::string>& attrs);
 
   /// Unnested multi-valued attribute stream: full key columns + one
   /// element column named after the attribute.
@@ -208,13 +213,13 @@ class MappedDatabase {
   /// own-location columns needed for `needed_attrs` that are inline
   /// (arrays / scalars / FK cols are handled by the callers). The
   /// `key_filter` (may be null) restricts to one key for point access.
-  Result<OperatorPtr> BuildSegmentStream(const std::string& class_name,
-                                         const std::vector<std::string>& attrs,
-                                         const IndexKey* key_filter);
+  Result<OperatorPtr> BuildSegmentStream(
+      const std::string& class_name, const std::vector<std::string>& attrs,
+      const std::vector<ExprPtr>* key_filter);
 
-  Result<OperatorPtr> BuildEntityPlan(const std::string& class_name,
-                                      const std::vector<std::string>& attrs,
-                                      const IndexKey* key_filter);
+  Result<OperatorPtr> BuildEntityPlan(
+      const std::string& class_name, const std::vector<std::string>& attrs,
+      const std::vector<ExprPtr>* key_filter);
 
   // -- CRUD helpers (database.cc / database_rel.cc) --
   Status InsertSegments(const std::string& class_name, const Value& entity,

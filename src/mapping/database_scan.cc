@@ -41,13 +41,20 @@ Result<OperatorPtr> ProjectTo(OperatorPtr child,
 
 /// Equality predicate `columns == key` over the child's output.
 ExprPtr KeyEqualsPredicate(const Operator& op, const std::vector<int>& cols,
-                           const IndexKey& key) {
+                           const std::vector<ExprPtr>& key) {
   std::vector<ExprPtr> conjuncts;
   for (size_t i = 0; i < cols.size(); ++i) {
-    conjuncts.push_back(MakeCompare(CompareOp::kEq, ColRef(op, cols[i]),
-                                    MakeLiteral(key[i])));
+    conjuncts.push_back(
+        MakeCompare(CompareOp::kEq, ColRef(op, cols[i]), key[i]));
   }
   return ConjoinAll(std::move(conjuncts));
+}
+
+/// A constant key as IndexLookup / key-filter expressions.
+std::vector<ExprPtr> LiteralKey(const IndexKey& key) {
+  std::vector<ExprPtr> exprs;
+  for (const Value& v : key) exprs.push_back(MakeLiteral(v));
+  return exprs;
 }
 
 }  // namespace
@@ -56,7 +63,7 @@ ExprPtr KeyEqualsPredicate(const Operator& op, const std::vector<int>& cols,
 
 Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
     const std::string& class_name, const std::vector<std::string>& attrs,
-    const IndexKey* key_filter) {
+    const std::vector<ExprPtr>* key_filter) {
   // Returns a stream over instances of `class_name` whose columns include
   // the full key (named by key attribute names) and every *inline* column
   // among `attrs` (arrays, scalars). Separate-table multi-valued attrs
@@ -180,8 +187,8 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
       std::vector<std::string> owner_attrs;  // just the folded column
       OperatorPtr base;
       if (key_filter != nullptr) {
-        IndexKey owner_key(key_filter->begin(),
-                           key_filter->begin() + owner_keys.size());
+        std::vector<ExprPtr> owner_key(
+            key_filter->begin(), key_filter->begin() + owner_keys.size());
         ERBIUM_ASSIGN_OR_RETURN(
             base, BuildSegmentStream(def->owner, owner_attrs, &owner_key));
       } else {
@@ -219,8 +226,8 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
         for (const std::string& pk : def->partial_key) {
           partial_positions.push_back(ColIndex(*projected, pk));
         }
-        IndexKey partial(key_filter->begin() + owner_keys.size(),
-                         key_filter->end());
+        std::vector<ExprPtr> partial(
+            key_filter->begin() + owner_keys.size(), key_filter->end());
         ExprPtr predicate =
             KeyEqualsPredicate(*projected, partial_positions, partial);
         projected = std::make_unique<FilterOp>(std::move(projected),
@@ -328,7 +335,7 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
 
 Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
     const std::string& class_name, const std::vector<std::string>& attrs,
-    const IndexKey* key_filter) {
+    const std::vector<ExprPtr>* key_filter) {
   if (schema().FindEntitySet(class_name) == nullptr) {
     return Status::NotFound("no entity set named " + class_name);
   }
@@ -457,6 +464,12 @@ Result<OperatorPtr> MappedDatabase::ScanEntity(
 Result<OperatorPtr> MappedDatabase::LookupEntity(
     const std::string& class_name, const IndexKey& key,
     const std::vector<std::string>& attrs) {
+  return LookupEntity(class_name, LiteralKey(key), attrs);
+}
+
+Result<OperatorPtr> MappedDatabase::LookupEntity(
+    const std::string& class_name, const std::vector<ExprPtr>& key,
+    const std::vector<std::string>& attrs) {
   ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
                           KeyColumnNames(class_name));
   if (key.size() != key_names.size()) {
@@ -551,8 +564,8 @@ Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
     Table* table = catalog_.GetTable(weak_entity);
     ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                             ColumnPositions(*table, owner_key_names));
-    OperatorPtr scan =
-        std::make_unique<IndexLookup>(table, positions, owner_key);
+    OperatorPtr scan = std::make_unique<IndexLookup>(table, positions,
+                                                     LiteralKey(owner_key));
     return ProjectTo(std::move(scan), projection);
   }
   if (loc == SegmentLocation::kFoldedInOwner) {
@@ -567,8 +580,8 @@ Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
     Table* owner_table = catalog_.GetTable(owner_table_name);
     ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                             ColumnPositions(*owner_table, owner_key_names));
-    OperatorPtr base =
-        std::make_unique<IndexLookup>(owner_table, positions, owner_key);
+    OperatorPtr base = std::make_unique<IndexLookup>(owner_table, positions,
+                                                     LiteralKey(owner_key));
     int folded_idx = ColIndex(*base, weak_entity);
     if (folded_idx < 0) {
       return Status::Internal("missing folded column " + weak_entity);

@@ -19,6 +19,19 @@ const std::vector<double>& LatencyBoundsMs() {
   return *bounds;
 }
 
+/// The latency histogram `prefix + name`, resolved once per cache.
+Histogram LatencyHistogram(MetricsRegistry* registry,
+                           std::map<std::string, Histogram>* cache,
+                           const char* prefix, const std::string& name) {
+  auto it = cache->find(name);
+  if (it == cache->end()) {
+    it = cache->emplace(name, registry->histogram(prefix + name,
+                                                  LatencyBoundsMs()))
+             .first;
+  }
+  return it->second;
+}
+
 /// Active lifecycle scope of the executing thread, nullptr when the
 /// statement did not come through the network server.
 thread_local ScopedStatementLifecycle* t_lifecycle = nullptr;
@@ -74,18 +87,6 @@ uint64_t QueryTelemetry::Record(QueryRecord record, const QueryStats* stats) {
   if (record.session.empty()) record.session = CurrentSessionTag();
   if (record.session.empty()) record.session = "-";
 
-  double ms = static_cast<double>(record.wall_ns) / 1e6;
-  registry_->counter("erql.queries").Increment();
-  if (!record.ok) registry_->counter("erql.query_errors").Increment();
-  registry_
-      ->histogram("erql.query.latency_ms.mapping." + record.mapping,
-                  LatencyBoundsMs())
-      .Observe(ms);
-  registry_
-      ->histogram("erql.query.latency_ms.kind." + record.kind,
-                  LatencyBoundsMs())
-      .Observe(ms);
-
   bool slow = record.wall_ns >= slow_threshold_ns();
   if (slow) {
     registry_->counter("erql.slow_queries").Increment();
@@ -113,6 +114,19 @@ uint64_t QueryTelemetry::Record(QueryRecord record, const QueryStats* stats) {
 
   Shard& shard = shards_[seq % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
+  if (!shard.queries) shard.queries = registry_->counter("erql.queries");
+  shard.queries->Increment();
+  if (!record.ok) {
+    if (!shard.errors) shard.errors = registry_->counter("erql.query_errors");
+    shard.errors->Increment();
+  }
+  double ms = static_cast<double>(record.wall_ns) / 1e6;
+  LatencyHistogram(registry_, &shard.by_mapping,
+                   "erql.query.latency_ms.mapping.", record.mapping)
+      .Observe(ms);
+  LatencyHistogram(registry_, &shard.by_kind, "erql.query.latency_ms.kind.",
+                   record.kind)
+      .Observe(ms);
   if (shard.ring.size() < shard_capacity_) {
     shard.ring.push_back(std::move(record));
   } else {

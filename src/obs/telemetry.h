@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,6 +134,14 @@ class QueryTelemetry {
     mutable std::mutex mu;
     std::vector<QueryRecord> ring;  // grows to shard_capacity_, then wraps
     size_t next = 0;                // overwrite position once full
+    // Metric handles resolved on this shard's first use of each name, so
+    // Record() does no registry lookup or name concatenation per
+    // statement. Resolving lazily keeps a scrape from showing series
+    // that no statement has touched yet.
+    std::optional<Counter> queries;
+    std::optional<Counter> errors;
+    std::map<std::string, Histogram> by_mapping;
+    std::map<std::string, Histogram> by_kind;
   };
 
   MetricsRegistry* registry_;

@@ -1,8 +1,10 @@
-// Plan-cache tests: normalization, LRU + checkout/check-in mechanics,
-// and — the part that matters — invalidation. A cached SELECT must stay
-// correct across every event that rebuilds the physical tables under it
-// (REMAP m1→m6, DDL, ATTACH recovery), including while readers hammer
-// the cache concurrently with remaps.
+// Plan-cache tests: cache keys, LRU + checkout/check-in mechanics, and
+// — the parts that matter — literal safety and invalidation. A cached
+// SELECT, rebound to each statement's WHERE literals, must answer exactly
+// like a fresh compile, and stay correct across every event that
+// rebuilds the physical tables under it (REMAP m1→m6, DDL, ATTACH
+// recovery), including while readers hammer the cache concurrently with
+// remaps.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "api/statement_runner.h"
+#include "erql/parser.h"
 #include "erql/plan_cache.h"
 #include "obs/metrics.h"
 
@@ -30,23 +33,61 @@ uint64_t Misses() {
   return obs::MetricsRegistry::Global().counter("plan_cache.misses").Value();
 }
 
-// ---- Normalization --------------------------------------------------------
+// ---- Cache keys -----------------------------------------------------------
 
-TEST(PlanCacheNormalizeTest, CollapsesWhitespaceAndTrailingSemicolon) {
-  EXPECT_EQ(PlanCache::NormalizeStatement("SELECT r_id FROM R"),
-            PlanCache::NormalizeStatement("  SELECT\t r_id \n FROM  R ; "));
+std::string Key(const std::string& text) {
+  auto query = Parser::Parse(text);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  return query.ok() ? query->cache_key : std::string();
 }
 
-TEST(PlanCacheNormalizeTest, QuotedStringsKeepTheirWhitespace) {
-  std::string a = PlanCache::NormalizeStatement("SELECT 'a  b' FROM R");
-  std::string b = PlanCache::NormalizeStatement("SELECT 'a b' FROM R");
-  EXPECT_NE(a, b);
-  EXPECT_NE(a.find("'a  b'"), std::string::npos);
+TEST(PlanCacheKeyTest, WhitespaceAndSemicolonVariantsShareAKey) {
+  EXPECT_EQ(Key("SELECT r_id FROM R WHERE r_id = 1"),
+            Key("  SELECT\t r_id \n FROM  R\nWHERE r_id=1 ; "));
 }
 
-TEST(PlanCacheNormalizeTest, LiteralsStaySignificant) {
-  EXPECT_NE(PlanCache::NormalizeStatement("SELECT r_id FROM R WHERE r_id = 1"),
-            PlanCache::NormalizeStatement("SELECT r_id FROM R WHERE r_id = 2"));
+TEST(PlanCacheKeyTest, WhitespaceInsideQuotesStaysSignificant) {
+  std::string a = Key("SELECT 'a  b' FROM R");
+  EXPECT_NE(a, Key("SELECT 'a b' FROM R"));
+  EXPECT_NE(a.find("'a  b'"), std::string::npos) << a;
+  // Verbatim strings are re-quoted with '' escapes, so one string that
+  // spells out two never shares a key with the two.
+  EXPECT_NE(Key("SELECT 'a'' , ''b' FROM R"),
+            Key("SELECT 'a' , 'b' FROM R"));
+  EXPECT_NE(Key("SELECT '?i' FROM R"),
+            Key("SELECT r_id FROM R WHERE r_id = 1"));
+}
+
+TEST(PlanCacheKeyTest, WhereLiteralsOfOneTypeClassShareAKey) {
+  const std::string ints = Key("SELECT r_id FROM R WHERE r_id = 1");
+  EXPECT_EQ(ints, Key("SELECT r_id FROM R WHERE r_id = 2"));
+  EXPECT_EQ(ints, Key("SELECT r_id FROM R WHERE r_id = -3"));
+  EXPECT_EQ(ints, "SELECT r_id FROM R WHERE r_id = ?i");
+  EXPECT_EQ(Key("SELECT r_id FROM R WHERE r_a3 = 'x' AND r_a2 < 1.5"),
+            Key("SELECT r_id FROM R WHERE r_a3 = 'it''s' AND r_a2 < -2.0e3"));
+  auto query = Parser::Parse(
+      "SELECT r_id FROM R WHERE r_id = -3 AND r_a3 = 'it''s' AND r_a2 < 0.5");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query->params.size(), 3u);
+  EXPECT_EQ(query->params[0], Value::Int64(-3));
+  EXPECT_EQ(query->params[1], Value::String("it's"));
+  EXPECT_EQ(query->params[2], Value::Float64(0.5));
+}
+
+TEST(PlanCacheKeyTest, TypeCaseSelectLiteralsAndLimitChangeTheKey) {
+  const std::string base = Key("SELECT r_id FROM R WHERE r_id = 1");
+  EXPECT_NE(base, Key("SELECT r_id FROM R WHERE r_id = '1'"));
+  EXPECT_NE(base, Key("SELECT r_id FROM R WHERE r_id = 1.0"));
+  EXPECT_NE(base, Key("SELECT r_id FROM R WHERE r_id = null"));
+  EXPECT_NE(base, Key("SELECT r_id FROM r WHERE r_id = 1"));
+  EXPECT_NE(base, Key("SELECT R_ID FROM R WHERE r_id = 1"));
+  EXPECT_NE(Key("SELECT r_a1 + 1 FROM R"), Key("SELECT r_a1 + 2 FROM R"));
+  EXPECT_NE(Key("SELECT r_id FROM R LIMIT 3"),
+            Key("SELECT r_id FROM R LIMIT 5"));
+  EXPECT_NE(Key("SELECT r_id FROM R WHERE r_id IN (1, 2)"),
+            Key("SELECT r_id FROM R WHERE r_id IN (1, 3)"));
+  EXPECT_NE(Key("SELECT r_id FROM R WHERE r_mv1 = [1, 2]"),
+            Key("SELECT r_id FROM R WHERE r_mv1 = [1, 3]"));
 }
 
 // ---- Checkout / check-in mechanics ----------------------------------------
@@ -141,7 +182,7 @@ TEST_F(PlanCacheRunnerTest, RepeatedSelectHitsTheCache) {
   const std::string q = "SELECT r_id, r_a1 FROM R WHERE r_id < 10";
   uint64_t hits_before = Hits();
   size_t first = RowCount(q);
-  // Formatting variants share the entry through normalization.
+  // Formatting variants share the entry through the cache key.
   size_t second = RowCount("  SELECT r_id,  r_a1 FROM R  WHERE r_id < 10 ;");
   size_t third = RowCount(q);
   EXPECT_EQ(first, second);
@@ -208,6 +249,190 @@ TEST_F(PlanCacheRunnerTest, InsertIsVisibleThroughACachedPlan) {
   // Same generation — the cached plan is reused, and re-opening it must
   // observe the new row (plans bind tables, not snapshots).
   EXPECT_EQ(RowCount(q), 1u);
+}
+
+// ---- Literal safety: a cached plan answers like a fresh compile ------------
+
+// Runs statement sequences on a cached runner and on an uncached one
+// (plan_cache_capacity = 0) over the same generated data, and requires
+// the same canonical result or the same error for every statement.
+class PlanCacheLiteralSafetyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cached_ = MakeRunner(1024);
+    uncached_ = MakeRunner(0);
+    ASSERT_NE(cached_, nullptr);
+    ASSERT_NE(uncached_, nullptr);
+  }
+
+  static std::unique_ptr<api::StatementRunner> MakeRunner(size_t capacity) {
+    api::StatementRunner::Options options;
+    options.figure4 = true;
+    options.figure4_num_r = 60;
+    options.figure4_num_s = 30;
+    options.plan_cache_capacity = capacity;
+    auto runner = api::StatementRunner::Create(std::move(options));
+    EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+    return runner.ok() ? std::move(runner).value() : nullptr;
+  }
+
+  static std::string Answer(api::StatementRunner* runner,
+                            const std::string& statement) {
+    auto outcome = runner->Execute(statement);
+    return outcome.ok() ? outcome->result.ToCanonicalString()
+                        : "error: " + outcome.status().ToString();
+  }
+
+  /// Runs each statement on both runners, in order, and returns the
+  /// cached runner's answers for further checks.
+  std::vector<std::string> ExpectSameAnswers(
+      const std::vector<std::string>& statements) {
+    std::vector<std::string> answers;
+    for (const std::string& statement : statements) {
+      std::string cached = Answer(cached_.get(), statement);
+      EXPECT_EQ(cached, Answer(uncached_.get(), statement)) << statement;
+      answers.push_back(std::move(cached));
+    }
+    return answers;
+  }
+
+  void ExecuteOnBoth(const std::string& statement) {
+    ASSERT_TRUE(cached_->Execute(statement).ok()) << statement;
+    ASSERT_TRUE(uncached_->Execute(statement).ok()) << statement;
+  }
+
+  size_t CachedKeys() { return cached_->plan_cache()->size(); }
+
+  static bool IsError(const std::string& answer) {
+    return answer.rfind("error: ", 0) == 0;
+  }
+
+  std::unique_ptr<api::StatementRunner> cached_;
+  std::unique_ptr<api::StatementRunner> uncached_;
+};
+
+TEST_F(PlanCacheLiteralSafetyTest, IntegerAndStringLiteralsGetTwoKeys) {
+  size_t keys = CachedKeys();
+  std::vector<std::string> answers =
+      ExpectSameAnswers({"SELECT r_id, r_a1 FROM R WHERE r_id = 1",
+                         "SELECT r_id, r_a1 FROM R WHERE r_id = '1'",
+                         "SELECT r_id, r_a1 FROM R WHERE r_id = 1",
+                         "SELECT r_id, r_a1 FROM R WHERE r_id = '2'"});
+  EXPECT_NE(answers[0], "");
+  EXPECT_EQ(CachedKeys(), keys + 2);
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, NullStaysVerbatimAndNegativesShareAPlan) {
+  ExecuteOnBoth(
+      "INSERT R (r_id = -3, r_a1 = 4, r_a2 = 0.5, r_a3 = 'neg', r_a4 = 1)");
+  size_t keys = CachedKeys();
+  uint64_t misses = Misses();
+  std::vector<std::string> answers =
+      ExpectSameAnswers({"SELECT r_id, r_a3 FROM R WHERE r_a1 = null",
+                         "SELECT r_id, r_a3 FROM R WHERE r_a1 = 4",
+                         "SELECT r_id, r_a3 FROM R WHERE r_id = -3",
+                         "SELECT r_id, r_a3 FROM R WHERE r_id = 3",
+                         "SELECT r_id, r_a3 FROM R WHERE r_id = - 3",
+                         "SELECT r_id, r_a3 FROM R WHERE r_a1 = null"});
+  EXPECT_EQ(answers[0], "");
+  EXPECT_NE(answers[1].find("neg"), std::string::npos) << answers[1];
+  EXPECT_EQ(answers[2], "-3 | 'neg'\n");
+  EXPECT_NE(answers[2], answers[3]);
+  EXPECT_EQ(answers[2], answers[4]);
+  // null is a shape of its own; 4, -3, 3 and "- 3" bind into the plans
+  // of r_a1 = ?i and r_id = ?i, so only the first of each shape misses.
+  EXPECT_EQ(CachedKeys(), keys + 3);
+  EXPECT_EQ(Misses(), misses + 3);
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, OutOfRangeIntegerFailsLikeAFreshCompile) {
+  size_t keys = CachedKeys();
+  std::vector<std::string> answers = ExpectSameAnswers(
+      {"SELECT r_id FROM R WHERE r_id = 5",
+       "SELECT r_id FROM R WHERE r_id = 9223372036854775807",
+       "SELECT r_id FROM R WHERE r_id = 9223372036854775808",
+       "SELECT r_id FROM R WHERE r_id = -9223372036854775807",
+       "SELECT r_id FROM R WHERE r_id = 5"});
+  EXPECT_EQ(answers[0], "5\n");
+  EXPECT_EQ(answers[1], "");
+  EXPECT_TRUE(IsError(answers[2])) << answers[2];
+  EXPECT_EQ(answers[3], "");
+  EXPECT_EQ(answers[4], "5\n");
+  EXPECT_EQ(CachedKeys(), keys + 1);
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, EmbeddedQuotesBindTheUnescapedString) {
+  ExecuteOnBoth(
+      "INSERT R (r_id = 9001, r_a1 = 1, r_a2 = 0.5, r_a3 = 'it''s', "
+      "r_a4 = 1)");
+  ExecuteOnBoth(
+      "INSERT R (r_id = 9002, r_a1 = 1, r_a2 = 0.5, r_a3 = 'it''s''', "
+      "r_a4 = 1)");
+  std::vector<std::string> answers = ExpectSameAnswers(
+      {"SELECT r_id FROM R WHERE r_a3 = 'it''s'",
+       "SELECT r_id FROM R WHERE r_a3 = 'it''s'''",
+       "SELECT r_id FROM R WHERE r_a3 = 'its'",
+       "SELECT 'a'' , ''b' AS x FROM R WHERE r_id = 9001",
+       "SELECT 'a' , 'b' AS x FROM R WHERE r_id = 9001"});
+  EXPECT_EQ(answers[0], "9001\n");
+  EXPECT_EQ(answers[1], "9002\n");
+  EXPECT_EQ(answers[2], "");
+  EXPECT_NE(answers[3], answers[4]);
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, EntityNamesStayCaseSensitive) {
+  std::vector<std::string> answers =
+      ExpectSameAnswers({"SELECT r_id FROM R WHERE r_id < 5",
+                         "SELECT r_id FROM r WHERE r_id < 5",
+                         "SELECT r_id FROM R WHERE r_id < 7"});
+  EXPECT_EQ(answers[0], "1\n2\n3\n4\n");
+  EXPECT_TRUE(IsError(answers[1])) << answers[1];
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, GroupByMismatchStaysAnErrorAfterAMatch) {
+  std::vector<std::string> answers = ExpectSameAnswers(
+      {"SELECT r_a1 + 1 AS k, count(*) AS n FROM R GROUP BY r_a1 + 1",
+       "SELECT r_a1 + 1 AS k, count(*) AS n FROM R GROUP BY r_a1 + 2",
+       "SELECT r_a1 + 1 AS k, count(*) AS n FROM R GROUP BY r_a1 + 1"});
+  EXPECT_FALSE(IsError(answers[0])) << answers[0];
+  EXPECT_TRUE(IsError(answers[1])) << answers[1];
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, LimitStaysPartOfThePlan) {
+  std::vector<std::string> answers = ExpectSameAnswers(
+      {"SELECT r_id FROM R WHERE r_id > 10 ORDER BY r_id LIMIT 3",
+       "SELECT r_id FROM R WHERE r_id > 10 ORDER BY r_id LIMIT 5",
+       "SELECT r_id FROM R WHERE r_id > 20 ORDER BY r_id LIMIT 3"});
+  EXPECT_EQ(answers[0], "11\n12\n13\n");
+  EXPECT_EQ(answers[1], "11\n12\n13\n14\n15\n");
+  EXPECT_EQ(answers[2], "21\n22\n23\n");
+}
+
+TEST_F(PlanCacheLiteralSafetyTest, ConcurrentFiltersMatchSerialUncached) {
+  auto statement = [](int64_t bound) {
+    return "SELECT r_id, r_a1 FROM R WHERE r_a1 < " + std::to_string(bound);
+  };
+  // Expected answers for every bound, computed serially without a cache.
+  std::vector<int64_t> bounds;
+  std::vector<std::string> expected;
+  for (int64_t bound = -50; bound <= 10500; bound += 350) {
+    bounds.push_back(bound);
+    expected.push_back(Answer(uncached_.get(), statement(bound)));
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < 300; ++i) {
+        size_t pick = (i * 7 + static_cast<size_t>(t) * 13) % bounds.size();
+        if (Answer(cached_.get(), statement(bounds[pick])) != expected[pick]) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // ---- Concurrency: readers hammer the cache while remaps invalidate --------
@@ -318,6 +543,63 @@ TEST(PlanCacheHammerTest, ConcurrentReadersSurviveRemapStorm) {
         auto outcome = runner->Execute(queries[pick]);
         if (!outcome.ok() ||
             outcome->result.rows.size() != expected[pick]) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 6; ++round) {
+    for (const char* preset : {"m2", "m5", "m6", "m3", "m1"}) {
+      ASSERT_TRUE(runner->RemapPreset(preset).ok());
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(PlanCacheHammerTest, ConcurrentBindingsSurviveRemapStorm) {
+  // One shape, many literals: every reader binds its own key into a
+  // checked-out plan while REMAPs keep invalidating the cache.
+  api::StatementRunner::Options options;
+  options.figure4 = true;
+  options.figure4_num_r = 40;
+  options.figure4_num_s = 20;
+  auto created = api::StatementRunner::Create(std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  api::StatementRunner* runner = created->get();
+  auto statement = [](int64_t id) {
+    return "SELECT r_id, r_a1, r_a3 FROM R WHERE r_id = " +
+           std::to_string(id);
+  };
+  // ids -5..44: the out-of-range ones answer empty, the rest one row.
+  const int64_t first_id = -5;
+  std::vector<std::string> expected;
+  for (int64_t id = first_id; id < 45; ++id) {
+    auto outcome = runner->Execute(statement(id));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    expected.push_back(outcome->result.ToCanonicalString());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t state = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1);
+      // Periodic sleeps let the REMAP writer in (see the test above).
+      for (int i = 0; i < 200'000 && !stop.load(std::memory_order_relaxed);
+           ++i) {
+        if (i % 16 == 15) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        size_t pick = static_cast<size_t>(state >> 33) % expected.size();
+        auto outcome = runner->Execute(
+            statement(first_id + static_cast<int64_t>(pick)));
+        if (!outcome.ok() ||
+            outcome->result.ToCanonicalString() != expected[pick]) {
           failures.fetch_add(1);
           return;
         }
