@@ -164,6 +164,24 @@ Result<StatementOutcome> StatementRunner::Execute(
   return ExecuteClassified(statement, cls);
 }
 
+std::optional<Result<StatementOutcome>> StatementRunner::TryExecuteInline(
+    const std::string& statement) {
+  if (LeadingKeyword(statement) != "select") return std::nullopt;
+  std::shared_lock<std::shared_mutex> lock(statement_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return std::nullopt;
+  StatementScope scope(this);
+  std::optional<Result<erql::QueryResult>> result =
+      erql::QueryEngine::TryExecuteShort(current_db(), statement,
+                                         exec_options_, plan_cache_.get(),
+                                         mapping_generation());
+  if (!result.has_value()) return std::nullopt;
+  if (!result->ok()) return result->status();
+  StatementOutcome outcome;
+  outcome.shape = OutputShape::kTable;
+  outcome.result = std::move(**result);
+  return outcome;
+}
+
 Result<StatementOutcome> StatementRunner::ExecuteClassified(
     const std::string& statement, StatementClass cls) {
   std::string word = LeadingKeyword(statement);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 
@@ -105,6 +106,16 @@ class StatementRunner {
   /// lock and returns its outcome. Statement failures are returned as
   /// error Status — the runner stays usable.
   Result<StatementOutcome> Execute(const std::string& statement);
+
+  /// Execute() for a caller that must never block, such as the server's
+  /// event loop. Runs the statement only when it is a plain SELECT, the
+  /// statement lock is free to take shared at once (try_lock_shared: a
+  /// held or spuriously failing lock is never waited on), and its plan
+  /// is cached and short (erql::QueryEngine::TryExecuteShort). Otherwise
+  /// returns nullopt having run and recorded nothing; the caller then
+  /// runs the statement through Execute() on a thread that may wait.
+  std::optional<Result<StatementOutcome>> TryExecuteInline(
+      const std::string& statement);
 
   /// Switches the mapping preset (m1..m6, m6pg), migrating data. Takes
   /// the exclusive lock; equivalent to Execute("REMAP <name>").

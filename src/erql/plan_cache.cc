@@ -70,11 +70,29 @@ std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
     MissCounter().Increment();
     return nullptr;
   }
+  return TakeLocked(entry, &lock);
+}
+
+std::unique_ptr<CompiledQuery> PlanCache::CheckoutShort(
+    const std::string& key, uint64_t generation) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  LruList::iterator entry = it->second;
+  if (entry->generation != generation || entry->plans.empty() ||
+      !entry->plans.back()->short_plan) {
+    return nullptr;
+  }
+  return TakeLocked(entry, &lock);
+}
+
+std::unique_ptr<CompiledQuery> PlanCache::TakeLocked(
+    LruList::iterator entry, std::unique_lock<std::mutex>* lock) {
   std::unique_ptr<CompiledQuery> plan = std::move(entry->plans.back());
   entry->plans.pop_back();
   // Touch: move to the front of the LRU list.
   lru_.splice(lru_.begin(), lru_, entry);
-  lock.unlock();
+  lock->unlock();
   HitCounter().Increment();
   return plan;
 }

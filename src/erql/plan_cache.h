@@ -56,6 +56,14 @@ class PlanCache {
   std::unique_ptr<CompiledQuery> Checkout(const std::string& key,
                                           uint64_t generation);
 
+  /// Checkout for a caller that may only run short plans
+  /// (CompiledQuery::short_plan): returns a pooled short plan and counts
+  /// the hit. Anything else returns nullptr and leaves the cache and its
+  /// counters untouched, so the caller's later Checkout of the same
+  /// statement counts it once.
+  std::unique_ptr<CompiledQuery> CheckoutShort(const std::string& key,
+                                               uint64_t generation);
+
   /// Returns a plan to the pool for `key`. Dropped silently when the
   /// generation has moved on, the per-key pool is full, or inserting
   /// would exceed capacity after LRU eviction.
@@ -82,6 +90,10 @@ class PlanCache {
 
   /// Erases an entry (drops its plans); caller holds mu_.
   void EraseLocked(LruList::iterator it);
+  /// Pops a plan from a non-empty entry, touches it, releases `lock`
+  /// (held on mu_) and counts the hit.
+  std::unique_ptr<CompiledQuery> TakeLocked(LruList::iterator entry,
+                                            std::unique_lock<std::mutex>* lock);
 
   const size_t capacity_;
   mutable std::mutex mu_;

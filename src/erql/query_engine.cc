@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -554,13 +555,12 @@ Result<QueryResult> ExecuteParsed(
   return result;
 }
 
-}  // namespace
-
-Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
-                                         const std::string& text,
-                                         const ExecOptions& opts,
-                                         PlanCache* cache,
-                                         uint64_t generation) {
+/// QueryEngine::Execute and TryExecuteShort. With `short_only`, a
+/// statement that is not a plain SELECT with a short plan in `cache`
+/// (a parse error included) returns nullopt before anything is recorded.
+std::optional<Result<QueryResult>> RunStatement(
+    MappedDatabase* db, const std::string& text, const ExecOptions& opts,
+    PlanCache* cache, uint64_t generation, bool short_only) {
   // Per-statement read snapshot: every operator Open below this frame
   // resolves its table/pair to one pinned version, so the whole
   // statement sees a single consistent database state no matter what
@@ -568,6 +568,19 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
   exec::ReadSnapshot snapshot_scope;
   uint64_t start_wall = obs::MonotonicNowNs();
   uint64_t start_cpu = obs::ThreadCpuNowNs();
+  Result<Query> parsed = Parser::Parse(text);
+  // Prepared-statement fast path: plain SELECTs are cached by their
+  // literal-free key, so a hit binds this statement's WHERE literals
+  // into the plan's parameter slots and skips translation.
+  std::unique_ptr<CompiledQuery> cached;
+  if (parsed.ok() && cache != nullptr &&
+      parsed->statement == StatementKind::kSelect &&
+      parsed->explain == ExplainMode::kNone) {
+    cached = short_only ? cache->CheckoutShort(parsed->cache_key, generation)
+                        : cache->Checkout(parsed->cache_key, generation);
+  }
+  if (short_only && cached == nullptr) return std::nullopt;
+
   obs::QueryRecord record;
   record.text = text;
   record.mapping = db->mapping().spec().name;
@@ -578,15 +591,8 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
   bool have_stats = false;
   std::shared_ptr<obs::StatementFootprint> footprint;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    ERBIUM_ASSIGN_OR_RETURN(Query query, Parser::Parse(text));
-    // Prepared-statement fast path: plain SELECTs are cached by their
-    // literal-free key, so a hit binds this statement's WHERE literals
-    // into the plan's parameter slots and skips translation.
-    std::unique_ptr<CompiledQuery> cached;
-    if (cache != nullptr && query.statement == StatementKind::kSelect &&
-        query.explain == ExplainMode::kNone) {
-      cached = cache->Checkout(query.cache_key, generation);
-    }
+    ERBIUM_RETURN_NOT_OK(parsed.status());
+    Query& query = *parsed;
     if (cached == nullptr) {
       return ExecuteParsed(db, query, text, opts, start_wall, &record, &stats,
                            &have_stats, cache, generation, &footprint);
@@ -634,6 +640,24 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
   obs::QueryTelemetry::Global().Record(std::move(record),
                                        have_stats ? &stats : nullptr);
   return result;
+}
+
+}  // namespace
+
+Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
+                                         const std::string& text,
+                                         const ExecOptions& opts,
+                                         PlanCache* cache,
+                                         uint64_t generation) {
+  return *RunStatement(db, text, opts, cache, generation,
+                       /*short_only=*/false);
+}
+
+std::optional<Result<QueryResult>> QueryEngine::TryExecuteShort(
+    MappedDatabase* db, const std::string& text, const ExecOptions& opts,
+    PlanCache* cache, uint64_t generation) {
+  if (cache == nullptr) return std::nullopt;
+  return RunStatement(db, text, opts, cache, generation, /*short_only=*/true);
 }
 
 }  // namespace erql

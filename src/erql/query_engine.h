@@ -1,6 +1,7 @@
 #ifndef ERBIUM_ERQL_QUERY_ENGINE_H_
 #define ERBIUM_ERQL_QUERY_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,16 @@ class QueryEngine {
       MappedDatabase* db, const std::string& text,
       const ExecOptions& opts = ExecOptions::Default(),
       PlanCache* cache = nullptr, uint64_t generation = 0);
+
+  /// Execute() restricted to plain SELECTs whose plan `cache` already
+  /// holds and marks short (CompiledQuery::short_plan): for a host
+  /// thread that must not stall on a long statement. Any other
+  /// statement, a parse error included, returns nullopt having recorded
+  /// nothing (no telemetry, no plan-cache hit or miss), so the host can
+  /// hand it to Execute() elsewhere and have it counted once.
+  static std::optional<Result<QueryResult>> TryExecuteShort(
+      MappedDatabase* db, const std::string& text, const ExecOptions& opts,
+      PlanCache* cache, uint64_t generation);
 };
 
 }  // namespace erql

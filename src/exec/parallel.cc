@@ -60,6 +60,22 @@ bool UsesPool(const Operator& op) {
   return false;
 }
 
+/// Estimated rows `op`'s subtree reads: each leaf's EstimatedRowCount(),
+/// plus one probe per input row of an index join and one predicate test
+/// per row pair of a nested-loop join — work that no leaf estimate shows.
+size_t RowsRead(const Operator& op) {
+  std::vector<const Operator*> children = op.children();
+  if (children.empty()) return op.EstimatedRowCount();
+  size_t rows = 0;
+  if (dynamic_cast<const IndexJoinOp*>(&op) != nullptr) {
+    rows = op.EstimatedRowCount();
+  } else if (dynamic_cast<const NestedLoopJoinOp*>(&op) != nullptr) {
+    rows = children[0]->EstimatedRowCount() * children[1]->EstimatedRowCount();
+  }
+  for (const Operator* child : children) rows += RowsRead(*child);
+  return rows;
+}
+
 }  // namespace
 
 ExecOptions ExecOptions::Default() {
@@ -399,6 +415,10 @@ std::vector<OperatorPtr> CloneWorkers(const Operator& plan,
 }
 
 }  // namespace
+
+bool IsShortPlan(const Operator& plan, size_t row_threshold) {
+  return !UsesPool(plan) && RowsRead(plan) < row_threshold;
+}
 
 OperatorPtr MaybeParallelGather(OperatorPtr plan, const ExecOptions& opts) {
   if (opts.num_threads <= 1 || plan == nullptr) return plan;

@@ -251,6 +251,14 @@ class ParallelHashAggregateOp : public Operator {
 
 // ---- Planner hooks ---------------------------------------------------------
 
+/// True when `plan` is short: no GatherOp or ParallelHashAggregateOp (it
+/// never waits on the pool), and the rows it reads — its leaves'
+/// EstimatedRowCount()s, plus one per index-join probe and one per
+/// nested-loop row pair — sum to less than `row_threshold`. The
+/// estimates are read at the call, so the answer describes the tables as
+/// they are then.
+bool IsShortPlan(const Operator& plan, size_t row_threshold);
+
 /// Wraps `plan` in a GatherOp running opts.num_threads worker pipelines
 /// when the plan is parallel-clonable and its scan volume crosses
 /// opts.parallel_row_threshold; otherwise returns `plan` unchanged (always

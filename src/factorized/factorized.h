@@ -170,6 +170,10 @@ class FactorizedJoinScan : public Operator {
   std::string name() const override {
     return "FactorizedJoinScan(" + pair_->name() + ")";
   }
+  size_t EstimatedRowCount() const override {
+    std::shared_ptr<const PairVersion> v = pair_->PinVersion();
+    return v->edge_count + (left_outer_ ? v->left_slots() : 0);
+  }
 
  private:
   const FactorizedPair* pair_;
@@ -190,6 +194,10 @@ class FactorizedSideScan : public Operator {
   std::string name() const override {
     return std::string("FactorizedSideScan(") + pair_->name() +
            (left_side_ ? ", left)" : ", right)");
+  }
+  size_t EstimatedRowCount() const override {
+    std::shared_ptr<const PairVersion> v = pair_->PinVersion();
+    return left_side_ ? v->left_slots() : v->right_slots();
   }
 
  private:
@@ -213,6 +221,9 @@ class FactorizedGroupAggregate : public Operator {
   bool NextImpl(Row* out) override;
   std::string name() const override {
     return "FactorizedGroupAggregate(" + pair_->name() + ")";
+  }
+  size_t EstimatedRowCount() const override {
+    return pair_->PinVersion()->left_slots();
   }
 
  private:

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -143,7 +144,7 @@ struct Server::Connection {
     std::string bytes;
     uint64_t telemetry_seq = 0;
     uint64_t decode_ns = 0;  // statement frame decoded (t0)
-    uint64_t done_ns = 0;    // worker finished executing (t2)
+    uint64_t done_ns = 0;    // finished executing (t2)
   };
 
   /// Encoded response frames awaiting the socket; front() is partially
@@ -248,6 +249,10 @@ void Server::RegisterMetrics() {
       registry.histogram("server.loop.iteration_us", LoopBoundsUs());
   hist_pipeline_depth_ =
       registry.histogram("server.pipeline_depth", PipelineDepthBounds());
+  ctr_statements_inline_ = registry.counter("server.statements.inline");
+  ctr_statements_pooled_ = registry.counter("server.statements.pooled");
+  ctr_protocol_errors_ = registry.counter("server.protocol_errors");
+  ctr_connections_accepted_ = registry.counter("server.connections.accepted");
   ctr_bytes_in_ = registry.counter("server.bytes_in");
   ctr_bytes_out_ = registry.counter("server.bytes_out");
   ctr_scrapes_ = registry.counter("server.metrics.scrapes");
@@ -406,8 +411,6 @@ void Server::HandleTimeouts() {
 
 void Server::HandleAccept(int listen_fd, bool http) {
   if (listen_fd < 0) return;
-  auto accepted =
-      obs::MetricsRegistry::Global().counter("server.connections.accepted");
   for (;;) {
     struct sockaddr_in peer_addr;
     socklen_t peer_len = sizeof(peer_addr);
@@ -420,7 +423,7 @@ void Server::HandleAccept(int listen_fd, bool http) {
       // connections) must not kill the listener either.
       break;
     }
-    if (!http) accepted.Increment();
+    if (!http) ctr_connections_accepted_.Increment();
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
@@ -469,6 +472,8 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
     return;
   }
   DrainDecoder(conn);
+  // Responses of statements that ran inline leave in this loop turn.
+  FlushWrites(conn);
   SyncSessionStats(conn);
   // EOF: the peer is done talking; finish its outstanding statements,
   // flush, close.
@@ -566,8 +571,6 @@ void Server::HandleHttpRequest(const std::shared_ptr<Connection>& conn) {
 }
 
 void Server::DrainDecoder(const std::shared_ptr<Connection>& conn) {
-  auto protocol_errors =
-      obs::MetricsRegistry::Global().counter("server.protocol_errors");
   while (!conn->draining && !conn->broken) {
     // Backpressure: at max_pipeline_depth stop decoding (and reading —
     // UpdateEpoll de-arms EPOLLIN via read_paused). Buffered bytes keep
@@ -583,7 +586,7 @@ void Server::DrainDecoder(const std::shared_ptr<Connection>& conn) {
     if (!has.ok()) {
       // Garbled bytes: framing is lost, so answer typed and close. The
       // responses of statements already decoded still flush first.
-      protocol_errors.Increment();
+      ctr_protocol_errors_.Increment();
       QueueFrame(conn, FrameType::kError, EncodeErrorBody(has.status()));
       BeginDrain(conn);
       break;
@@ -596,13 +599,10 @@ void Server::DrainDecoder(const std::shared_ptr<Connection>& conn) {
 
 void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          FrameType type, const std::string& body) {
-  auto protocol_errors =
-      obs::MetricsRegistry::Global().counter("server.protocol_errors");
-
   // ---- Handshake: the first frame must be kHello. -------------------------
   if (conn->session == nullptr) {
     if (type != FrameType::kHello) {
-      protocol_errors.Increment();
+      ctr_protocol_errors_.Increment();
       QueueFrame(conn, FrameType::kError,
                  EncodeErrorBody(Status::InvalidArgument(
                      "expected a Hello frame to open the session")));
@@ -611,7 +611,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     Result<HelloBody> hello = DecodeHelloBody(body);
     if (!hello.ok()) {
-      protocol_errors.Increment();
+      ctr_protocol_errors_.Increment();
       QueueFrame(conn, FrameType::kError, EncodeErrorBody(hello.status()));
       BeginDrain(conn);
       return;
@@ -656,7 +656,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     case FrameType::kStatement: {
       Result<std::string> statement = DecodeStatementBody(body);
       if (!statement.ok()) {
-        protocol_errors.Increment();
+        ctr_protocol_errors_.Increment();
         QueueFrame(conn, FrameType::kError,
                    EncodeErrorBody(statement.status()));
         BeginDrain(conn);
@@ -674,7 +674,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     case FrameType::kStatementSeq: {
       Result<StatementSeqBody> statement = DecodeStatementSeqBody(body);
       if (!statement.ok()) {
-        protocol_errors.Increment();
+        ctr_protocol_errors_.Increment();
         QueueFrame(conn, FrameType::kError,
                    EncodeErrorBody(statement.status()));
         BeginDrain(conn);
@@ -692,7 +692,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     default:
-      protocol_errors.Increment();
+      ctr_protocol_errors_.Increment();
       QueueFrame(conn, FrameType::kError,
                  EncodeErrorBody(Status::InvalidArgument(
                      "unexpected frame type " +
@@ -704,63 +704,98 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 
 // ---- Statement execution --------------------------------------------------
 
-void Server::ScheduleNext(const std::shared_ptr<Connection>& conn) {
-  if (conn->executing || conn->pending.empty() || conn->broken) return;
-  PendingStatement item = std::move(conn->pending.front());
-  conn->pending.pop_front();
-  conn->executing = true;
-  gauge_worker_queue_.Add(1);
-  workers_->Submit([this, conn, item = std::move(item)]() mutable {
-    ExecuteOnWorker(conn, std::move(item));
-  });
+namespace {
+
+/// The response frame for one statement, shared by the inline and pooled
+/// paths. Seq-tagged results carry the server-timing footer (append-only,
+/// so v1 batch clients that don't ask for timing still decode);
+/// write_stall can't be known yet — it is server-side telemetry.
+std::string EncodeStatementResponse(
+    bool tagged, uint64_t seq, const Result<api::StatementOutcome>& outcome,
+    uint64_t queue_wait_ns, uint64_t execute_ns) {
+  if (!tagged) {
+    return outcome.ok()
+               ? EncodeFrame(FrameType::kResult, EncodeResultBody(*outcome))
+               : EncodeFrame(FrameType::kError,
+                             EncodeErrorBody(outcome.status()));
+  }
+  if (!outcome.ok()) {
+    return EncodeFrame(FrameType::kErrorSeq,
+                       EncodeErrorSeqBody(seq, outcome.status()));
+  }
+  ServerTiming timing;
+  timing.present = true;
+  timing.queue_wait_us = queue_wait_ns / 1000;
+  timing.execute_us = execute_ns / 1000;
+  return EncodeFrame(FrameType::kResultSeq,
+                     EncodeResultSeqBody(seq, *outcome) +
+                         EncodeServerTimingFooter(timing));
 }
 
-void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
-                             PendingStatement item) {
-  gauge_worker_queue_.Add(-1);
+}  // namespace
+
+void Server::ScheduleNext(const std::shared_ptr<Connection>& conn) {
+  // Run-to-completion: cached short SELECTs execute right here on the
+  // loop, in order, until one must go to the pool (a miss, a long plan,
+  // anything but a SELECT, or the statement lock held exclusively). The
+  // pooled one then holds the connection's later statements back.
+  while (!conn->executing && !conn->pending.empty() && !conn->broken) {
+    std::optional<Completion> done =
+        RunStatement(*conn, conn->pending.front(), /*inline_only=*/true);
+    if (done.has_value()) {
+      conn->pending.pop_front();
+      ctr_statements_inline_.Increment();
+      QueueBytes(conn, std::move(done->frame), done->telemetry_seq,
+                 done->decode_ns, done->done_ns);
+      continue;
+    }
+    PendingStatement item = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    conn->executing = true;
+    ctr_statements_pooled_.Increment();
+    gauge_worker_queue_.Add(1);
+    workers_->Submit([this, conn, item = std::move(item)]() mutable {
+      ExecuteOnWorker(conn, std::move(item));
+    });
+  }
+}
+
+std::optional<Server::Completion> Server::RunStatement(
+    const Connection& conn, const PendingStatement& item, bool inline_only) {
   // Lifecycle t1/t2 bracket the execute window; with t0 (decode) and t3
   // (flush) these are the statement's entire clock-read budget.
   uint64_t exec_start_ns = obs::MonotonicNowNs();
   uint64_t queue_wait_ns = exec_start_ns - item.decode_ns;
   uint64_t telemetry_seq = 0;
-  Result<api::StatementOutcome> outcome = api::StatementOutcome{};
+  std::optional<Result<api::StatementOutcome>> outcome;
   {
     obs::ScopedStatementLifecycle lifecycle(queue_wait_ns);
-    outcome = conn->session->Execute(item.text);
+    if (inline_only) {
+      outcome = conn.session->TryExecuteInline(item.text);
+    } else {
+      outcome = conn.session->Execute(item.text);
+    }
     telemetry_seq = lifecycle.recorded_seq();
   }
+  if (!outcome.has_value()) return std::nullopt;
   uint64_t exec_end_ns = obs::MonotonicNowNs();
   hist_queue_wait_us_.Observe(static_cast<double>(queue_wait_ns) / 1e3);
   hist_execute_us_.Observe(static_cast<double>(exec_end_ns - exec_start_ns) /
                            1e3);
-  std::string frame;
-  if (item.tagged) {
-    if (outcome.ok()) {
-      // Seq-tagged results carry the server-timing footer (append-only,
-      // so v1 batch clients that don't ask for timing still decode).
-      // write_stall can't be known yet — it is server-side telemetry.
-      ServerTiming timing;
-      timing.present = true;
-      timing.queue_wait_us = queue_wait_ns / 1000;
-      timing.execute_us = (exec_end_ns - exec_start_ns) / 1000;
-      frame = EncodeFrame(FrameType::kResultSeq,
-                          EncodeResultSeqBody(item.seq, *outcome) +
-                              EncodeServerTimingFooter(timing));
-    } else {
-      frame = EncodeFrame(FrameType::kErrorSeq,
-                          EncodeErrorSeqBody(item.seq, outcome.status()));
-    }
-  } else {
-    frame = outcome.ok()
-                ? EncodeFrame(FrameType::kResult, EncodeResultBody(*outcome))
-                : EncodeFrame(FrameType::kError,
-                              EncodeErrorBody(outcome.status()));
-  }
+  return Completion{conn.id,
+                    EncodeStatementResponse(item.tagged, item.seq, *outcome,
+                                            queue_wait_ns,
+                                            exec_end_ns - exec_start_ns),
+                    telemetry_seq, item.decode_ns, exec_end_ns};
+}
+
+void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
+                             PendingStatement item) {
+  gauge_worker_queue_.Add(-1);
+  Completion done = *RunStatement(*conn, item, /*inline_only=*/false);
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(Completion{conn->id, std::move(frame),
-                                      telemetry_seq, item.decode_ns,
-                                      exec_end_ns});
+    completions_.push_back(std::move(done));
   }
   WakeLoop();
 }

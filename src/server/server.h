@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -35,7 +36,8 @@ struct ServerOptions {
   int idle_timeout_ms = 60'000;
   /// Per-statement budget (see Session::Execute). <= 0 disables.
   int request_deadline_ms = 30'000;
-  /// Statement-execution worker threads. 0 sizes to the hardware
+  /// Statement-execution worker threads for everything the event loop
+  /// does not run inline (see Server). 0 sizes to the hardware
   /// concurrency (at least 2). The server owns a dedicated pool — never
   /// ThreadPool::Shared(), whose contract forbids intra-pool waits and
   /// which parallel query execution submits to from these very workers.
@@ -62,16 +64,27 @@ struct ServerOptions {
 /// Event-driven TCP server speaking the frame protocol of
 /// server/protocol.h. One reactor thread owns every socket: an epoll
 /// loop accepts connections, reads frames through the incremental
-/// FrameDecoder, and answers handshakes and Pings inline. Decoded
-/// statements are handed to a small dedicated worker pool; responses
-/// come back through a completion queue (eventfd wakeup) and are
-/// written by the loop, buffered when the peer's window is full. An
-/// idle connection therefore costs one fd and ~one Connection struct —
-/// not a thread — so thousands of idle sessions are cheap.
+/// FrameDecoder, and answers handshakes and Pings inline. An idle
+/// connection therefore costs one fd and ~one Connection struct — not a
+/// thread — so thousands of idle sessions are cheap.
+///
+/// Statements run in one of two places. A plain SELECT whose plan is
+/// already cached and short (erql::CompiledQuery::short_plan) runs to
+/// completion on the loop thread itself, provided the statement lock is
+/// free to take shared at once (Session::TryExecuteInline); its response
+/// is encoded and flushed in the same loop turn. Everything else — plan
+/// cache misses, parallel or long plans, INSERT, DDL, REMAP, CHECKPOINT,
+/// EXPLAIN, TRACE, SHOW — goes to a small dedicated worker pool, whose
+/// responses come back through a completion queue (eventfd wakeup). The
+/// loop writes every response, buffered when the peer's window is full.
+/// /metrics counts the two paths as server.statements.inline and
+/// server.statements.pooled; server.loop.lag_us covers pooled
+/// completions only.
 ///
 /// Ordering: each connection's statements execute strictly in arrival
 /// order (one in flight per connection; the rest wait in its pending
-/// queue), and responses are written in that same order. Clients may
+/// queue, and a statement never runs inline while an earlier one is on
+/// the pool), and responses are written in that same order. Clients may
 /// pipeline kStatementSeq frames without waiting; different connections
 /// execute concurrently across the worker pool, subject to the
 /// engine's shared/exclusive statement lock.
@@ -104,18 +117,20 @@ class Server {
 
  private:
   struct Connection;
-  /// A worker's finished statement: the already-encoded response frame,
-  /// routed back to its connection by id (the connection may be gone),
-  /// plus the lifecycle stamps the flush path needs to finish the
-  /// statement's timing story once the last byte leaves the socket.
+  /// A finished statement: the already-encoded response frame plus the
+  /// lifecycle stamps the flush path needs to finish the statement's
+  /// timing story once the last byte leaves the socket. A worker's
+  /// completion is routed back to its connection by id (the connection
+  /// may be gone); an inline one is queued on the spot.
   struct Completion {
     uint64_t conn_id = 0;
     std::string frame;
     uint64_t telemetry_seq = 0;  // QueryTelemetry seq, 0 if unrecorded
     uint64_t decode_ns = 0;      // statement frame decoded (t0)
-    uint64_t done_ns = 0;        // worker finished executing (t2); also
-                                 // the completion-queue push time the
-                                 // loop-lag histogram measures against
+    uint64_t done_ns = 0;        // finished executing (t2); for a pooled
+                                 // statement also the completion-queue
+                                 // push time the loop-lag histogram
+                                 // measures against
   };
   struct PendingStatement {
     bool tagged = false;  // kStatementSeq (reply carries seq) vs kStatement
@@ -134,7 +149,15 @@ class Server {
   void DrainDecoder(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    FrameType type, const std::string& body);
+  /// Starts conn's pending statements in order: inline while they
+  /// qualify, then at most one on the pool.
   void ScheduleNext(const std::shared_ptr<Connection>& conn);
+  /// Executes one statement (inline_only: only if it can run inline,
+  /// else nullopt) and returns its encoded response and lifecycle
+  /// stamps. Called by the loop, and by a worker for pooled statements.
+  std::optional<Completion> RunStatement(const Connection& conn,
+                                         const PendingStatement& item,
+                                         bool inline_only);
   void ExecuteOnWorker(std::shared_ptr<Connection> conn,
                        PendingStatement item);
   void DrainCompletions();
@@ -197,6 +220,10 @@ class Server {
   obs::Histogram hist_loop_lag_us_;
   obs::Histogram hist_loop_iter_us_;
   obs::Histogram hist_pipeline_depth_;
+  obs::Counter ctr_statements_inline_;
+  obs::Counter ctr_statements_pooled_;
+  obs::Counter ctr_protocol_errors_;
+  obs::Counter ctr_connections_accepted_;
   obs::Counter ctr_bytes_in_;
   obs::Counter ctr_bytes_out_;
   obs::Counter ctr_scrapes_;

@@ -32,6 +32,24 @@ Result<api::StatementOutcome> Session::Execute(const std::string& statement) {
     obs::ScopedSessionTag tag(name_);
     return manager_->runner_->Execute(statement);
   }();
+  return Finish(std::move(outcome), start_ns, nullptr);
+}
+
+std::optional<Result<api::StatementOutcome>> Session::TryExecuteInline(
+    const std::string& statement) {
+  uint64_t start_ns = obs::MonotonicNowNs();
+  std::optional<Result<api::StatementOutcome>> outcome;
+  {
+    obs::ScopedSessionTag tag(name_);
+    outcome = manager_->runner_->TryExecuteInline(statement);
+  }
+  if (!outcome.has_value()) return std::nullopt;
+  return Finish(std::move(*outcome), start_ns, &statement);
+}
+
+Result<api::StatementOutcome> Session::Finish(
+    Result<api::StatementOutcome> outcome, uint64_t start_ns,
+    const std::string* statement) {
   uint64_t wall_ns = obs::MonotonicNowNs() - start_ns;
   int deadline_ms = manager_->options_.request_deadline_ms;
   if (outcome.ok() && deadline_ms > 0 &&
@@ -41,20 +59,29 @@ Result<api::StatementOutcome> Session::Execute(const std::string& statement) {
         " ms request deadline (took " + std::to_string(wall_ns / 1'000'000u) +
         " ms); result discarded");
   }
+  // Resolved once (a registry lookup takes its mutex), on first use, so
+  // a series appears only once it has something to count.
   auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("server.requests").Increment();
-  if (!outcome.ok()) metrics.counter("server.request_errors").Increment();
-  metrics
-      .histogram("server.request.wall_us",
-                 {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000})
-      .Observe(static_cast<double>(wall_ns) / 1000.0);
+  static const obs::Counter requests = metrics.counter("server.requests");
+  static const obs::Histogram wall_us =
+      metrics.histogram("server.request.wall_us",
+                        {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000});
+  requests.Increment();
   bool failed = !outcome.ok();
-  registry.Update(id_, [failed](obs::SessionInfo* info) {
-    info->state = "idle";
-    ++info->statements;
-    if (failed) ++info->errors;
-    info->last_active_ns = obs::MonotonicNowNs();
-  });
+  if (failed) {
+    static const obs::Counter errors =
+        metrics.counter("server.request_errors");
+    errors.Increment();
+  }
+  wall_us.Observe(static_cast<double>(wall_ns) / 1000.0);
+  obs::SessionRegistry::Global().Update(
+      id_, [failed, statement](obs::SessionInfo* info) {
+        if (statement != nullptr) info->last_statement = *statement;
+        info->state = "idle";
+        ++info->statements;
+        if (failed) ++info->errors;
+        info->last_active_ns = obs::MonotonicNowNs();
+      });
   return outcome;
 }
 

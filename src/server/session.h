@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "api/statement_runner.h"
@@ -39,6 +40,15 @@ class Session {
   /// typed error, never a silently late result.
   Result<api::StatementOutcome> Execute(const std::string& statement);
 
+  /// Execute() through api::StatementRunner::TryExecuteInline: runs the
+  /// statement only if it is a cached, short SELECT and the statement
+  /// lock is free, else returns nullopt having touched no session state
+  /// or metric — the caller then passes it to Execute(). A statement run
+  /// here is short, so SHOW SESSIONS is told about it once, afterwards,
+  /// rather than seeing the session "executing" first.
+  std::optional<Result<api::StatementOutcome>> TryExecuteInline(
+      const std::string& statement);
+
   /// Updates the session's SHOW SESSIONS state ("idle", "draining", ...).
   void SetState(const std::string& state);
 
@@ -46,6 +56,14 @@ class Session {
   friend class SessionManager;
   Session(SessionManager* manager, uint64_t id, std::string name)
       : manager_(manager), id_(id), name_(std::move(name)) {}
+
+  /// The shared tail of both entry points: applies the request deadline
+  /// to a statement that started at `start_ns`, counts it, and marks the
+  /// session idle again. `statement` is non-null when the start was not
+  /// announced to the SessionRegistry (the inline path).
+  Result<api::StatementOutcome> Finish(Result<api::StatementOutcome> outcome,
+                                       uint64_t start_ns,
+                                       const std::string* statement);
 
   SessionManager* manager_;
   uint64_t id_;

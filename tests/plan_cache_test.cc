@@ -20,7 +20,10 @@
 #include "api/statement_runner.h"
 #include "erql/parser.h"
 #include "erql/plan_cache.h"
+#include "erql/query_engine.h"
+#include "exec/explain.h"
 #include "obs/metrics.h"
+#include "workload/figure4.h"
 
 namespace erbium {
 namespace erql {
@@ -153,6 +156,31 @@ TEST(PlanCacheTest, ZeroIsHandledByOwnerNotCache) {
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   EXPECT_EQ((*runner)->plan_cache(), nullptr);
   EXPECT_TRUE((*runner)->Execute("SELECT r_id FROM R WHERE r_id = 1").ok());
+}
+
+TEST(PlanCacheTest, CheckoutShortServesOnlyShortPlansAndCountsOnlyHits) {
+  PlanCache cache(4);
+  uint64_t hits = Hits(), misses = Misses();
+  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // absent
+  auto long_plan = std::make_unique<CompiledQuery>();
+  cache.CheckIn("k", 1, std::move(long_plan));
+  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // pooled, not short
+  EXPECT_EQ(cache.CheckoutShort("k", 2), nullptr);  // stale generation
+  // Declining touched neither the pool nor the counters.
+  EXPECT_EQ(Hits(), hits);
+  EXPECT_EQ(Misses(), misses);
+  EXPECT_EQ(cache.size(), 1u);
+  auto plan = cache.Checkout("k", 1);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(Hits(), hits + 1);
+
+  plan->short_plan = true;
+  cache.CheckIn("k", 1, std::move(plan));
+  plan = cache.CheckoutShort("k", 1);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(Hits(), hits + 2);
+  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // checked out
+  EXPECT_EQ(Misses(), misses);
 }
 
 // ---- Runner integration: correctness across invalidation events -----------
@@ -510,6 +538,177 @@ TEST(PlanCacheOptionsTest, EnvChangesAfterCreateDoNotReshapePlans) {
             first->result.ToCanonicalString());
 }
 
+// ---- Short plans: what the server may run on its event loop ---------------
+
+TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
+  std::shared_ptr<ERSchema> schema;
+  Figure4Config config;
+  config.num_r = 300;
+  config.num_s = 100;
+  auto db = MakeFigure4Database(Figure4M1(), config, &schema);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto short_plan = [&](const std::string& text, ExecOptions opts) {
+    auto compiled = QueryEngine::Compile(db->get(), text, opts);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    return compiled.ok() && compiled->short_plan;
+  };
+  const std::string point = "SELECT r_a1 FROM R WHERE r_id = 7";
+  const std::string scan = "SELECT r_id, r_mv1 FROM R WHERE r_a1 < 900";
+  ExecOptions serial = ExecOptions::Serial();
+  EXPECT_TRUE(short_plan(point, serial));
+  EXPECT_TRUE(short_plan(scan, serial));
+  // Serial but over the threshold: the leaves (R and its r_mv1 side
+  // table) estimate more rows than 100.
+  serial.parallel_row_threshold = 100;
+  EXPECT_FALSE(short_plan(scan, serial));
+  EXPECT_TRUE(short_plan(point, serial));  // an index probe estimates 0
+  // An index join reads its table once per input row, and a nested-loop
+  // join tests every row pair: both count, though neither is a leaf.
+  const std::string chain = "SELECT r_id, r_a1, r1_a1, r3_a1 FROM R3";
+  auto r3 = QueryEngine::Execute(db->get(), "SELECT r_id FROM R3");
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+  const size_t n = r3->rows.size();  // the chain's one leaf scans R3
+  auto chain_plan = QueryEngine::Compile(db->get(), chain, serial);
+  ASSERT_TRUE(chain_plan.ok()) << chain_plan.status().ToString();
+  ASSERT_NE(RenderPlanTree(*chain_plan->plan).find("IndexJoin"),
+            std::string::npos);
+  serial.parallel_row_threshold = 3 * n;  // R3, then one probe each of R, R1
+  EXPECT_FALSE(short_plan(chain, serial));
+  serial.parallel_row_threshold = 3 * n + 1;
+  EXPECT_TRUE(short_plan(chain, serial));
+  const std::string theta =
+      "SELECT r.r_id, s.s_id FROM R r JOIN S s ON r.r_a1 < s.s_a1";
+  auto theta_plan = QueryEngine::Compile(db->get(), theta, serial);
+  ASSERT_TRUE(theta_plan.ok()) << theta_plan.status().ToString();
+  ASSERT_NE(RenderPlanTree(*theta_plan->plan).find("NestedLoop"),
+            std::string::npos);
+  serial.parallel_row_threshold = 8192;  // 300 x 100 pairs exceed it
+  EXPECT_FALSE(short_plan(theta, serial));
+  // A factorized join scan (M6 stores R2S1 as adjacency lists) counts
+  // the edges it walks.
+  std::shared_ptr<ERSchema> m6_schema;
+  auto m6 = MakeFigure4Database(Figure4M6(), config, &m6_schema);
+  ASSERT_TRUE(m6.ok()) << m6.status().ToString();
+  const std::string walk = "SELECT r.r_id, s.s_id FROM R2 r JOIN S1 s ON R2S1";
+  auto walk_plan = QueryEngine::Compile(m6->get(), walk, serial);
+  ASSERT_TRUE(walk_plan.ok()) << walk_plan.status().ToString();
+  ASSERT_NE(RenderPlanTree(*walk_plan->plan).find("FactorizedJoinScan"),
+            std::string::npos);
+  auto edges = QueryEngine::Execute(m6->get(), walk, serial);
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  ASSERT_GT(edges->rows.size(), 0u);
+  auto m6_short = [&](size_t threshold) {
+    ExecOptions opts = ExecOptions::Serial();
+    opts.parallel_row_threshold = threshold;
+    auto compiled = QueryEngine::Compile(m6->get(), walk, opts);
+    return compiled.ok() && compiled->short_plan;
+  };
+  EXPECT_FALSE(m6_short(edges->rows.size()));
+  EXPECT_TRUE(m6_short(edges->rows.size() + 1));
+  // Parallel: a Gather is never short, whatever the threshold says.
+  ExecOptions parallel;
+  parallel.num_threads = 4;
+  parallel.parallel_row_threshold = 0;
+  auto compiled = QueryEngine::Compile(db->get(), scan, parallel);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_NE(RenderPlanTree(*compiled->plan).find("Gather"), std::string::npos);
+  EXPECT_FALSE(compiled->short_plan);
+}
+
+TEST(ShortPlanTest, TryExecuteInlineRunsOnlyCachedShortSelects) {
+  api::StatementRunner::Options options;
+  options.figure4 = true;
+  options.figure4_num_r = 60;
+  options.figure4_num_s = 30;
+  auto created = api::StatementRunner::Create(std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  api::StatementRunner* runner = created->get();
+  const std::string read = "SELECT r_id, r_a1 FROM R WHERE r_id = 5";
+  auto recorded = [] {
+    return obs::MetricsRegistry::Global().CounterValue("erql.queries");
+  };
+
+  // Declined, with nothing recorded: not a SELECT, a plan-cache miss, a
+  // parse error.
+  uint64_t queries = recorded(), hits = Hits(), misses = Misses();
+  EXPECT_FALSE(runner->TryExecuteInline("SHOW SESSIONS").has_value());
+  EXPECT_FALSE(runner->TryExecuteInline("EXPLAIN " + read).has_value());
+  EXPECT_FALSE(runner->TryExecuteInline(
+                        "INSERT R (r_id = 9001, r_a1 = 1, r_a2 = 0.5, "
+                        "r_a3 = 'i', r_a4 = 1)")
+                   .has_value());
+  EXPECT_FALSE(runner->TryExecuteInline(read).has_value());
+  EXPECT_FALSE(runner->TryExecuteInline("SELECT FROM WHERE").has_value());
+  EXPECT_EQ(recorded(), queries);
+  EXPECT_EQ(Hits(), hits);
+  EXPECT_EQ(Misses(), misses);
+  auto not_inserted = runner->Execute("SELECT r_id FROM R WHERE r_id = 9001");
+  ASSERT_TRUE(not_inserted.ok());
+  EXPECT_TRUE(not_inserted->result.rows.empty());
+
+  // Cached by a full Execute, the read runs inline — rebound to its own
+  // literal — and is recorded once.
+  auto fresh = runner->Execute(read);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  queries = recorded();
+  auto inlined = runner->TryExecuteInline(
+      "SELECT r_id, r_a1 FROM R WHERE r_id = 6");
+  ASSERT_TRUE(inlined.has_value());
+  ASSERT_TRUE(inlined->ok()) << inlined->status().ToString();
+  EXPECT_EQ(recorded(), queries + 1);
+  auto expected = runner->Execute("SELECT r_id, r_a1 FROM R WHERE r_id = 6");
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ((*inlined)->shape, api::OutputShape::kTable);
+  EXPECT_EQ((*inlined)->result.ToCanonicalString(),
+            expected->result.ToCanonicalString());
+  EXPECT_EQ((*inlined)->result.columns, expected->result.columns);
+}
+
+/// Paces a REMAP storm against concurrent readers. glibc's rwlock
+/// prefers readers: a REMAP waits for the exclusive statement lock until
+/// no reader holds it, and four busy readers seldom all let go at once.
+/// Under TSan a REMAP costs ~0.8 s of CPU, yet the first hammer below
+/// spent 87 s in its 30 REMAPs, 62 s of them off-CPU waiting for the
+/// lock. So readers hold off while a REMAP waits (BeforeRead), and each
+/// REMAP first waits until the readers have run kReadsPerMapping
+/// statements since the previous one (Remap): every mapping still serves
+/// concurrent reads, and no REMAP waits on more than the reads in flight.
+class RemapStorm {
+ public:
+  static constexpr uint64_t kReadsPerMapping = 32;
+
+  explicit RemapStorm(int readers) : readers_(readers) {}
+
+  void BeforeRead() const {
+    while (remap_waiting_.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  void AfterRead() { reads_.fetch_add(1); }
+  /// A reader that stops early (a wrong answer) must say so, or Remap
+  /// would wait for reads that never come.
+  void ReaderDone() { readers_done_.fetch_add(1); }
+
+  Status Remap(api::StatementRunner* runner, const char* preset) {
+    const uint64_t target = reads_at_last_remap_ + kReadsPerMapping;
+    while (reads_.load() < target && readers_done_.load() < readers_) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    remap_waiting_.store(true);
+    Status status = runner->RemapPreset(preset);
+    remap_waiting_.store(false);
+    reads_at_last_remap_ = reads_.load();
+    return status;
+  }
+
+ private:
+  const int readers_;
+  std::atomic<bool> remap_waiting_{false};
+  std::atomic<uint64_t> reads_{0};
+  std::atomic<int> readers_done_{0};
+  uint64_t reads_at_last_remap_ = 0;  // the REMAP thread's own
+};
+
 TEST(PlanCacheHammerTest, ConcurrentReadersSurviveRemapStorm) {
   api::StatementRunner::Options options;
   options.figure4 = true;
@@ -526,32 +725,32 @@ TEST(PlanCacheHammerTest, ConcurrentReadersSurviveRemapStorm) {
   };
   const size_t expected[] = {14, 14, 8};
 
+  constexpr int kReaders = 4;
+  RemapStorm storm(kReaders);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      // The periodic sleep matters: glibc's rwlock is reader-preferring,
-      // so readers spinning without a gap would starve the REMAP writer
-      // forever on a single core. The cap bounds the test regardless.
+      // The cap bounds the test regardless.
       for (int i = 0; i < 200'000 && !stop.load(std::memory_order_relaxed);
            ++i) {
-        if (i % 16 == 15) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+        storm.BeforeRead();
         size_t pick = static_cast<size_t>(t + i) % 3;
         auto outcome = runner->Execute(queries[pick]);
         if (!outcome.ok() ||
             outcome->result.rows.size() != expected[pick]) {
           failures.fetch_add(1);
-          return;
+          break;
         }
+        storm.AfterRead();
       }
+      storm.ReaderDone();
     });
   }
   for (int round = 0; round < 6; ++round) {
     for (const char* preset : {"m2", "m5", "m6", "m3", "m1"}) {
-      ASSERT_TRUE(runner->RemapPreset(preset).ok());
+      ASSERT_TRUE(storm.Remap(runner, preset).ok());
     }
   }
   stop.store(true);
@@ -582,18 +781,17 @@ TEST(PlanCacheHammerTest, ConcurrentBindingsSurviveRemapStorm) {
     expected.push_back(outcome->result.ToCanonicalString());
   }
 
+  constexpr int kReaders = 4;
+  RemapStorm storm(kReaders);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       uint64_t state = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1);
-      // Periodic sleeps let the REMAP writer in (see the test above).
       for (int i = 0; i < 200'000 && !stop.load(std::memory_order_relaxed);
            ++i) {
-        if (i % 16 == 15) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+        storm.BeforeRead();
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
         size_t pick = static_cast<size_t>(state >> 33) % expected.size();
         auto outcome = runner->Execute(
@@ -601,14 +799,16 @@ TEST(PlanCacheHammerTest, ConcurrentBindingsSurviveRemapStorm) {
         if (!outcome.ok() ||
             outcome->result.ToCanonicalString() != expected[pick]) {
           failures.fetch_add(1);
-          return;
+          break;
         }
+        storm.AfterRead();
       }
+      storm.ReaderDone();
     });
   }
   for (int round = 0; round < 6; ++round) {
     for (const char* preset : {"m2", "m5", "m6", "m3", "m1"}) {
-      ASSERT_TRUE(runner->RemapPreset(preset).ok());
+      ASSERT_TRUE(storm.Remap(runner, preset).ok());
     }
   }
   stop.store(true);

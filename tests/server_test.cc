@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "api/statement_runner.h"
+#include "durability/fault.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -421,6 +424,264 @@ TEST(ServerTest, GracefulShutdownDrainsAndCheckpoints) {
   auto rows = (*runner)->Execute("SELECT r_id FROM R WHERE r_id >= 70000");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->result.rows.size(), 20u);
+}
+
+// ---- Inline execution on the event loop -----------------------------------
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().CounterValue(name);
+}
+uint64_t InlineCount() { return CounterValue("server.statements.inline"); }
+uint64_t PooledCount() { return CounterValue("server.statements.pooled"); }
+
+uint64_t NowUs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// The inline cutoff: a cached statement whose plan is not short stays on
+/// the pool. Connection A runs E1 topped with ORDER BY ... LIMIT 1 (its
+/// leaves read well over the 8192-row threshold at 1500 instances; one
+/// output row, so A's round trip is all execution) while connection B
+/// issues cached point reads. Were A's statement run inline, a read
+/// arriving during it would wait on the loop thread until it finished,
+/// and none would complete while it ran. The server plans serially, so
+/// A occupies one core and B's reads are not starved of CPU by A's own
+/// morsel workers.
+TEST(ServerInlineTest, LongCachedStatementDoesNotStallPointReads) {
+  ServerOptions options = Figure4ServerOptions();
+  options.runner.figure4_num_r = 1500;
+  options.runner.figure4_num_s = 400;
+  // The runner reads ERBIUM_THREADS once, when the server creates it.
+  const char* threads = std::getenv("ERBIUM_THREADS");
+  const bool had_threads = threads != nullptr;
+  const std::string saved = had_threads ? threads : "";
+  ::setenv("ERBIUM_THREADS", "1", 1);
+  auto server = Server::Start(std::move(options));
+  if (had_threads) {
+    ::setenv("ERBIUM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("ERBIUM_THREADS");
+  }
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto a = Client::Connect(ClientFor(**server, "inline-long"));
+  auto b = Client::Connect(ClientFor(**server, "inline-reads"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const std::string kLong =
+      "SELECT r_id, r_mv1, r_mv2, r_mv3 FROM R ORDER BY r_id DESC LIMIT 1";
+  auto read = [](int key) {
+    return "SELECT r_a1 FROM R WHERE r_id = " + std::to_string(key);
+  };
+
+  // First runs miss the plan cache and go to the pool; after them the
+  // read is cached and short (inline) and A's statement is cached but
+  // long (pooled).
+  auto warm = (*a)->Execute(kLong);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->result.rows.size(), 1u);
+  ASSERT_TRUE((*b)->Execute(read(1)).ok());
+  uint64_t inline_before = InlineCount();
+  uint64_t pooled_before = PooledCount();
+  ASSERT_TRUE((*b)->Execute(read(2)).ok());
+  EXPECT_EQ(InlineCount(), inline_before + 1);
+  ASSERT_TRUE((*a)->Execute(kLong).ok());
+  EXPECT_EQ(PooledCount(), pooled_before + 1);
+  const std::string count = warm->result.ToCanonicalString();
+
+  constexpr int kLongRuns = 3;
+  struct Span {
+    uint64_t begin_us, end_us;
+  };
+  std::vector<Span> long_spans;
+  std::atomic<bool> long_done{false};
+  std::atomic<int> long_failures{0};
+  std::thread long_runner([&] {
+    for (int i = 0; i < kLongRuns; ++i) {
+      uint64_t begin = NowUs();
+      auto outcome = (*a)->Execute(kLong);
+      uint64_t end = NowUs();
+      if (!outcome.ok() || outcome->result.ToCanonicalString() != count) {
+        long_failures.fetch_add(1);
+      }
+      long_spans.push_back({begin, end});
+    }
+    long_done.store(true);
+  });
+  std::vector<Span> reads;
+  int read_failures = 0;
+  for (int i = 0; !long_done.load(); ++i) {
+    int key = 1 + i % 1500;
+    uint64_t begin = NowUs();
+    auto outcome = (*b)->Execute(read(key));
+    uint64_t end = NowUs();
+    if (!outcome.ok() || outcome->result.rows.size() != 1) ++read_failures;
+    reads.push_back({begin, end});
+  }
+  long_runner.join();
+  EXPECT_EQ(long_failures.load(), 0);
+  EXPECT_EQ(read_failures, 0);
+
+  // Reads kept completing during every run of A's statement (a stalled
+  // loop completes none), and the stated bound: the median read
+  // overlapping A's runs takes under a quarter of A's shortest run. The
+  // bound is on the median because one read can lose its CPU for longer
+  // than a run when the host is oversubscribed.
+  uint64_t shortest = UINT64_MAX;
+  std::vector<uint64_t> overlapping;
+  for (const Span& span : long_spans) {
+    shortest = std::min(shortest, span.end_us - span.begin_us);
+    int inside = 0;
+    for (const Span& r : reads) {
+      if (r.begin_us >= span.begin_us && r.end_us <= span.end_us) ++inside;
+      if (r.end_us > span.begin_us && r.begin_us < span.end_us) {
+        overlapping.push_back(r.end_us - r.begin_us);
+      }
+    }
+    EXPECT_GE(inside, 3) << "reads completed during a "
+                         << span.end_us - span.begin_us << " us statement";
+  }
+  ASSERT_FALSE(overlapping.empty());
+  std::nth_element(overlapping.begin(),
+                   overlapping.begin() + overlapping.size() / 2,
+                   overlapping.end());
+  EXPECT_LT(overlapping[overlapping.size() / 2], shortest / 4)
+      << "median point read vs the shortest " << shortest << " us statement";
+  ASSERT_TRUE((*server)->Stop().ok());
+}
+
+/// A pipelined batch mixing statements that run inline with ones that go
+/// to the pool still answers in seq order, and each statement sees the
+/// effects of the ones before it.
+TEST(ServerInlineTest, PipelinedMixOfInlineAndPooledKeepsOrder) {
+  auto server = Server::Start(Figure4ServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect(ClientFor(**server, "inline-mix"));
+  ASSERT_TRUE(client.ok());
+  auto read = [](int key) {
+    return "SELECT r_a1 FROM R WHERE r_id = " + std::to_string(key);
+  };
+  auto insert = [](int key, int a1) {
+    return "INSERT R (r_id = " + std::to_string(key) +
+           ", r_a1 = " + std::to_string(a1) +
+           ", r_a2 = 0.5, r_a3 = 'mix', r_a4 = 1)";
+  };
+  ASSERT_TRUE((*client)->Execute(read(1)).ok());  // cache the point read
+
+  uint64_t inline_before = InlineCount();
+  uint64_t pooled_before = PooledCount();
+  auto batch = (*client)->ExecuteBatch({
+      read(3),                 // inline
+      insert(85001, 17),       // pooled
+      read(85001),             // inline, after the insert
+      read(4),                 // inline
+      "SELECT r_id, r_a4 FROM R WHERE r_a1 = 17 AND r_a4 = 1",  // miss
+      insert(85002, 18),       // pooled
+      "SHOW SESSIONS",         // pooled
+      read(85002),             // inline
+      read(85001),             // inline
+  });
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), 9u);
+  for (size_t i = 0; i < batch->size(); ++i) {
+    ASSERT_TRUE((*batch)[i].status.ok())
+        << i << ": " << (*batch)[i].status.ToString();
+  }
+  auto a1_of = [&](size_t i) {
+    const auto& rows = (*batch)[i].outcome.result.rows;
+    return rows.size() == 1 ? rows[0][0].as_int64() : int64_t{-1};
+  };
+  EXPECT_EQ((*batch)[0].outcome.result.rows.size(), 1u);
+  EXPECT_EQ(a1_of(2), 17);
+  EXPECT_EQ((*batch)[3].outcome.result.rows.size(), 1u);
+  bool saw_insert = false;
+  for (const Row& row : (*batch)[4].outcome.result.rows) {
+    if (row[0].as_int64() == 85001) saw_insert = true;
+  }
+  EXPECT_TRUE(saw_insert);
+  EXPECT_EQ((*batch)[6].outcome.shape, api::OutputShape::kTable);
+  EXPECT_EQ(a1_of(7), 18);
+  EXPECT_EQ(a1_of(8), 17);
+  // Both paths carried part of the batch.
+  EXPECT_EQ(InlineCount() - inline_before, 5u);
+  EXPECT_EQ(PooledCount() - pooled_before, 4u);
+}
+
+/// The loop never blocks on the statement lock: while a REMAP holds it
+/// exclusively (parked inside its WAL fdatasync), a Ping and a cached
+/// read on other connections are still served by the loop — the Ping
+/// answered at once, the read handed to the pool, which answers it once
+/// the REMAP is done.
+TEST(ServerInlineTest, LoopServesWhileRemapHoldsTheStatementLock) {
+  durability::FaultInjector faults;
+  ServerOptions options = Figure4ServerOptions();
+  options.worker_threads = 2;
+  options.runner.attach_dir = FreshDir("inline_remap");
+  options.runner.sync = durability::WalWriter::SyncMode::kFsync;
+  options.runner.faults = &faults;
+  auto server = Server::Start(std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto remapper = Client::Connect(ClientFor(**server, "inline-remap"));
+  auto reader = Client::Connect(ClientFor(**server, "inline-reader"));
+  // A loop stuck on the lock would leave the Ping unanswered: fail in
+  // seconds rather than after the default minute.
+  Client::Options pinger_options = ClientFor(**server, "inline-pinger");
+  pinger_options.recv_timeout_ms = 5'000;
+  auto pinger = Client::Connect(pinger_options);
+  ASSERT_TRUE(remapper.ok());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(pinger.ok());
+  // An attached directory starts empty: give the read a row to find.
+  ASSERT_TRUE((*reader)
+                  ->Execute("INSERT R (r_id = 7, r_a1 = 70, r_a2 = 0.5, "
+                            "r_a3 = 'lock', r_a4 = 1)")
+                  .ok());
+  const std::string kRead = "SELECT r_a1 FROM R WHERE r_id = 7";
+  auto expected = (*reader)->Execute(kRead);  // miss: caches the plan
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->result.rows.size(), 1u);
+  uint64_t inline_before = InlineCount();
+  ASSERT_TRUE((*reader)->Execute(kRead).ok());
+  ASSERT_EQ(InlineCount(), inline_before + 1);  // cached: runs inline
+
+  faults.ArmGate("wal.sync");
+  std::thread remap([&] {
+    auto remapped = (*remapper)->Execute("REMAP m2");
+    EXPECT_TRUE(remapped.ok()) << remapped.status().ToString();
+  });
+  ASSERT_TRUE(faults.WaitUntilBlocked());
+  // The REMAP now holds the statement lock exclusively.
+  inline_before = InlineCount();
+  uint64_t pooled_before = PooledCount();
+  std::atomic<bool> read_done{false};
+  Result<api::StatementOutcome> during = Status::Internal("not run");
+  std::thread read([&] {
+    during = (*reader)->Execute(kRead);
+    read_done.store(true);
+  });
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE((*pinger)->Ping().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The read reached the server (the loop declined it and pooled it)
+  // but cannot be answered until the REMAP lets go of the lock.
+  for (int i = 0; i < 500 && PooledCount() == pooled_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(PooledCount(), pooled_before + 1);
+  EXPECT_FALSE(read_done.load());
+  EXPECT_TRUE((*pinger)->Ping().ok());
+
+  faults.ReleaseGate();
+  remap.join();
+  read.join();
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(during->result.ToCanonicalString(),
+            expected->result.ToCanonicalString());
+  EXPECT_EQ(InlineCount(), inline_before);
+  ASSERT_TRUE((*server)->Stop().ok());
 }
 
 // ---- The hammer -----------------------------------------------------------
