@@ -1,16 +1,14 @@
-// Network server throughput/latency benchmark: requests per second and
-// p50/p99 latency for point reads and single-row inserts, as the number
-// of concurrent client connections scales through 1, 8, and 64 — plus a
-// pipelined variant (16-statement batches per round-trip) and a
+// Network server scenarios that the repo benchmark (perfbench/) does not
+// cover: pipelined point reads (16-statement batches per round-trip),
+// point reads under a writer stream and under CHECKPOINT, a
 // 1000-connection idle+burst scenario measuring what idle connections
-// cost the reactor (fds and RSS, not threads). All traffic runs over
-// real TCP loopback connections through the full frame protocol, so the
-// numbers include framing, CRC, and the engine's shared/exclusive
-// statement lock — reads overlap, inserts serialize.
+// cost the reactor (fds and RSS, not threads), and durable inserts under
+// group commit. Plain closed-loop point reads are perfbench's
+// `point_lookup` workload. All traffic runs over real TCP loopback
+// connections through the full frame protocol, so the numbers include
+// framing, CRC, and the engine's statement lock.
 //
 // Percentiles land in the metrics dump (BENCH_server.json) as gauges:
-//   server.bench.point_read.c<N>.p50_us / .p99_us
-//   server.bench.insert.c<N>.p50_us     / .p99_us
 //   server.bench.point_read_pipelined.c<N>.p50_us / .p99_us  (per stmt)
 //   server.bench.idle_burst.{p50_us,p99_us,rss_mb,threads,connections}
 //   server.bench.read_under_writes.{idle,writes,checkpoint}.{p50_us,p99_us}
@@ -87,102 +85,9 @@ double Percentile(std::vector<double>* latencies, double p) {
 /// Keys for inserts stay unique across every benchmark repetition.
 std::atomic<int64_t> g_next_insert_id{1'000'000};
 
-/// Drives `clients` connections, each issuing `per_iter` statements per
-/// benchmark iteration, recording per-request wall latency.
-void RunServerBenchmark(benchmark::State& state, const std::string& op,
-                        int per_iter) {
-  const int clients = static_cast<int>(state.range(0));
-  server::Server* server = GetServer();
-
-  std::vector<std::unique_ptr<server::Client>> connections;
-  connections.reserve(clients);
-  for (int i = 0; i < clients; ++i) {
-    server::Client::Options options;
-    options.port = server->port();
-    options.name = "bench-" + op + "-" + std::to_string(i);
-    options.connect_retries = 10;
-    auto client = server::Client::Connect(std::move(options));
-    if (!client.ok()) {
-      state.SkipWithError(client.status().ToString().c_str());
-      return;
-    }
-    connections.push_back(std::move(client).value());
-  }
-
-  std::vector<double> all_latencies_us;
-  for (auto _ : state) {
-    std::vector<std::vector<double>> per_thread(clients);
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (int i = 0; i < clients; ++i) {
-      threads.emplace_back([&, i] {
-        std::mt19937 rng(static_cast<uint32_t>(17 + i));
-        per_thread[i].reserve(per_iter);
-        for (int k = 0; k < per_iter && !failed.load(); ++k) {
-          std::string statement;
-          if (op == "point_read") {
-            statement = "SELECT r_a1 FROM R WHERE r_id = " +
-                        std::to_string(1 + rng() % kNumR);
-          } else {
-            statement =
-                "INSERT R (r_id = " +
-                std::to_string(g_next_insert_id.fetch_add(1)) +
-                ", r_a1 = 1, r_a2 = 0.5, r_a3 = 'b', r_a4 = 1)";
-          }
-          auto start = std::chrono::steady_clock::now();
-          auto outcome = connections[i]->Execute(statement);
-          auto end = std::chrono::steady_clock::now();
-          if (!outcome.ok()) {
-            failed.store(true);
-            break;
-          }
-          per_thread[i].push_back(
-              std::chrono::duration<double, std::micro>(end - start)
-                  .count());
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    if (failed.load()) {
-      state.SkipWithError("a benchmark request failed");
-      return;
-    }
-    for (const auto& latencies : per_thread) {
-      all_latencies_us.insert(all_latencies_us.end(), latencies.begin(),
-                              latencies.end());
-    }
-  }
-
-  state.SetItemsProcessed(static_cast<int64_t>(all_latencies_us.size()));
-  double p50 = Percentile(&all_latencies_us, 0.50);
-  double p99 = Percentile(&all_latencies_us, 0.99);
-  state.counters["p50_us"] = p50;
-  state.counters["p99_us"] = p99;
-  // Mirror into the metrics registry so the percentiles appear in
-  // BENCH_server.json.
-  std::string prefix =
-      "server.bench." + op + ".c" + std::to_string(clients);
-  obs::MetricsRegistry::Global()
-      .gauge(prefix + ".p50_us")
-      .Set(static_cast<int64_t>(std::llround(p50)));
-  obs::MetricsRegistry::Global()
-      .gauge(prefix + ".p99_us")
-      .Set(static_cast<int64_t>(std::llround(p99)));
-}
-
-void BM_PointRead(benchmark::State& state) {
-  RunServerBenchmark(state, "point_read", 30);
-}
-
-void BM_Insert(benchmark::State& state) {
-  RunServerBenchmark(state, "insert", 15);
-}
-
 /// Pipelined point reads: every client ships 16-statement batches, so
 /// framing and scheduling amortize across one round-trip. Latency is
-/// recorded per statement (batch wall time / batch size) to stay
-/// comparable with BM_PointRead.
+/// recorded per statement (batch wall time / batch size).
 void BM_PointReadPipelined(benchmark::State& state) {
   constexpr int kBatch = 16;
   const int clients = static_cast<int>(state.range(0));
@@ -721,10 +626,6 @@ void BM_DurableInserts(benchmark::State& state) {
   registry.gauge(prefix + ".wal_syncs").Set(syncs);
 }
 
-BENCHMARK(BM_PointRead)->Arg(1)->Arg(8)->Arg(64)->UseRealTime()
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Insert)->Arg(1)->Arg(8)->Arg(64)->UseRealTime()
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PointReadPipelined)->Arg(1)->Arg(8)->UseRealTime()
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReadUnderWrites)->UseRealTime()->Iterations(1)

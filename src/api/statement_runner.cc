@@ -404,12 +404,9 @@ Result<StatementOutcome> StatementRunner::AdviseLocked(
   obs::WorkloadSnapshot snapshot = obs::WorkloadProfile::Global().Snapshot();
   Workload workload = WorkloadFromProfile(snapshot);
   if (workload.queries.empty()) {
-    std::string hint;
-    if (!obs::WorkloadProfile::CompiledIn()) {
-      hint = " (capture is compiled out)";
-    } else if (!obs::WorkloadProfile::Global().enabled()) {
-      hint = " (capture is disabled)";
-    }
+    std::string hint = obs::WorkloadProfile::Global().enabled()
+                           ? ""
+                           : " (capture is disabled)";
     return Status::InvalidArgument(
         "ADVISE: no captured SELECT traffic to advise from" + hint +
         " — run queries first, or LOAD WORKLOAD FROM a snapshot");

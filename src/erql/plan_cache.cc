@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "exec/parallel.h"
 #include "obs/metrics.h"
 
 namespace erbium {
@@ -74,13 +75,13 @@ std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
 }
 
 std::unique_ptr<CompiledQuery> PlanCache::CheckoutShort(
-    const std::string& key, uint64_t generation) {
+    const std::string& key, uint64_t generation, size_t row_threshold) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   LruList::iterator entry = it->second;
   if (entry->generation != generation || entry->plans.empty() ||
-      !entry->plans.back()->short_plan) {
+      !IsShortPlan(*entry->plans.back()->plan, row_threshold)) {
     return nullptr;
   }
   return TakeLocked(entry, &lock);

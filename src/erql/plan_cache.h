@@ -56,13 +56,15 @@ class PlanCache {
   std::unique_ptr<CompiledQuery> Checkout(const std::string& key,
                                           uint64_t generation);
 
-  /// Checkout for a caller that may only run short plans
-  /// (CompiledQuery::short_plan): returns a pooled short plan and counts
-  /// the hit. Anything else returns nullptr and leaves the cache and its
-  /// counters untouched, so the caller's later Checkout of the same
-  /// statement counts it once.
+  /// Checkout for a caller that may only run short plans: returns a
+  /// pooled plan that IsShortPlan (exec/parallel.h) judges short against
+  /// `row_threshold` on the tables' current sizes, and counts the hit.
+  /// Anything else returns nullptr and leaves the cache and its counters
+  /// untouched, so the caller's later Checkout of the same statement
+  /// counts it once.
   std::unique_ptr<CompiledQuery> CheckoutShort(const std::string& key,
-                                               uint64_t generation);
+                                               uint64_t generation,
+                                               size_t row_threshold);
 
   /// Returns a plan to the pool for `key`. Dropped silently when the
   /// generation has moved on, the per-key pool is full, or inserting

@@ -336,7 +336,6 @@ QueryResult ShowWorkload(const Query& query) {
   };
   std::string summary = "profiled=" + std::to_string(snap.statements) +
                         " shapes=" + std::to_string(snap.shapes.size());
-  if (!obs::WorkloadProfile::CompiledIn()) summary += " (capture compiled out)";
   if (!obs::WorkloadProfile::Global().enabled()) summary += " (disabled)";
   add("profile", "statements", std::move(summary));
   for (const auto& [name, e] : snap.entities) {
@@ -576,8 +575,10 @@ std::optional<Result<QueryResult>> RunStatement(
   if (parsed.ok() && cache != nullptr &&
       parsed->statement == StatementKind::kSelect &&
       parsed->explain == ExplainMode::kNone) {
-    cached = short_only ? cache->CheckoutShort(parsed->cache_key, generation)
-                        : cache->Checkout(parsed->cache_key, generation);
+    cached = short_only
+                 ? cache->CheckoutShort(parsed->cache_key, generation,
+                                        opts.parallel_row_threshold)
+                 : cache->Checkout(parsed->cache_key, generation);
   }
   if (short_only && cached == nullptr) return std::nullopt;
 

@@ -76,7 +76,8 @@ class QueryEngine {
       PlanCache* cache = nullptr, uint64_t generation = 0);
 
   /// Execute() restricted to plain SELECTs whose plan `cache` already
-  /// holds and marks short (CompiledQuery::short_plan): for a host
+  /// holds and that is short (IsShortPlan, exec/parallel.h, against
+  /// opts.parallel_row_threshold, on the tables' sizes now): for a host
   /// thread that must not stall on a long statement. Any other
   /// statement, a parse error included, returns nullopt having recorded
   /// nothing (no telemetry, no plan-cache hit or miss), so the host can

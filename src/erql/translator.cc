@@ -1302,8 +1302,6 @@ Result<CompiledQuery> Translator::Translate(MappedDatabase* db,
   TranslatorImpl impl(db, query, opts);
   ERBIUM_ASSIGN_OR_RETURN(CompiledQuery compiled, impl.Run());
   compiled.params = impl.params();
-  compiled.short_plan =
-      IsShortPlan(*compiled.plan, opts.parallel_row_threshold);
   compiled.explain = query.explain;
   if (query.explain != ExplainMode::kNone) {
     compiled.mapping_summary = db->mapping().spec().ToString();

@@ -41,13 +41,6 @@ struct CompiledQuery {
   /// stamps `footprint->shape` once after translation and treats it as
   /// immutable from then on.
   std::shared_ptr<obs::StatementFootprint> footprint;
-
-  /// Set once by Translate (IsShortPlan against the options'
-  /// parallel_row_threshold): the plan runs serially and was estimated
-  /// to read fewer rows than the threshold when it was compiled. A
-  /// host may run a short cached plan on a thread that must not stall,
-  /// such as the server's event loop (QueryEngine::TryExecuteShort).
-  bool short_plan = false;
 };
 
 /// Compiles a parsed ERQL query against a database's E/R schema and its

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <utility>
 
 #include "common/lexer.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace erbium {
 namespace obs {
@@ -384,224 +384,117 @@ WorkloadProfile& WorkloadProfile::Global() {
   return *profile;
 }
 
-WorkloadProfile::WorkloadProfile(size_t shape_capacity,
-                                 MetricsRegistry* registry)
-    : registry_(registry != nullptr ? registry : &MetricsRegistry::Global()),
-      shape_capacity_(shape_capacity == 0 ? 1 : shape_capacity) {
-  shapes_per_shard_ = (shape_capacity_ + kShards - 1) / kShards;
-  if (shapes_per_shard_ == 0) shapes_per_shard_ = 1;
-  c_statements_ = registry_->counter("workload.statements");
-  g_shapes_ = registry_->gauge("workload.shapes");
-}
+WorkloadProfile::WorkloadProfile(size_t shape_capacity)
+    : shape_capacity_(shape_capacity == 0 ? 1 : shape_capacity) {}
 
-WorkloadProfile::Shard& WorkloadProfile::ShardFor(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
-WorkloadProfile::EntityState& WorkloadProfile::EntityStateLocked(
-    Shard& shard, const std::string& name) {
-  auto it = shard.entities.find(name);
-  if (it == shard.entities.end()) {
-    it = shard.entities.emplace(name, EntityState{}).first;
-    const std::string base = "workload.entity." + name + ".";
-    EntityState& state = it->second;
-    state.c_scans = registry_->counter(base + "scans");
-    state.c_probes = registry_->counter(base + "probes");
-    state.c_join_sides = registry_->counter(base + "join_sides");
-    state.c_inserts = registry_->counter(base + "inserts");
-    state.c_deletes = registry_->counter(base + "deletes");
-    state.c_updates = registry_->counter(base + "updates");
-  }
-  return it->second;
-}
-
-WorkloadProfile::RelationshipState& WorkloadProfile::RelationshipStateLocked(
-    Shard& shard, const std::string& name) {
-  auto it = shard.relationships.find(name);
-  if (it == shard.relationships.end()) {
-    it = shard.relationships.emplace(name, RelationshipState{}).first;
-    const std::string base = "workload.relationship." + name + ".";
-    RelationshipState& state = it->second;
-    state.c_joins = registry_->counter(base + "joins");
-    state.c_fused_scans = registry_->counter(base + "fused_scans");
-    state.c_inserts = registry_->counter(base + "inserts");
-    state.c_deletes = registry_->counter(base + "deletes");
-  }
-  return it->second;
-}
-
-WorkloadProfile::AttributeState& WorkloadProfile::AttributeStateLocked(
-    Shard& shard, const std::string& key) {
-  auto it = shard.attributes.find(key);
-  if (it == shard.attributes.end()) {
-    it = shard.attributes.emplace(key, AttributeState{}).first;
-    const std::string base = "workload.attr." + key + ".";
-    AttributeState& state = it->second;
-    state.c_predicates = registry_->counter(base + "predicates");
-    state.c_projections = registry_->counter(base + "projections");
-  }
-  return it->second;
-}
-
-void WorkloadProfile::RecordStatementImpl(const StatementFootprint* footprint,
-                                          const std::string& kind,
-                                          const std::string& text,
-                                          uint64_t wall_ns) {
-  if (!IsProfiledKind(kind)) return;
-  statements_.fetch_add(1, std::memory_order_relaxed);
-  c_statements_.Increment();
+void WorkloadProfile::RecordStatement(const StatementFootprint* footprint,
+                                      const std::string& kind,
+                                      const std::string& text,
+                                      uint64_t wall_ns) {
+  if (!enabled() || !IsProfiledKind(kind)) return;
+  // The footprint carries the shape computed at translate time; fall back
+  // to normalizing here (outside the lock) for statements recorded
+  // without a compiled plan.
+  const bool planned = footprint != nullptr && !footprint->shape.empty();
+  const std::string normalized = planned ? std::string() : NormalizeShape(text);
+  const std::string& shape = planned ? footprint->shape : normalized;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++statements_;
   if (footprint != nullptr) {
     for (const StatementFootprint::EntityTouch& touch : footprint->entities) {
-      Shard& shard = ShardFor(touch.entity);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      EntityState& state = EntityStateLocked(shard, touch.entity);
+      EntityAccess& access = entities_[touch.entity];
       switch (touch.path) {
         case EntityPath::kScan:
-          ++state.counts.scans;
-          state.c_scans.Increment();
+          ++access.scans;
           break;
         case EntityPath::kProbe:
-          ++state.counts.probes;
-          state.c_probes.Increment();
+          ++access.probes;
           break;
         case EntityPath::kJoinSide:
-          ++state.counts.join_sides;
-          state.c_join_sides.Increment();
+          ++access.join_sides;
           break;
       }
     }
     for (const StatementFootprint::RelationshipTouch& touch :
          footprint->relationships) {
-      Shard& shard = ShardFor(touch.relationship);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      RelationshipState& state =
-          RelationshipStateLocked(shard, touch.relationship);
-      if (touch.fused) {
-        ++state.counts.fused_scans;
-        state.c_fused_scans.Increment();
-      } else {
-        ++state.counts.joins;
-        state.c_joins.Increment();
-      }
+      RelationshipAccess& access = relationships_[touch.relationship];
+      ++(touch.fused ? access.fused_scans : access.joins);
     }
     for (const StatementFootprint::AttributeTouch& touch :
          footprint->attributes) {
-      const std::string key = touch.entity + "." + touch.attribute;
-      Shard& shard = ShardFor(key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      AttributeState& state = AttributeStateLocked(shard, key);
-      if (touch.predicate) {
-        ++state.counts.predicates;
-        state.c_predicates.Increment();
-      } else {
-        ++state.counts.projections;
-        state.c_projections.Increment();
-      }
+      AttributeAccess& access =
+          attributes_[touch.entity + "." + touch.attribute];
+      ++(touch.predicate ? access.predicates : access.projections);
     }
   }
-  // The footprint carries the shape computed at translate time; fall back
-  // to normalizing here for statements recorded without a compiled plan.
-  const std::string& shape = (footprint != nullptr && !footprint->shape.empty())
-                                 ? footprint->shape
-                                 : NormalizeShape(text);
-  RecordShape(shape, kind, text, wall_ns, 1);
+  RecordShapeLocked(shape, kind, text, wall_ns);
 }
 
-void WorkloadProfile::RecordShape(const std::string& shape,
-                                  const std::string& kind,
-                                  const std::string& sample, uint64_t wall_ns,
-                                  uint64_t count) {
+void WorkloadProfile::RecordShapeLocked(const std::string& shape,
+                                        const std::string& kind,
+                                        const std::string& sample,
+                                        uint64_t wall_ns) {
   if (shape.empty()) return;
-  Shard& shard = ShardFor(shape);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.shapes.find(shape);
-  if (it == shard.shapes.end()) {
-    if (shard.shapes.size() >= shapes_per_shard_) {
+  auto it = shapes_.find(shape);
+  if (it == shapes_.end()) {
+    if (shapes_.size() >= shape_capacity_) {
       // Admission-controlled eviction: a newcomer displaces the lightest
       // resident (least accumulated wall time) only by arriving heavier
       // than it, so the heavy hitters the advisor cares about always
       // survive a stream of one-off light shapes.
-      auto lightest = shard.shapes.begin();
-      for (auto cur = shard.shapes.begin(); cur != shard.shapes.end(); ++cur) {
+      auto lightest = shapes_.begin();
+      for (auto cur = shapes_.begin(); cur != shapes_.end(); ++cur) {
         if (cur->second.total_wall_ns < lightest->second.total_wall_ns) {
           lightest = cur;
         }
       }
       if (lightest->second.total_wall_ns >= wall_ns) return;
-      shard.shapes.erase(lightest);
-      g_shapes_.Add(-1);
+      shapes_.erase(lightest);
     }
-    it = shard.shapes.emplace(shape, ShapeState{}).first;
-    it->second.sample = sample;
-    it->second.kind = kind;
-    g_shapes_.Add(1);
+    it = shapes_.emplace(shape, WorkloadSnapshot::Shape{shape, sample, kind})
+             .first;
   }
-  it->second.count += count;
+  ++it->second.count;
   it->second.total_wall_ns += wall_ns;
 }
 
-void WorkloadProfile::RecordEntityCrudImpl(const std::string& entity,
-                                           CrudKind kind) {
-  Shard& shard = ShardFor(entity);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  EntityState& state = EntityStateLocked(shard, entity);
+void WorkloadProfile::RecordEntityCrud(const std::string& entity,
+                                       CrudKind kind) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  EntityAccess& access = entities_[entity];
   switch (kind) {
     case CrudKind::kInsert:
-      ++state.counts.inserts;
-      state.c_inserts.Increment();
+      ++access.inserts;
       break;
     case CrudKind::kDelete:
-      ++state.counts.deletes;
-      state.c_deletes.Increment();
+      ++access.deletes;
       break;
     case CrudKind::kUpdate:
-      ++state.counts.updates;
-      state.c_updates.Increment();
+      ++access.updates;
       break;
   }
 }
 
-void WorkloadProfile::RecordRelationshipCrudImpl(
-    const std::string& relationship, CrudKind kind) {
-  Shard& shard = ShardFor(relationship);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  RelationshipState& state = RelationshipStateLocked(shard, relationship);
-  switch (kind) {
-    case CrudKind::kInsert:
-      ++state.counts.inserts;
-      state.c_inserts.Increment();
-      break;
-    case CrudKind::kDelete:
-    case CrudKind::kUpdate:  // relationships have no attribute updates
-      ++state.counts.deletes;
-      state.c_deletes.Increment();
-      break;
-  }
+void WorkloadProfile::RecordRelationshipCrud(const std::string& relationship,
+                                             CrudKind kind) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  RelationshipAccess& access = relationships_[relationship];
+  // Relationships have no attribute updates; an update counts as a delete.
+  ++(kind == CrudKind::kInsert ? access.inserts : access.deletes);
 }
 
 WorkloadSnapshot WorkloadProfile::Snapshot() const {
   WorkloadSnapshot snapshot;
-  snapshot.statements = statements_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, state] : shard.entities) {
-      snapshot.entities.emplace(name, state.counts);
-    }
-    for (const auto& [name, state] : shard.relationships) {
-      snapshot.relationships.emplace(name, state.counts);
-    }
-    for (const auto& [name, state] : shard.attributes) {
-      snapshot.attributes.emplace(name, state.counts);
-    }
-    for (const auto& [shape, state] : shard.shapes) {
-      WorkloadSnapshot::Shape out;
-      out.shape = shape;
-      out.sample = state.sample;
-      out.kind = state.kind;
-      out.count = state.count;
-      out.total_wall_ns = state.total_wall_ns;
-      snapshot.shapes.push_back(std::move(out));
-    }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot.statements = statements_;
+    snapshot.entities = entities_;
+    snapshot.relationships = relationships_;
+    snapshot.attributes = attributes_;
+    snapshot.shapes.reserve(shapes_.size());
+    for (const auto& entry : shapes_) snapshot.shapes.push_back(entry.second);
   }
   std::sort(snapshot.shapes.begin(), snapshot.shapes.end(),
             [](const WorkloadSnapshot::Shape& a,
@@ -615,17 +508,12 @@ WorkloadSnapshot WorkloadProfile::Snapshot() const {
 }
 
 void WorkloadProfile::Clear() {
-  statements_.store(0, std::memory_order_relaxed);
-  int64_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    dropped += static_cast<int64_t>(shard.shapes.size());
-    shard.entities.clear();
-    shard.relationships.clear();
-    shard.attributes.clear();
-    shard.shapes.clear();
-  }
-  g_shapes_.Add(-dropped);
+  std::lock_guard<std::mutex> lock(mu_);
+  statements_ = 0;
+  entities_.clear();
+  relationships_.clear();
+  attributes_.clear();
+  shapes_.clear();
 }
 
 Status WorkloadProfile::LoadJson(const std::string& json) {
@@ -637,38 +525,16 @@ Status WorkloadProfile::LoadJson(const std::string& json) {
         " shapes, more than this profile's capacity of " +
         std::to_string(shape_capacity_));
   }
-  Clear();
-  statements_.store(snapshot.statements, std::memory_order_relaxed);
-  // Restore counts without disturbing the Prometheus mirror: the mirror
-  // counters are monotonic capture-side totals, a restored snapshot is
-  // logical profile state.
-  for (const auto& [name, counts] : snapshot.entities) {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    EntityStateLocked(shard, name).counts = counts;
+  std::lock_guard<std::mutex> lock(mu_);
+  statements_ = snapshot.statements;
+  entities_ = std::move(snapshot.entities);
+  relationships_ = std::move(snapshot.relationships);
+  attributes_ = std::move(snapshot.attributes);
+  shapes_.clear();
+  for (WorkloadSnapshot::Shape& shape : snapshot.shapes) {
+    std::string key = shape.shape;
+    shapes_.insert_or_assign(std::move(key), std::move(shape));
   }
-  for (const auto& [name, counts] : snapshot.relationships) {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    RelationshipStateLocked(shard, name).counts = counts;
-  }
-  for (const auto& [name, counts] : snapshot.attributes) {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    AttributeStateLocked(shard, name).counts = counts;
-  }
-  int64_t added = 0;
-  for (const WorkloadSnapshot::Shape& shape : snapshot.shapes) {
-    Shard& shard = ShardFor(shape.shape);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ShapeState& state = shard.shapes[shape.shape];
-    state.sample = shape.sample;
-    state.kind = shape.kind;
-    state.count = shape.count;
-    state.total_wall_ns = shape.total_wall_ns;
-    ++added;
-  }
-  g_shapes_.Add(added);
   return Status::OK();
 }
 

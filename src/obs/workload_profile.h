@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace erbium {
 namespace obs {
@@ -21,17 +20,12 @@ namespace obs {
 /// normalized query-shape table, so the mapping advisor can be fed from
 /// live traffic instead of a hand-written workload.
 ///
-/// The write path is lock-sharded like QueryTelemetry: names hash to one
-/// of kShards shards, each guarded by its own mutex, so concurrent
-/// sessions rarely contend. Every count is mirrored into a
-/// MetricsRegistry counter under the "workload." prefix, which is what
-/// puts the profile on the Prometheus export and the /metrics scrape for
-/// free. The profiler performs no clock reads of its own: statement wall
-/// time arrives from the query engine's existing measurement.
-///
-/// Compile the capture out entirely with -DERBIUM_DISABLE_WORKLOAD_PROFILE
-/// (a CMake option of the same name); the recording entry points then
-/// collapse to empty inlines.
+/// One store behind one mutex: a recorded statement or CRUD call takes
+/// the mutex once and bumps exactly one count per fact. The profile is
+/// read through Snapshot() (SHOW WORKLOAD, EXPORT WORKLOAD, ADVISE); it
+/// has no registry mirror. The profiler performs no clock reads of its
+/// own: statement wall time arrives from the query engine's existing
+/// measurement.
 
 /// How one statement reached one entity set.
 enum class EntityPath { kScan, kProbe, kJoinSide };
@@ -120,17 +114,15 @@ std::string NormalizeShape(const std::string& text);
 
 class WorkloadProfile {
  public:
-  /// The process-wide profile, mirroring into MetricsRegistry::Global().
-  /// Intentionally leaked, like the registry itself.
+  /// The process-wide profile. Intentionally leaked, like the metrics
+  /// registry.
   static WorkloadProfile& Global();
 
-  /// `shape_capacity` bounds the number of distinct shapes kept. At
-  /// capacity, a new shape is admitted only by arriving with more wall
-  /// time than the lightest resident (which it then evicts) — heavy
-  /// hitters survive streams of one-off shapes. `registry` defaults to
-  /// the process-wide registry; tests pass their own for isolation.
-  explicit WorkloadProfile(size_t shape_capacity = kDefaultShapeCapacity,
-                           MetricsRegistry* registry = nullptr);
+  /// `shape_capacity` bounds the number of distinct shapes kept across
+  /// the whole table. At capacity, a new shape is admitted only by
+  /// arriving with more wall time than the lightest resident (which it
+  /// then evicts) — heavy hitters survive streams of one-off shapes.
+  explicit WorkloadProfile(size_t shape_capacity = kDefaultShapeCapacity);
 
   WorkloadProfile(const WorkloadProfile&) = delete;
   WorkloadProfile& operator=(const WorkloadProfile&) = delete;
@@ -138,15 +130,6 @@ class WorkloadProfile {
   /// Runtime kill switch; capture entry points become near-free loads.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-  /// True unless built with ERBIUM_DISABLE_WORKLOAD_PROFILE.
-  static constexpr bool CompiledIn() {
-#ifdef ERBIUM_DISABLE_WORKLOAD_PROFILE
-    return false;
-#else
-    return true;
-#endif
-  }
 
   /// Records one executed statement: its footprint (may be null for
   /// statements with no compiled plan) and its shape weighted by the wall
@@ -156,104 +139,43 @@ class WorkloadProfile {
   /// without perturbing it.
   void RecordStatement(const StatementFootprint* footprint,
                        const std::string& kind, const std::string& text,
-                       uint64_t wall_ns) {
-#ifndef ERBIUM_DISABLE_WORKLOAD_PROFILE
-    if (enabled()) RecordStatementImpl(footprint, kind, text, wall_ns);
-#else
-    (void)footprint, (void)kind, (void)text, (void)wall_ns;
-#endif
-  }
+                       uint64_t wall_ns);
 
   /// CRUD feed from the statement layer (api::StatementRunner), so
   /// internal bulk paths (REMAP migration, recovery replay, advisor
   /// candidate population) never pollute the captured workload.
-  void RecordEntityCrud(const std::string& entity, CrudKind kind) {
-#ifndef ERBIUM_DISABLE_WORKLOAD_PROFILE
-    if (enabled()) RecordEntityCrudImpl(entity, kind);
-#else
-    (void)entity, (void)kind;
-#endif
-  }
-  void RecordRelationshipCrud(const std::string& relationship, CrudKind kind) {
-#ifndef ERBIUM_DISABLE_WORKLOAD_PROFILE
-    if (enabled()) RecordRelationshipCrudImpl(relationship, kind);
-#else
-    (void)relationship, (void)kind;
-#endif
-  }
+  void RecordEntityCrud(const std::string& entity, CrudKind kind);
+  void RecordRelationshipCrud(const std::string& relationship, CrudKind kind);
 
   WorkloadSnapshot Snapshot() const;
 
-  /// Forgets everything captured so far (the Prometheus mirror counters,
-  /// being monotonic, are not rewound).
+  /// Forgets everything captured so far.
   void Clear();
 
   /// Snapshot().ToJson() — the EXPORT WORKLOAD INTO payload.
   std::string ToJson() const { return Snapshot().ToJson(); }
 
   /// Replaces the profile contents with a previously exported snapshot.
-  /// Loading S then exporting again reproduces S byte-for-byte. The
-  /// Prometheus mirror keeps counting live traffic only.
+  /// Loading S then exporting again reproduces S byte-for-byte.
   Status LoadJson(const std::string& json);
 
   static constexpr size_t kDefaultShapeCapacity = 128;
 
  private:
-  static constexpr size_t kShards = 8;
+  /// Adds one statement to `shape`'s entry, admitting or evicting at
+  /// capacity. Caller holds mu_.
+  void RecordShapeLocked(const std::string& shape, const std::string& kind,
+                         const std::string& sample, uint64_t wall_ns);
 
-  struct EntityState {
-    EntityAccess counts;
-    Counter c_scans, c_probes, c_join_sides, c_inserts, c_deletes, c_updates;
-  };
-  struct RelationshipState {
-    RelationshipAccess counts;
-    Counter c_joins, c_fused_scans, c_inserts, c_deletes;
-  };
-  struct AttributeState {
-    AttributeAccess counts;
-    Counter c_predicates, c_projections;
-  };
-  struct ShapeState {
-    std::string sample;
-    std::string kind;
-    uint64_t count = 0;
-    uint64_t total_wall_ns = 0;
-  };
-
-  /// One hash-sharded slice of the profile. A statement's touches are
-  /// applied name-by-name; each name locks only its own shard.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, EntityState> entities;
-    std::unordered_map<std::string, RelationshipState> relationships;
-    std::unordered_map<std::string, AttributeState> attributes;
-    std::unordered_map<std::string, ShapeState> shapes;
-  };
-
-  void RecordStatementImpl(const StatementFootprint* footprint,
-                           const std::string& kind, const std::string& text,
-                           uint64_t wall_ns);
-  void RecordEntityCrudImpl(const std::string& entity, CrudKind kind);
-  void RecordRelationshipCrudImpl(const std::string& relationship,
-                                  CrudKind kind);
-  void RecordShape(const std::string& shape, const std::string& kind,
-                   const std::string& sample, uint64_t wall_ns,
-                   uint64_t count);
-
-  Shard& ShardFor(const std::string& name);
-  EntityState& EntityStateLocked(Shard& shard, const std::string& name);
-  RelationshipState& RelationshipStateLocked(Shard& shard,
-                                             const std::string& name);
-  AttributeState& AttributeStateLocked(Shard& shard, const std::string& key);
-
-  MetricsRegistry* registry_;
-  size_t shape_capacity_;
-  size_t shapes_per_shard_;
+  const size_t shape_capacity_;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> statements_{0};
-  Counter c_statements_;
-  Gauge g_shapes_;
-  Shard shards_[kShards];
+
+  mutable std::mutex mu_;
+  uint64_t statements_ = 0;
+  std::map<std::string, EntityAccess> entities_;
+  std::map<std::string, RelationshipAccess> relationships_;
+  std::map<std::string, AttributeAccess> attributes_;  // key "Entity.attr"
+  std::unordered_map<std::string, WorkloadSnapshot::Shape> shapes_;  // by .shape
 };
 
 }  // namespace obs

@@ -69,14 +69,15 @@ struct ServerOptions {
 /// thread — so thousands of idle sessions are cheap.
 ///
 /// Statements run in one of two places. A plain SELECT whose plan is
-/// already cached and short (erql::CompiledQuery::short_plan) runs to
-/// completion on the loop thread itself, provided the statement lock is
-/// free to take shared at once (Session::TryExecuteInline); its response
-/// is encoded and flushed in the same loop turn. Everything else — plan
-/// cache misses, parallel or long plans, INSERT, DDL, REMAP, CHECKPOINT,
-/// EXPLAIN, TRACE, SHOW — goes to a small dedicated worker pool, whose
-/// responses come back through a completion queue (eventfd wakeup). The
-/// loop writes every response, buffered when the peer's window is full.
+/// already cached and short on the tables' current sizes (IsShortPlan,
+/// checked at checkout) runs to completion on the loop thread itself,
+/// provided the statement lock is free to take shared at once
+/// (Session::TryExecuteInline); its response is encoded and flushed in
+/// the same loop turn. Everything else — plan cache misses, parallel or
+/// long plans, INSERT, DDL, REMAP, CHECKPOINT, EXPLAIN, TRACE, SHOW —
+/// goes to a small dedicated worker pool, whose responses come back
+/// through a completion queue (eventfd wakeup). The loop writes every
+/// response, buffered when the peer's window is full.
 /// /metrics counts the two paths as server.statements.inline and
 /// server.statements.pooled; server.loop.lag_us covers pooled
 /// completions only.

@@ -59,21 +59,14 @@ Result<api::StatementOutcome> Session::Finish(
         " ms request deadline (took " + std::to_string(wall_ns / 1'000'000u) +
         " ms); result discarded");
   }
-  // Resolved once (a registry lookup takes its mutex), on first use, so
-  // a series appears only once it has something to count.
-  auto& metrics = obs::MetricsRegistry::Global();
-  static const obs::Counter requests = metrics.counter("server.requests");
-  static const obs::Histogram wall_us =
-      metrics.histogram("server.request.wall_us",
-                        {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000});
-  requests.Increment();
   bool failed = !outcome.ok();
   if (failed) {
+    // Resolved once (a registry lookup takes its mutex), on first use, so
+    // the series appears only once it has something to count.
     static const obs::Counter errors =
-        metrics.counter("server.request_errors");
+        obs::MetricsRegistry::Global().counter("server.request_errors");
     errors.Increment();
   }
-  wall_us.Observe(static_cast<double>(wall_ns) / 1000.0);
   obs::SessionRegistry::Global().Update(
       id_, [failed, statement](obs::SessionInfo* info) {
         if (statement != nullptr) info->last_statement = *statement;

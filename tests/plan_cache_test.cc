@@ -161,25 +161,23 @@ TEST(PlanCacheTest, ZeroIsHandledByOwnerNotCache) {
 TEST(PlanCacheTest, CheckoutShortServesOnlyShortPlansAndCountsOnlyHits) {
   PlanCache cache(4);
   uint64_t hits = Hits(), misses = Misses();
-  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // absent
-  auto long_plan = std::make_unique<CompiledQuery>();
-  cache.CheckIn("k", 1, std::move(long_plan));
-  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // pooled, not short
-  EXPECT_EQ(cache.CheckoutShort("k", 2), nullptr);  // stale generation
+  EXPECT_EQ(cache.CheckoutShort("k", 1, 4), nullptr);  // absent
+  // A plan that reads three rows: short under a threshold of 4, not 3.
+  auto plan = std::make_unique<CompiledQuery>();
+  plan->plan = std::make_unique<ValuesOp>(
+      std::vector<Column>{}, std::vector<Row>(3));
+  cache.CheckIn("k", 1, std::move(plan));
+  EXPECT_EQ(cache.CheckoutShort("k", 1, 3), nullptr);  // pooled, not short
+  EXPECT_EQ(cache.CheckoutShort("k", 2, 4), nullptr);  // stale generation
   // Declining touched neither the pool nor the counters.
   EXPECT_EQ(Hits(), hits);
   EXPECT_EQ(Misses(), misses);
   EXPECT_EQ(cache.size(), 1u);
-  auto plan = cache.Checkout("k", 1);
+
+  plan = cache.CheckoutShort("k", 1, 4);
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(Hits(), hits + 1);
-
-  plan->short_plan = true;
-  cache.CheckIn("k", 1, std::move(plan));
-  plan = cache.CheckoutShort("k", 1);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(Hits(), hits + 2);
-  EXPECT_EQ(cache.CheckoutShort("k", 1), nullptr);  // checked out
+  EXPECT_EQ(cache.CheckoutShort("k", 1, 4), nullptr);  // checked out
   EXPECT_EQ(Misses(), misses);
 }
 
@@ -540,28 +538,29 @@ TEST(PlanCacheOptionsTest, EnvChangesAfterCreateDoNotReshapePlans) {
 
 // ---- Short plans: what the server may run on its event loop ---------------
 
-TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
+TEST(ShortPlanTest, SerialPlansUnderTheThresholdAreShort) {
   std::shared_ptr<ERSchema> schema;
   Figure4Config config;
   config.num_r = 300;
   config.num_s = 100;
   auto db = MakeFigure4Database(Figure4M1(), config, &schema);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto short_plan = [&](const std::string& text, ExecOptions opts) {
+  auto is_short = [&](const std::string& text, ExecOptions opts) {
     auto compiled = QueryEngine::Compile(db->get(), text, opts);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    return compiled.ok() && compiled->short_plan;
+    return compiled.ok() &&
+           IsShortPlan(*compiled->plan, opts.parallel_row_threshold);
   };
   const std::string point = "SELECT r_a1 FROM R WHERE r_id = 7";
   const std::string scan = "SELECT r_id, r_mv1 FROM R WHERE r_a1 < 900";
   ExecOptions serial = ExecOptions::Serial();
-  EXPECT_TRUE(short_plan(point, serial));
-  EXPECT_TRUE(short_plan(scan, serial));
+  EXPECT_TRUE(is_short(point, serial));
+  EXPECT_TRUE(is_short(scan, serial));
   // Serial but over the threshold: the leaves (R and its r_mv1 side
   // table) estimate more rows than 100.
   serial.parallel_row_threshold = 100;
-  EXPECT_FALSE(short_plan(scan, serial));
-  EXPECT_TRUE(short_plan(point, serial));  // an index probe estimates 0
+  EXPECT_FALSE(is_short(scan, serial));
+  EXPECT_TRUE(is_short(point, serial));  // an index probe estimates 0
   // An index join reads its table once per input row, and a nested-loop
   // join tests every row pair: both count, though neither is a leaf.
   const std::string chain = "SELECT r_id, r_a1, r1_a1, r3_a1 FROM R3";
@@ -573,9 +572,9 @@ TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
   ASSERT_NE(RenderPlanTree(*chain_plan->plan).find("IndexJoin"),
             std::string::npos);
   serial.parallel_row_threshold = 3 * n;  // R3, then one probe each of R, R1
-  EXPECT_FALSE(short_plan(chain, serial));
+  EXPECT_FALSE(is_short(chain, serial));
   serial.parallel_row_threshold = 3 * n + 1;
-  EXPECT_TRUE(short_plan(chain, serial));
+  EXPECT_TRUE(is_short(chain, serial));
   const std::string theta =
       "SELECT r.r_id, s.s_id FROM R r JOIN S s ON r.r_a1 < s.s_a1";
   auto theta_plan = QueryEngine::Compile(db->get(), theta, serial);
@@ -583,7 +582,7 @@ TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
   ASSERT_NE(RenderPlanTree(*theta_plan->plan).find("NestedLoop"),
             std::string::npos);
   serial.parallel_row_threshold = 8192;  // 300 x 100 pairs exceed it
-  EXPECT_FALSE(short_plan(theta, serial));
+  EXPECT_FALSE(is_short(theta, serial));
   // A factorized join scan (M6 stores R2S1 as adjacency lists) counts
   // the edges it walks.
   std::shared_ptr<ERSchema> m6_schema;
@@ -601,7 +600,7 @@ TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
     ExecOptions opts = ExecOptions::Serial();
     opts.parallel_row_threshold = threshold;
     auto compiled = QueryEngine::Compile(m6->get(), walk, opts);
-    return compiled.ok() && compiled->short_plan;
+    return compiled.ok() && IsShortPlan(*compiled->plan, threshold);
   };
   EXPECT_FALSE(m6_short(edges->rows.size()));
   EXPECT_TRUE(m6_short(edges->rows.size() + 1));
@@ -612,7 +611,50 @@ TEST(ShortPlanTest, TranslateMarksSerialPlansUnderTheThreshold) {
   auto compiled = QueryEngine::Compile(db->get(), scan, parallel);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_NE(RenderPlanTree(*compiled->plan).find("Gather"), std::string::npos);
-  EXPECT_FALSE(compiled->short_plan);
+  EXPECT_FALSE(
+      IsShortPlan(*compiled->plan, parallel.parallel_row_threshold));
+}
+
+TEST(ShortPlanTest, TablesGrownAfterCachingSendThePlanOffTheLoop) {
+  std::shared_ptr<ERSchema> schema;
+  Figure4Config config;
+  config.num_r = 60;
+  config.num_s = 30;
+  auto db = MakeFigure4Database(Figure4M1(), config, &schema);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  PlanCache cache(16);
+  const ExecOptions serial = ExecOptions::Serial();
+  const std::string read = "SELECT r_id, r_a1 FROM R WHERE r_a1 < 100000";
+  auto first = QueryEngine::Execute(db->get(), read, serial, &cache, 1);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto small = QueryEngine::TryExecuteShort(db->get(), read, serial, &cache, 1);
+  ASSERT_TRUE(small.has_value());
+  ASSERT_TRUE(small->ok()) << small->status().ToString();
+  EXPECT_EQ((*small)->rows.size(), 60u);
+
+  constexpr int kGrowth = 20'000;
+  for (int i = 0; i < kGrowth; ++i) {
+    Value::StructData fields;
+    fields.emplace_back("r_id", Value::Int64(100'000 + i));
+    fields.emplace_back("r_a1", Value::Int64(1));
+    fields.emplace_back("r_a2", Value::Float64(0.5));
+    fields.emplace_back("r_a3", Value::String("g"));
+    fields.emplace_back("r_a4", Value::Int64(1));
+    ASSERT_TRUE(
+        (*db)->InsertEntity("R", Value::Struct(std::move(fields))).ok());
+  }
+  // The cached plan now reads more rows than the threshold: the loop
+  // declines it without counting anything, and the pool path serves it.
+  uint64_t hits = Hits(), misses = Misses();
+  EXPECT_FALSE(
+      QueryEngine::TryExecuteShort(db->get(), read, serial, &cache, 1)
+          .has_value());
+  EXPECT_EQ(Hits(), hits);
+  EXPECT_EQ(Misses(), misses);
+  auto grown = QueryEngine::Execute(db->get(), read, serial, &cache, 1);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ(grown->rows.size(), 60u + kGrowth);
+  EXPECT_EQ(Hits(), hits + 1);
 }
 
 TEST(ShortPlanTest, TryExecuteInlineRunsOnlyCachedShortSelects) {

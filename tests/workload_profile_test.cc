@@ -1,5 +1,5 @@
-// Tests for the live workload profiler: shape normalization, sharded
-// capture under concurrency, the JSON snapshot round trip, the engine
+// Tests for the live workload profiler: shape normalization, capture
+// under concurrency, the JSON snapshot round trip, the engine
 // and statement-runner feeds (SHOW WORKLOAD / EXPORT / LOAD / ADVISE),
 // and the parity of ADVISE with a hand-written advisor workload.
 
@@ -66,8 +66,7 @@ TEST(NormalizeShapeTest, UntokenizableTextFallsBackToWhitespaceCollapse) {
 // Capture into a private profile.
 
 TEST(WorkloadProfileTest, RecordsFootprintAndShapeCounts) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+  WorkloadProfile profile(32);
   StatementFootprint footprint = PointLookupFootprint();
   profile.RecordStatement(&footprint, "select",
                           "SELECT r_a1 FROM R WHERE r_id = 7", 1000);
@@ -91,8 +90,7 @@ TEST(WorkloadProfileTest, RecordsFootprintAndShapeCounts) {
 }
 
 TEST(WorkloadProfileTest, OnlyPlanExecutingKindsAreProfiled) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+  WorkloadProfile profile(32);
   StatementFootprint footprint = PointLookupFootprint();
   for (const char* kind : {"show", "export", "load", "advise", "checkpoint",
                            "attach", "invalid", "explain"}) {
@@ -108,8 +106,7 @@ TEST(WorkloadProfileTest, OnlyPlanExecutingKindsAreProfiled) {
 }
 
 TEST(WorkloadProfileTest, CrudFeedAndDisableSwitch) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+  WorkloadProfile profile(32);
   profile.RecordEntityCrud("R", CrudKind::kInsert);
   profile.RecordEntityCrud("R", CrudKind::kDelete);
   profile.RecordEntityCrud("R", CrudKind::kUpdate);
@@ -131,25 +128,24 @@ TEST(WorkloadProfileTest, CrudFeedAndDisableSwitch) {
   EXPECT_EQ(profile.Snapshot().statements, 0u);
 }
 
-TEST(WorkloadProfileTest, MirrorsIntoRegistryCounters) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+TEST(WorkloadProfileTest, StatementAndCrudFeedsLandInOneSnapshot) {
+  WorkloadProfile profile(32);
   StatementFootprint footprint = PointLookupFootprint();
   profile.RecordStatement(&footprint, "select",
                           "SELECT r_a1 FROM R WHERE r_id = 7", 1000);
   profile.RecordEntityCrud("S", CrudKind::kInsert);
 
-  EXPECT_EQ(registry.counter("workload.statements").Value(), 1u);
-  EXPECT_EQ(registry.counter("workload.entity.R.probes").Value(), 1u);
-  EXPECT_EQ(registry.counter("workload.entity.S.inserts").Value(), 1u);
-  EXPECT_EQ(registry.counter("workload.attr.R.r_id.predicates").Value(), 1u);
-  EXPECT_EQ(registry.counter("workload.attr.R.r_a1.projections").Value(), 1u);
-  EXPECT_EQ(registry.gauge("workload.shapes").Value(), 1);
+  WorkloadSnapshot snapshot = profile.Snapshot();
+  EXPECT_EQ(snapshot.statements, 1u);
+  EXPECT_EQ(snapshot.entities.at("R").probes, 1u);
+  EXPECT_EQ(snapshot.entities.at("S").inserts, 1u);
+  EXPECT_EQ(snapshot.attributes.at("R.r_id").predicates, 1u);
+  EXPECT_EQ(snapshot.attributes.at("R.r_a1").projections, 1u);
+  EXPECT_EQ(snapshot.shapes.size(), 1u);
 }
 
 TEST(WorkloadProfileTest, ShapeRingEvictsLightestKeepsHeaviest) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(8, &registry);  // 1 shape per shard
+  WorkloadProfile profile(8);
   // One heavy hitter, then a stream of one-off light shapes.
   profile.RecordStatement(nullptr, "select", "SELECT heavy FROM R",
                           1'000'000'000);
@@ -166,9 +162,33 @@ TEST(WorkloadProfileTest, ShapeRingEvictsLightestKeepsHeaviest) {
   EXPECT_EQ(snapshot.statements, 65u);
 }
 
+TEST(WorkloadProfileTest, CapacityHoldsThatManyDistinctShapes) {
+  // Capacity bounds the whole table: exactly `capacity` distinct shapes
+  // of equal weight must all be kept, however their names hash.
+  constexpr size_t kCapacity = WorkloadProfile::kDefaultShapeCapacity;
+  WorkloadProfile profile(kCapacity);
+  for (size_t i = 0; i < kCapacity; ++i) {
+    profile.RecordStatement(
+        nullptr, "select", "SELECT c" + std::to_string(i) + " FROM R", 100);
+  }
+  WorkloadSnapshot snapshot = profile.Snapshot();
+  EXPECT_EQ(snapshot.shapes.size(), kCapacity);
+  std::set<std::string> shapes;
+  for (const WorkloadSnapshot::Shape& shape : snapshot.shapes) {
+    shapes.insert(shape.shape);
+  }
+  for (size_t i = 0; i < kCapacity; ++i) {
+    EXPECT_EQ(shapes.count("select c" + std::to_string(i) + " from r"), 1u)
+        << "shape " << i << " was dropped";
+  }
+  // One more equal-weight newcomer is not heavier than any resident.
+  profile.RecordStatement(nullptr, "select", "SELECT extra FROM R", 100);
+  EXPECT_EQ(profile.Snapshot().shapes.size(), kCapacity);
+  EXPECT_EQ(profile.Snapshot().statements, kCapacity + 1);
+}
+
 TEST(WorkloadProfileTest, ClearForgetsEverything) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+  WorkloadProfile profile(32);
   StatementFootprint footprint = PointLookupFootprint();
   profile.RecordStatement(&footprint, "select", "SELECT 1 FROM R", 100);
   profile.RecordEntityCrud("R", CrudKind::kInsert);
@@ -177,17 +197,13 @@ TEST(WorkloadProfileTest, ClearForgetsEverything) {
   EXPECT_EQ(snapshot.statements, 0u);
   EXPECT_TRUE(snapshot.entities.empty());
   EXPECT_TRUE(snapshot.shapes.empty());
-  EXPECT_EQ(registry.gauge("workload.shapes").Value(), 0);
-  // The Prometheus mirror is monotonic and intentionally not rewound.
-  EXPECT_EQ(registry.counter("workload.statements").Value(), 1u);
 }
 
 // ---------------------------------------------------------------------
 // Concurrency: the capture hammer (run under TSan in CI).
 
 TEST(WorkloadProfileTest, ConcurrentCaptureHammer) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(64, &registry);
+  WorkloadProfile profile(64);
   constexpr int kThreads = 8;
   constexpr int kIterations = 2000;
   std::vector<std::thread> threads;
@@ -234,8 +250,7 @@ TEST(WorkloadProfileTest, ConcurrentCaptureHammer) {
 // JSON snapshot: deterministic, parseable, byte-identical round trip.
 
 TEST(WorkloadProfileTest, SnapshotJsonRoundTripsByteIdentically) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(32, &registry);
+  WorkloadProfile profile(32);
   StatementFootprint footprint = PointLookupFootprint();
   profile.RecordStatement(&footprint, "select",
                           "SELECT r_a1 FROM R WHERE r_id = 7", 1200);
@@ -259,8 +274,7 @@ TEST(WorkloadProfileTest, SnapshotJsonRoundTripsByteIdentically) {
   EXPECT_EQ(root.Find("shapes")->elements.size(), 2u);
 
   // Load into a fresh profile; re-export must be byte-identical.
-  MetricsRegistry registry2;
-  WorkloadProfile restored(32, &registry2);
+  WorkloadProfile restored(32);
   ASSERT_TRUE(restored.LoadJson(exported).ok());
   EXPECT_EQ(restored.ToJson(), exported);
 
@@ -271,20 +285,18 @@ TEST(WorkloadProfileTest, SnapshotJsonRoundTripsByteIdentically) {
 }
 
 TEST(WorkloadProfileTest, LoadJsonRejectsMalformedSnapshots) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(8, &registry);
+  WorkloadProfile profile(8);
   EXPECT_FALSE(profile.LoadJson("").ok());
   EXPECT_FALSE(profile.LoadJson("{}").ok());
   EXPECT_FALSE(profile.LoadJson("not json").ok());
   // Wrong version.
   EXPECT_FALSE(profile.LoadJson("{\"version\": 2}").ok());
   // Trailing garbage after a valid document.
-  std::string valid = WorkloadProfile(8, &registry).ToJson();
+  std::string valid = WorkloadProfile(8).ToJson();
   EXPECT_TRUE(profile.LoadJson(valid).ok());
   EXPECT_FALSE(profile.LoadJson(valid + "x").ok());
   // More shapes than this profile can hold.
-  MetricsRegistry big_registry;
-  WorkloadProfile big(64, &big_registry);
+  WorkloadProfile big(64);
   for (int i = 0; i < 32; ++i) {
     big.RecordStatement(nullptr, "select",
                         "SELECT c" + std::to_string(i) + " FROM R", 100);
