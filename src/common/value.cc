@@ -174,19 +174,4 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t ValueVectorHash::operator()(const std::vector<Value>& values) const {
-  size_t seed = 0x726f7773ULL;
-  for (const Value& v : values) seed = CombineHash(seed, v.Hash());
-  return seed;
-}
-
-bool ValueVectorEq::operator()(const std::vector<Value>& a,
-                               const std::vector<Value>& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace erbium

@@ -101,15 +101,6 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
-/// Hash/equality over composite keys (vectors of values).
-struct ValueVectorHash {
-  size_t operator()(const std::vector<Value>& values) const;
-};
-struct ValueVectorEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-};
-
 /// A row is simply a vector of values; schemas live beside the data.
 using Row = std::vector<Value>;
 

@@ -16,16 +16,10 @@ FactorizedPair::FactorizedPair(std::string name,
       left_columns_(std::move(left_columns)),
       right_columns_(std::move(right_columns)),
       left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)) {
+      right_key_(std::move(right_key)),
+      left_index_(left_key_.size()),
+      right_index_(right_key_.size()) {
   Publish();  // version 1: empty pair
-}
-
-IndexKey FactorizedPair::ExtractKey(const Row& row,
-                                    const std::vector<int>& cols) const {
-  IndexKey key;
-  key.reserve(cols.size());
-  for (int c : cols) key.push_back(row[c]);
-  return key;
 }
 
 void FactorizedPair::Publish() {
@@ -69,12 +63,15 @@ Result<uint32_t> FactorizedPair::InsertLeft(Row row) {
   if (row.size() != left_columns_.size()) {
     return Status::InvalidArgument("left row arity mismatch in " + name_);
   }
-  IndexKey key = ExtractKey(row, left_key_);
-  if (left_index_.count(key) > 0) {
+  IndexKey key = GatherKey(row, left_key_);
+  if (KeyHasNull(key.data(), key.size())) {
+    return Status::ConstraintViolation("null left key in " + name_);
+  }
+  if (Find(left_index_, key) >= 0) {
     return Status::ConstraintViolation("duplicate left key in " + name_);
   }
   uint32_t index = static_cast<uint32_t>(left_bank_.size());
-  left_index_.emplace(std::move(key), index);
+  left_index_.Add(key.data(), index);
   left_bank_.Append(std::make_shared<const Row>(std::move(row)));
   l2r_bank_.Append(std::make_shared<std::vector<uint32_t>>());
   Publish();
@@ -85,12 +82,15 @@ Result<uint32_t> FactorizedPair::InsertRight(Row row) {
   if (row.size() != right_columns_.size()) {
     return Status::InvalidArgument("right row arity mismatch in " + name_);
   }
-  IndexKey key = ExtractKey(row, right_key_);
-  if (right_index_.count(key) > 0) {
+  IndexKey key = GatherKey(row, right_key_);
+  if (KeyHasNull(key.data(), key.size())) {
+    return Status::ConstraintViolation("null right key in " + name_);
+  }
+  if (Find(right_index_, key) >= 0) {
     return Status::ConstraintViolation("duplicate right key in " + name_);
   }
   uint32_t index = static_cast<uint32_t>(right_bank_.size());
-  right_index_.emplace(std::move(key), index);
+  right_index_.Add(key.data(), index);
   right_bank_.Append(std::make_shared<const Row>(std::move(row)));
   r2l_bank_.Append(std::make_shared<std::vector<uint32_t>>());
   Publish();
@@ -143,7 +143,7 @@ Status FactorizedPair::EraseLeft(const IndexKey& key) {
   }
   l2r_bank_.Set(l, std::make_shared<std::vector<uint32_t>>());
   left_bank_.Set(l, nullptr);
-  left_index_.erase(key);
+  left_index_.Erase(key.data(), l);
   Publish();
   return Status::OK();
 }
@@ -159,19 +159,23 @@ Status FactorizedPair::EraseRight(const IndexKey& key) {
   }
   r2l_bank_.Set(r, std::make_shared<std::vector<uint32_t>>());
   right_bank_.Set(r, nullptr);
-  right_index_.erase(key);
+  right_index_.Erase(key.data(), r);
   Publish();
   return Status::OK();
 }
 
+int64_t FactorizedPair::Find(const KeyIndex& index, const IndexKey& key) {
+  if (key.size() != index.arity()) return -1;
+  RowId id = index.First(key.data());
+  return id == KeyIndex::kNoRow ? -1 : static_cast<int64_t>(id);
+}
+
 int64_t FactorizedPair::FindLeft(const IndexKey& key) const {
-  auto it = left_index_.find(key);
-  return it == left_index_.end() ? -1 : static_cast<int64_t>(it->second);
+  return Find(left_index_, key);
 }
 
 int64_t FactorizedPair::FindRight(const IndexKey& key) const {
-  auto it = right_index_.find(key);
-  return it == right_index_.end() ? -1 : static_cast<int64_t>(it->second);
+  return Find(right_index_, key);
 }
 
 Status FactorizedPair::UpdateLeft(const IndexKey& key, Row row) {
@@ -180,7 +184,7 @@ Status FactorizedPair::UpdateLeft(const IndexKey& key, Row row) {
   if (row.size() != left_columns_.size()) {
     return Status::InvalidArgument("left row arity mismatch in " + name_);
   }
-  if (!ValueVectorEq()(ExtractKey(row, left_key_), key)) {
+  if (!KeyEquals(GatherKey(row, left_key_).data(), key.data(), key.size())) {
     return Status::InvalidArgument(
         "key change not allowed through UpdateLeft in " + name_);
   }
@@ -197,7 +201,8 @@ Status FactorizedPair::UpdateRight(const IndexKey& key, Row row) {
   if (row.size() != right_columns_.size()) {
     return Status::InvalidArgument("right row arity mismatch in " + name_);
   }
-  if (!ValueVectorEq()(ExtractKey(row, right_key_), key)) {
+  if (!KeyEquals(GatherKey(row, right_key_).data(), key.data(),
+                 key.size())) {
     return Status::InvalidArgument(
         "key change not allowed through UpdateRight in " + name_);
   }

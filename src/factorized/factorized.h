@@ -4,13 +4,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
 #include "exec/aggregate.h"
 #include "exec/operator.h"
+#include "storage/index.h"
 #include "storage/schema.h"
 #include "storage/versioned_bank.h"
 
@@ -57,8 +57,8 @@ struct PairVersion {
 ///
 /// Concurrency contract mirrors Table: one writer at a time (the owning
 /// entity/relationship set's lock domain serializes mutators), any number
-/// of readers through PinVersion(). The key→slot hash maps are
-/// writer-only state — reader operators never touch them.
+/// of readers through PinVersion(). The key→slot indexes are writer-only
+/// state — reader operators never touch them.
 class FactorizedPair {
  public:
   using VersionType = PairVersion;
@@ -95,8 +95,9 @@ class FactorizedPair {
     return *r2l_bank_.Get(right_index);
   }
 
-  /// Inserts a row on one side; duplicate keys are rejected (sides hold
-  /// entities, which are keyed). Returns the side-local index.
+  /// Inserts a row on one side; duplicate and null-bearing keys are
+  /// rejected (sides hold entities, which are keyed). Returns the
+  /// side-local index.
   Result<uint32_t> InsertLeft(Row row);
   Result<uint32_t> InsertRight(Row row);
 
@@ -121,7 +122,8 @@ class FactorizedPair {
   size_t ApproximateDataBytes() const;
 
  private:
-  IndexKey ExtractKey(const Row& row, const std::vector<int>& cols) const;
+  /// Side-local index of `key` in one side's key index; -1 when absent.
+  static int64_t Find(const KeyIndex& index, const IndexKey& key);
 
   /// Swaps in a fresh PairVersion reflecting the working state. Called at
   /// the end of every successful mutation, before the mutator returns.
@@ -151,10 +153,9 @@ class FactorizedPair {
   mutable std::mutex version_mu_;
   std::shared_ptr<const PairVersion> current_;
 
-  std::unordered_map<IndexKey, uint32_t, ValueVectorHash, ValueVectorEq>
-      left_index_;
-  std::unordered_map<IndexKey, uint32_t, ValueVectorHash, ValueVectorEq>
-      right_index_;
+  /// Key → side-local index (one posting per live key).
+  KeyIndex left_index_;
+  KeyIndex right_index_;
 };
 
 /// Operator that enumerates the stored join by pointer chasing: output is

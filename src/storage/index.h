@@ -2,15 +2,11 @@
 #define ERBIUM_STORAGE_INDEX_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
-#include "common/status.h"
+#include "common/key_table.h"
 #include "common/value.h"
-#include "obs/metrics.h"
 
 namespace erbium {
 
@@ -20,106 +16,61 @@ using RowId = uint64_t;
 
 using IndexKey = std::vector<Value>;
 
-/// Abstract secondary/primary index over a subset of a table's columns.
-/// The table drives maintenance: it extracts the key columns and calls
-/// Insert/Erase as rows change.
-class Index {
+/// Hash index from composite keys of `arity` values to row ids: a
+/// KeyTable of distinct keys plus a postings list per key entry. The
+/// first posting of an entry lives beside it; further ones are chained
+/// through one shared node arena with a free list, so no key or posting
+/// allocates on its own.
+///
+/// Postings keep multiplicity: Add of a (key, id) pair already present
+/// posts it again and Erase removes one occurrence. A table's deferred
+/// erasure relies on this — a row whose key flips A→B→A while a version
+/// is pinned holds (A, id) twice until the queued erase drops one copy.
+///
+/// Keys with a null component are never indexed (SQL semantics: null
+/// never equals null). An entry whose postings empty out stays in the
+/// KeyTable; once such dead entries reach half the table, it is rebuilt
+/// from the stored hashes, so delete churn cannot grow it without bound.
+///
+/// Not synchronized: the owner serializes Add/Erase against probes.
+class KeyIndex {
  public:
-  Index(std::string name, std::vector<int> columns, bool unique)
-      : name_(std::move(name)),
-        columns_(std::move(columns)),
-        unique_(unique),
-        probes_(obs::MetricsRegistry::Global().counter("index." + name_ +
-                                                       ".probes")) {}
-  virtual ~Index() = default;
+  static constexpr RowId kNoRow = std::numeric_limits<RowId>::max();
 
-  Index(const Index&) = delete;
-  Index& operator=(const Index&) = delete;
+  explicit KeyIndex(size_t arity) : keys_(arity) {}
 
-  const std::string& name() const { return name_; }
-  const std::vector<int>& columns() const { return columns_; }
-  bool unique() const { return unique_; }
+  size_t arity() const { return keys_.arity(); }
+  /// Number of (key, id) postings, counting duplicates.
+  size_t size() const { return postings_; }
+  /// Key entries held, dead ones included (bounded by ~2x the live keys).
+  size_t entry_count() const { return keys_.size(); }
 
-  /// Adds an entry unconditionally. Uniqueness is enforced by the owning
-  /// Table against live row state — under deferred (epoch-based) erasure
-  /// the index may legitimately hold stale entries for a key, so the
-  /// index itself cannot police duplicates. Keys containing nulls are not
-  /// indexed (SQL semantics: null never equals null).
-  virtual void Add(const IndexKey& key, RowId id) = 0;
-  virtual void Erase(const IndexKey& key, RowId id) = 0;
-
-  /// Appends all row ids with the exact key.
-  virtual void Lookup(const IndexKey& key, std::vector<RowId>* out) const = 0;
-
-  /// True if the exact key exists.
-  virtual bool Contains(const IndexKey& key) const = 0;
-
-  virtual size_t size() const = 0;
-
-  /// Whether a key participates in the index (no null components).
-  static bool IsIndexableKey(const IndexKey& key);
-
-  /// Merged probe count ("index.<name>.probes"): point lookups, existence
-  /// checks, and range scans served by this index.
-  uint64_t probes() const { return probes_.Value(); }
-
- protected:
-  void CountProbe() const { probes_.Increment(); }
+  void Add(const Value* key, RowId id);
+  /// Removes one occurrence of (key, id); absent pairs are ignored.
+  void Erase(const Value* key, RowId id);
+  /// Appends every id posted under `key`, duplicates included.
+  void Lookup(const Value* key, std::vector<RowId>* out) const;
+  /// One id posted under `key`, or kNoRow.
+  RowId First(const Value* key) const;
 
  private:
-  std::string name_;
-  std::vector<int> columns_;
-  bool unique_;
-  obs::Counter probes_;
-};
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
 
-/// Hash index: O(1) point lookups, no range support.
-class HashIndex : public Index {
- public:
-  using Index::Index;
-
-  void Add(const IndexKey& key, RowId id) override;
-  void Erase(const IndexKey& key, RowId id) override;
-  void Lookup(const IndexKey& key, std::vector<RowId>* out) const override;
-  bool Contains(const IndexKey& key) const override;
-  size_t size() const override { return map_.size(); }
-
- private:
-  std::unordered_multimap<IndexKey, RowId, ValueVectorHash, ValueVectorEq>
-      map_;
-};
-
-/// Ordered index: point lookups plus range scans, backed by a multimap
-/// over the Value total order.
-class OrderedIndex : public Index {
- public:
-  using Index::Index;
-
-  void Add(const IndexKey& key, RowId id) override;
-  void Erase(const IndexKey& key, RowId id) override;
-  void Lookup(const IndexKey& key, std::vector<RowId>* out) const override;
-  bool Contains(const IndexKey& key) const override;
-  size_t size() const override { return map_.size(); }
-
-  /// Appends ids for keys in [lo, hi]; either bound may be empty (vector of
-  /// size 0) meaning unbounded on that side. `lo_inclusive`/`hi_inclusive`
-  /// control open vs closed ends.
-  void LookupRange(const IndexKey& lo, bool lo_inclusive, const IndexKey& hi,
-                   bool hi_inclusive, std::vector<RowId>* out) const;
-
- private:
-  struct KeyLess {
-    bool operator()(const IndexKey& a, const IndexKey& b) const {
-      size_t n = std::min(a.size(), b.size());
-      for (size_t i = 0; i < n; ++i) {
-        int c = a[i].Compare(b[i]);
-        if (c != 0) return c < 0;
-      }
-      return a.size() < b.size();
-    }
+  struct Posting {
+    RowId id;       // kNoRow in a head: the entry is dead
+    uint32_t next;  // next node in overflow_, or kEnd
   };
 
-  std::multimap<IndexKey, RowId, KeyLess> map_;
+  const Posting* Head(const Value* key) const;
+  /// Rebuilds keys_ and the postings with only the live entries.
+  void Compact();
+
+  KeyTable keys_;
+  std::vector<Posting> heads_;     // one per key entry
+  std::vector<Posting> overflow_;  // chained further postings
+  uint32_t free_ = kEnd;           // free list through overflow_
+  size_t postings_ = 0;
+  size_t dead_ = 0;
 };
 
 }  // namespace erbium

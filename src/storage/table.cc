@@ -1,9 +1,20 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace erbium {
+
+namespace {
+
+bool RowMatchesKey(const Row& row, const std::vector<int>& column_indexes,
+                   const IndexKey& key) {
+  for (size_t i = 0; i < column_indexes.size(); ++i) {
+    if (!KeyEquals(&row[column_indexes[i]], &key[i], 1)) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -13,13 +24,14 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   Publish();  // version 1: the empty table
 }
 
-IndexKey Table::ExtractKey(const Row& row,
-                           const std::vector<int>& columns) const {
-  IndexKey key;
-  key.reserve(columns.size());
-  for (int c : columns) key.push_back(row[c]);
-  return key;
-}
+Table::TableIndex::TableIndex(std::string name, std::vector<int> columns,
+                              bool unique)
+    : name(std::move(name)),
+      columns(std::move(columns)),
+      unique(unique),
+      probes(obs::MetricsRegistry::Global().counter("index." + this->name +
+                                                    ".probes")),
+      entries(this->columns.size()) {}
 
 const Row& Table::row(RowId id) const {
   static const Row kDeadRow;
@@ -27,18 +39,12 @@ const Row& Table::row(RowId id) const {
   return r != nullptr ? *r : kDeadRow;
 }
 
-bool Table::HasLiveDuplicate(const Index& index, const IndexKey& key,
-                             RowId self) const {
-  std::vector<RowId> candidates;
-  index.Lookup(key, &candidates);
-  for (RowId id : candidates) {
-    if (id == self) continue;
-    const Row* r = bank_.Get(id);
-    if (r == nullptr) continue;  // tombstoned or not yet appended
-    // Deferred erasure: a candidate may carry a *different* key now.
-    if (ValueVectorEq()(ExtractKey(*r, index.columns()), key)) return true;
-  }
-  return false;
+bool Table::HasLiveDuplicate(const std::vector<int>& columns,
+                             const IndexKey& key, RowId self) const {
+  std::vector<RowId> ids;
+  LookupEqual(columns, key, &ids);
+  return std::any_of(ids.begin(), ids.end(),
+                     [self](RowId id) { return id != self; });
 }
 
 void Table::Publish() {
@@ -72,13 +78,13 @@ void Table::Publish() {
   while (!pending_erases_.empty() &&
          pending_erases_.front().epoch < min_live) {
     PendingErase& pending = pending_erases_.front();
-    pending.index->Erase(pending.key, pending.id);
+    pending.index->entries.Erase(pending.key.data(), pending.id);
     pending_erases_.pop_front();
   }
 }
 
-void Table::DeferErase(Index* index, IndexKey key, RowId id) {
-  if (!Index::IsIndexableKey(key)) return;  // never entered the index
+void Table::DeferErase(TableIndex* index, IndexKey key, RowId id) {
+  if (KeyHasNull(key.data(), key.size())) return;  // never entered the index
   pending_erases_.push_back(PendingErase{epoch_, index, std::move(key), id});
 }
 
@@ -88,12 +94,12 @@ Result<RowId> Table::Insert(Row row) {
   // Check unique constraints against live working state before mutating
   // anything (the index alone may hold stale entries).
   for (const auto& index : indexes_) {
-    if (!index->unique()) continue;
-    IndexKey key = ExtractKey(row, index->columns());
-    if (Index::IsIndexableKey(key) &&
-        HasLiveDuplicate(*index, key, static_cast<RowId>(-1))) {
+    if (!index->unique) continue;
+    IndexKey key = GatherKey(row, index->columns);
+    if (!KeyHasNull(key.data(), key.size()) &&
+        HasLiveDuplicate(index->columns, key, KeyIndex::kNoRow)) {
       return Status::ConstraintViolation("duplicate key in unique index " +
-                                         index->name() + " of table " +
+                                         index->name + " of table " +
                                          name());
     }
   }
@@ -101,7 +107,7 @@ Result<RowId> Table::Insert(Row row) {
   {
     std::unique_lock<std::shared_mutex> lock(index_mu_);
     for (const auto& index : indexes_) {
-      index->Add(ExtractKey(row, index->columns()), id);
+      index->entries.Add(GatherKey(row, index->columns).data(), id);
     }
   }
   bank_.Append(std::make_shared<const Row>(std::move(row)));
@@ -120,31 +126,27 @@ Status Table::Update(RowId id, Row row) {
   }
   ERBIUM_RETURN_NOT_OK(schema_.ValidateRow(row));
   for (const auto& index : indexes_) {
-    if (!index->unique()) continue;
-    IndexKey new_key = ExtractKey(row, index->columns());
-    if (!Index::IsIndexableKey(new_key)) continue;
-    if (ValueVectorEq()(new_key, ExtractKey(*old_row, index->columns()))) {
-      continue;
-    }
-    if (HasLiveDuplicate(*index, new_key, id)) {
+    if (!index->unique) continue;
+    IndexKey new_key = GatherKey(row, index->columns);
+    if (KeyHasNull(new_key.data(), new_key.size())) continue;
+    if (RowMatchesKey(*old_row, index->columns, new_key)) continue;
+    if (HasLiveDuplicate(index->columns, new_key, id)) {
       return Status::ConstraintViolation("duplicate key in unique index " +
-                                         index->name() + " of table " +
+                                         index->name + " of table " +
                                          name());
     }
   }
   {
     std::unique_lock<std::shared_mutex> lock(index_mu_);
     for (const auto& index : indexes_) {
-      IndexKey old_key = ExtractKey(*old_row, index->columns());
-      IndexKey new_key = ExtractKey(row, index->columns());
+      IndexKey new_key = GatherKey(row, index->columns);
       // Unchanged key: the existing entry stays valid; adding again would
-      // duplicate it and the deferred erase would then remove the wrong
-      // (identical) copy.
-      if (ValueVectorEq()(old_key, new_key)) continue;
-      index->Add(new_key, id);
+      // post it twice for one live row.
+      if (RowMatchesKey(*old_row, index->columns, new_key)) continue;
+      index->entries.Add(new_key.data(), id);
       // Deferring outside the lock is fine (writer-only queue), but the
       // key was extracted from *old_row which Set() below invalidates.
-      DeferErase(index.get(), std::move(old_key), id);
+      DeferErase(index.get(), GatherKey(*old_row, index->columns), id);
     }
   }
   bank_.Set(id, std::make_shared<const Row>(std::move(row)));
@@ -161,7 +163,7 @@ Status Table::Delete(RowId id) {
                             std::to_string(id) + " in table " + name());
   }
   for (const auto& index : indexes_) {
-    DeferErase(index.get(), ExtractKey(*old_row, index->columns()), id);
+    DeferErase(index.get(), GatherKey(*old_row, index->columns), id);
   }
   bank_.Set(id, nullptr);
   --live_count_;
@@ -172,10 +174,12 @@ Status Table::Delete(RowId id) {
 
 Status Table::CreateIndex(const std::string& index_name,
                           const std::vector<std::string>& column_names,
-                          bool unique, bool ordered) {
+                          bool unique) {
   WriterCheck::Scope write_scope(&writer_check_, "Table (CreateIndex)");
-  if (FindIndexByName(index_name) != nullptr) {
-    return Status::AlreadyExists("index " + index_name + " already exists");
+  for (const auto& index : indexes_) {
+    if (index->name == index_name) {
+      return Status::AlreadyExists("index " + index_name + " already exists");
+    }
   }
   std::vector<int> columns;
   for (const std::string& column_name : column_names) {
@@ -186,110 +190,84 @@ Status Table::CreateIndex(const std::string& index_name,
     }
     columns.push_back(idx);
   }
-  std::unique_ptr<Index> index;
-  if (ordered) {
-    index = std::make_unique<OrderedIndex>(index_name, columns, unique);
-  } else {
-    index = std::make_unique<HashIndex>(index_name, columns, unique);
-  }
+  auto index =
+      std::make_unique<TableIndex>(index_name, std::move(columns), unique);
   for (RowId id = 0; id < bank_.size(); ++id) {
     const Row* r = bank_.Get(id);
     if (r == nullptr) continue;
-    IndexKey key = ExtractKey(*r, columns);
-    if (unique && Index::IsIndexableKey(key) && index->Contains(key)) {
-      return Status::ConstraintViolation("duplicate key in unique index " +
-                                         index_name + " of table " + name());
+    IndexKey key = GatherKey(*r, index->columns);
+    if (unique && !KeyHasNull(key.data(), key.size())) {
+      index->probes.Increment();
+      if (index->entries.First(key.data()) != KeyIndex::kNoRow) {
+        return Status::ConstraintViolation("duplicate key in unique index " +
+                                           index_name + " of table " +
+                                           name());
+      }
     }
-    index->Add(std::move(key), id);
+    index->entries.Add(key.data(), id);
   }
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   indexes_.push_back(std::move(index));
   return Status::OK();
 }
 
-const Index* Table::FindIndex(const std::vector<int>& column_indexes) const {
+const Table::TableIndex* Table::FindIndex(
+    const std::vector<int>& column_indexes) const {
   for (const auto& index : indexes_) {
-    if (index->columns() == column_indexes) return index.get();
+    if (index->columns == column_indexes) return index.get();
   }
   return nullptr;
 }
 
-const Index* Table::FindIndexByName(const std::string& index_name) const {
-  for (const auto& index : indexes_) {
-    if (index->name() == index_name) return index.get();
-  }
-  return nullptr;
-}
-
-namespace {
-
-bool RowMatchesKey(const Row& row, const std::vector<int>& column_indexes,
-                   const IndexKey& key) {
-  for (size_t i = 0; i < column_indexes.size(); ++i) {
-    if (row[column_indexes[i]] != key[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void Table::LookupEqual(const std::vector<int>& column_indexes,
-                        const IndexKey& key, std::vector<RowId>* out) const {
-  const Index* index = FindIndex(column_indexes);
-  if (index != nullptr) {
-    std::vector<RowId> candidates;
-    index->Lookup(key, &candidates);
-    // Deferred erasure can leave duplicate (key, id) entries and stale
-    // candidates: dedupe, then verify liveness and the key itself.
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (RowId id : candidates) {
-      const Row* r = bank_.Get(id);
-      if (r != nullptr && RowMatchesKey(*r, column_indexes, key)) {
-        out->push_back(id);
-      }
+template <typename RowAt>
+void Table::LookupRows(const std::vector<int>& column_indexes,
+                       const IndexKey& key, size_t bound, const RowAt& row_at,
+                       std::vector<RowId>* out) const {
+  if (key.size() != column_indexes.size()) return;
+  auto matches = [&](RowId id) {
+    const Row* r = row_at(id);
+    return r != nullptr && RowMatchesKey(*r, column_indexes, key);
+  };
+  const TableIndex* index = FindIndex(column_indexes);
+  if (index == nullptr) {
+    for (RowId id = 0; id < bound; ++id) {
+      if (matches(id)) out->push_back(id);
     }
     return;
   }
-  for (RowId id = 0; id < bank_.size(); ++id) {
-    const Row* r = bank_.Get(id);
-    if (r != nullptr && RowMatchesKey(*r, column_indexes, key)) {
-      out->push_back(id);
-    }
+  std::vector<RowId> candidates;
+  index->probes.Increment();
+  {
+    std::shared_lock<std::shared_mutex> lock(index_mu_);
+    index->entries.Lookup(key.data(), &candidates);
   }
+  // Deferred erasure leaves stale candidates and can post one (key, id)
+  // twice: dedupe, then verify liveness and the key itself against the
+  // row view.
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  for (RowId id : candidates) {
+    if (matches(id)) out->push_back(id);
+  }
+}
+
+void Table::LookupEqual(const std::vector<int>& column_indexes,
+                        const IndexKey& key, std::vector<RowId>* out) const {
+  LookupRows(
+      column_indexes, key, bank_.size(),
+      [this](RowId id) { return bank_.Get(id); }, out);
 }
 
 void Table::LookupEqualIn(const TableVersion& version,
                           const std::vector<int>& column_indexes,
                           const IndexKey& key, std::vector<RowId>* out) const {
-  const Index* index = FindIndex(column_indexes);
-  if (index != nullptr) {
-    std::vector<RowId> candidates;
-    {
-      std::shared_lock<std::shared_mutex> lock(index_mu_);
-      index->Lookup(key, &candidates);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (RowId id : candidates) {
-      // The version filter makes the probe snapshot-exact: entries for
-      // rows born after the pin fall outside `bound`, tombstones are
-      // null, and stale entries fail the key comparison.
-      const Row* r = version.row(id);
-      if (r != nullptr && RowMatchesKey(*r, column_indexes, key)) {
-        out->push_back(id);
-      }
-    }
-    return;
-  }
-  for (RowId id = 0; id < version.slot_count(); ++id) {
-    const Row* r = version.row(id);
-    if (r != nullptr && RowMatchesKey(*r, column_indexes, key)) {
-      out->push_back(id);
-    }
-  }
+  // The version filter makes the probe snapshot-exact: entries for rows
+  // born after the pin fall outside its bound, tombstones are null, and
+  // stale entries fail the key comparison.
+  LookupRows(
+      column_indexes, key, version.slot_count(),
+      [&version](RowId id) { return version.row(id); }, out);
 }
 
 size_t ApproximateValueBytes(const Value& v) {

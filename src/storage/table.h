@@ -13,6 +13,7 @@
 #include "common/reentrant_check.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "obs/metrics.h"
 #include "storage/index.h"
 #include "storage/schema.h"
 #include "storage/versioned_bank.h"
@@ -105,24 +106,11 @@ class Table {
   /// Tombstones the row at `id` (must be live); index erasure deferred.
   Status Delete(RowId id);
 
-  /// Creates an index over the named columns, backfilling existing rows.
-  /// `ordered` selects OrderedIndex (range support) over HashIndex.
-  /// Exclusive contexts only (schema build / DDL barrier).
+  /// Creates a hash index over the named columns, backfilling existing
+  /// rows. Exclusive contexts only (schema build / DDL barrier).
   Status CreateIndex(const std::string& index_name,
-                     const std::vector<std::string>& column_names, bool unique,
-                     bool ordered = false);
-
-  /// Finds an index whose column list is exactly `column_indexes`
-  /// (order-sensitive). Returns nullptr if none. The index *set* is
-  /// frozen outside DDL barriers, so concurrent lookup is safe; probing
-  /// the returned index's contents requires LookupEqual/LookupEqualIn.
-  const Index* FindIndex(const std::vector<int>& column_indexes) const;
-  /// Finds an index by name. Returns nullptr if none.
-  const Index* FindIndexByName(const std::string& index_name) const;
-
-  const std::vector<std::unique_ptr<Index>>& indexes() const {
-    return indexes_;
-  }
+                     const std::vector<std::string>& column_names,
+                     bool unique);
 
   /// Point lookup against *working* state — writer/exclusive contexts
   /// only. Falls back to a full scan when no matching index exists.
@@ -145,18 +133,38 @@ class Table {
   size_t ApproximateDataBytes() const;
 
  private:
-  IndexKey ExtractKey(const Row& row, const std::vector<int>& columns) const;
-  /// True when a live working row other than `self` carries `key` in the
-  /// index's columns (uniqueness must be checked against live state —
-  /// the index alone can hold stale and not-yet-visible entries).
-  bool HasLiveDuplicate(const Index& index, const IndexKey& key,
+  /// One index: its key entries plus the metadata the table checks.
+  struct TableIndex {
+    TableIndex(std::string name, std::vector<int> columns, bool unique);
+
+    std::string name;
+    std::vector<int> columns;
+    bool unique;
+    obs::Counter probes;  // "index.<name>.probes": lookups served
+    KeyIndex entries;
+  };
+
+  /// The index whose column list is exactly `column_indexes`
+  /// (order-sensitive), or nullptr. The index *set* is frozen outside
+  /// DDL barriers, so this needs no lock.
+  const TableIndex* FindIndex(const std::vector<int>& column_indexes) const;
+  /// Shared body of LookupEqual and LookupEqualIn; `row_at(id)` yields
+  /// the row visible at `id` (nullptr when dead) for ids below `bound`.
+  template <typename RowAt>
+  void LookupRows(const std::vector<int>& column_indexes, const IndexKey& key,
+                  size_t bound, const RowAt& row_at,
+                  std::vector<RowId>* out) const;
+  /// True when a live working row other than `self` carries `key` in
+  /// `columns` (uniqueness must be checked against live state — the
+  /// index alone can hold stale and not-yet-visible entries).
+  bool HasLiveDuplicate(const std::vector<int>& columns, const IndexKey& key,
                         RowId self) const;
   /// Publishes the working state as a new immutable version and sweeps
   /// deferred index erasures whose rows no pinned version can see.
   void Publish();
   /// Queues (key, id) for erasure from `index` once every version
   /// published up to now (epoch <= current) is unpinned.
-  void DeferErase(Index* index, IndexKey key, RowId id);
+  void DeferErase(TableIndex* index, IndexKey key, RowId id);
 
   TableSchema schema_;
   CowBank<Row> bank_;       // working row state (single writer)
@@ -171,18 +179,17 @@ class Table {
   std::atomic<size_t> published_slots_{0};
   std::atomic<size_t> published_live_{0};
 
-  /// Index contents: reader probes lock shared, writer entry mutations
-  /// (Add / swept Erase) lock unique. The writer's own probes are
-  /// unlocked — only the single writer mutates entries.
+  /// Index contents: probes lock shared, writer entry mutations (Add /
+  /// swept Erase) lock unique.
   mutable std::shared_mutex index_mu_;
-  std::vector<std::unique_ptr<Index>> indexes_;
+  std::vector<std::unique_ptr<TableIndex>> indexes_;
 
   /// Epoch-based index reclamation (writer-thread only): erasures queued
   /// FIFO with the epoch whose readers may still need the entry, applied
   /// once the minimum pinned epoch passes it.
   struct PendingErase {
     uint64_t epoch;
-    Index* index;
+    TableIndex* index;
     IndexKey key;
     RowId id;
   };

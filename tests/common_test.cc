@@ -9,6 +9,7 @@
 #include <future>
 #include <thread>
 
+#include "common/key_table.h"
 #include "common/lexer.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -133,9 +134,20 @@ TEST(ValueTest, VectorHashAndEq) {
   std::vector<Value> a{Value::Int64(1), Value::String("x")};
   std::vector<Value> b{Value::Int64(1), Value::String("x")};
   std::vector<Value> c{Value::Int64(1), Value::String("y")};
-  EXPECT_TRUE(ValueVectorEq()(a, b));
-  EXPECT_FALSE(ValueVectorEq()(a, c));
-  EXPECT_EQ(ValueVectorHash()(a), ValueVectorHash()(b));
+  EXPECT_TRUE(KeyEquals(a.data(), b.data(), 2));
+  EXPECT_FALSE(KeyEquals(a.data(), c.data(), 2));
+  EXPECT_EQ(HashKey(a.data(), 2), HashKey(b.data(), 2));
+  // Equal across numeric kinds and signed zeros, so equal hashes too.
+  std::vector<Value> d{Value::Float64(1.0), Value::String("x")};
+  EXPECT_TRUE(KeyEquals(a.data(), d.data(), 2));
+  EXPECT_EQ(HashKey(a.data(), 2), HashKey(d.data(), 2));
+  Value zero = Value::Float64(0.0);
+  Value negative_zero = Value::Float64(-0.0);
+  EXPECT_TRUE(KeyEquals(&zero, &negative_zero, 1));
+  EXPECT_EQ(HashKey(&zero, 1), HashKey(&negative_zero, 1));
+  Value null = Value::Null();
+  EXPECT_TRUE(KeyHasNull(&null, 1));
+  EXPECT_FALSE(KeyHasNull(a.data(), 2));
 }
 
 TEST(LexerTest, TokenKinds) {

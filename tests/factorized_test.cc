@@ -46,6 +46,30 @@ TEST(FactorizedPairTest, InsertConnectLookup) {
   EXPECT_LT(pair.FindRight({Value::Int64(2)}), 0);
 }
 
+TEST(FactorizedPairTest, KeysMatchAcrossNumericKindsAndSignedZero) {
+  FactorizedPair pair = MakePair();
+  auto left = pair.InsertLeft(IntRow({2, 10}));
+  ASSERT_TRUE(left.ok());
+  auto right = pair.InsertRight({Value::Float64(0.0), Value::Int64(70)});
+  ASSERT_TRUE(right.ok());
+  EXPECT_EQ(pair.FindLeft({Value::Float64(2.0)}), *left);
+  EXPECT_EQ(pair.FindRight({Value::Float64(-0.0)}), *right);
+  EXPECT_EQ(pair.InsertRight({Value::Float64(-0.0), Value::Int64(71)})
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  // Null keys are never indexed, so they are rejected up front.
+  EXPECT_EQ(pair.InsertLeft({Value::Null(), Value::Int64(1)}).status().code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(pair.FindLeft({Value::Int64(2), Value::Int64(10)}), -1);
+  // An erased key can be inserted again, into a new slot.
+  ASSERT_TRUE(pair.EraseLeft({Value::Int64(2)}).ok());
+  EXPECT_EQ(pair.FindLeft({Value::Int64(2)}), -1);
+  auto again = pair.InsertLeft(IntRow({2, 11}));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(pair.FindLeft({Value::Float64(2.0)}), *again);
+}
+
 TEST(FactorizedPairTest, JoinScanEnumeratesEdges) {
   FactorizedPair pair = MakePair();
   ASSERT_TRUE(pair.InsertLeft(IntRow({1, 10})).ok());

@@ -3,7 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <map>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "storage/catalog.h"
+#include "storage/index.h"
 
 namespace erbium {
 namespace {
@@ -133,24 +143,223 @@ TEST(TableTest, BackfillingIndexCreation) {
   EXPECT_FALSE(dup_table.CreateIndex("u", {"a"}, true).ok());
 }
 
-TEST(OrderedIndexTest, RangeLookups) {
-  OrderedIndex index("ord", {0}, /*unique=*/false);
-  for (int i = 0; i < 10; ++i) {
-    index.Add({Value::Int64(i)}, i);
+TEST(TableTest, UniqueKeyFlipWhilePinnedKeepsEntry) {
+  Table table(TableSchema("t",
+                          {Column{"k", Type::Int64(), false},
+                           Column{"v", Type::Int64(), true}},
+                          {0}));
+  ASSERT_TRUE(table.CreateIndex("pk", {"k"}, /*unique=*/true).ok());
+  auto id = table.Insert({Value::Int64(1), Value::Int64(0)});
+  ASSERT_TRUE(id.ok());
+  {
+    // The pin defers both erasures, so (1, id) is posted twice until the
+    // sweep drops one copy.
+    std::shared_ptr<const TableVersion> pin = table.PinVersion();
+    ASSERT_TRUE(table.Update(*id, {Value::Int64(2), Value::Int64(0)}).ok());
+    ASSERT_TRUE(table.Update(*id, {Value::Int64(1), Value::Int64(0)}).ok());
   }
+  // The next publication sweeps the deferred erasures.
+  ASSERT_TRUE(table.Insert({Value::Int64(3), Value::Int64(0)}).ok());
   std::vector<RowId> hits;
-  index.LookupRange({Value::Int64(3)}, true, {Value::Int64(6)}, true, &hits);
-  EXPECT_EQ(hits.size(), 4u);
+  table.LookupEqual({0}, {Value::Int64(1)}, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{*id});
   hits.clear();
-  index.LookupRange({Value::Int64(3)}, false, {Value::Int64(6)}, false,
-                    &hits);
-  EXPECT_EQ(hits.size(), 2u);
+  table.LookupEqualIn(*table.PinVersion(), {0}, {Value::Int64(1)}, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{*id});
   hits.clear();
-  index.LookupRange({}, true, {Value::Int64(2)}, true, &hits);
-  EXPECT_EQ(hits.size(), 3u);
+  table.LookupEqual({0}, {Value::Int64(2)}, &hits);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_EQ(table.Insert({Value::Int64(1), Value::Int64(9)}).status().code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST(TableTest, ProbesMatchAcrossNumericKindsAndSignedZero) {
+  Table table(TableSchema("t",
+                          {Column{"i", Type::Int64(), false},
+                           Column{"f", Type::Float64(), false}},
+                          {}));
+  ASSERT_TRUE(table.CreateIndex("i_idx", {"i"}, /*unique=*/true).ok());
+  ASSERT_TRUE(table.CreateIndex("f_idx", {"f"}, /*unique=*/true).ok());
+  auto id = table.Insert({Value::Int64(2), Value::Float64(0.0)});
+  ASSERT_TRUE(id.ok());
+  std::shared_ptr<const TableVersion> version = table.PinVersion();
+  std::vector<RowId> hits;
+  table.LookupEqualIn(*version, {0}, {Value::Float64(2.0)}, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{*id});
   hits.clear();
-  index.LookupRange({Value::Int64(8)}, true, {}, true, &hits);
-  EXPECT_EQ(hits.size(), 2u);
+  table.LookupEqualIn(*version, {1}, {Value::Float64(-0.0)}, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{*id});
+  // The same equality makes them duplicates under the unique indexes.
+  EXPECT_EQ(table.Insert({Value::Int64(5), Value::Float64(-0.0)})
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+}
+
+// KeyIndex against a std::multimap reference (ordered by Value::Compare,
+// so Int64(2) and Float64(2.0) are one key there too). Random Add/Erase
+// streams post duplicate (key, id) pairs and null-bearing keys; a drain
+// phase deletes most keys so dead entries must be compacted away.
+TEST(KeyIndexTest, MatchesMultimapReference) {
+  using Reference = std::multimap<IndexKey, RowId>;
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    KeyIndex index(2);
+    Reference reference;
+    size_t compactions_seen = 0;
+    auto random_key = [&](int key_range) {
+      int64_t a = static_cast<int64_t>(rng() % key_range);
+      IndexKey key{rng() % 2 == 0 ? Value::Int64(a)
+                                  : Value::Float64(static_cast<double>(a)),
+                   Value::String("s" + std::to_string(rng() % 3))};
+      if (rng() % 20 == 0) key[rng() % 2] = Value::Null();
+      return key;
+    };
+    auto add = [&](const IndexKey& key, RowId id) {
+      index.Add(key.data(), id);
+      if (!key[0].is_null() && !key[1].is_null()) reference.emplace(key, id);
+    };
+    auto erase = [&](const IndexKey& key, RowId id) {
+      index.Erase(key.data(), id);
+      auto [begin, end] = reference.equal_range(key);
+      for (auto it = begin; it != end; ++it) {
+        if (it->second == id) {
+          reference.erase(it);
+          break;
+        }
+      }
+    };
+    auto verify = [&](const std::vector<IndexKey>& probes) {
+      ASSERT_EQ(index.size(), reference.size());
+      size_t live_keys = 0;
+      for (auto it = reference.begin(); it != reference.end();
+           it = reference.upper_bound(it->first)) {
+        ++live_keys;
+        std::vector<RowId> got;
+        index.Lookup(it->first.data(), &got);
+        std::vector<RowId> want;
+        auto [begin, end] = reference.equal_range(it->first);
+        for (auto r = begin; r != end; ++r) want.push_back(r->second);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(got, want) << it->first[0].ToString();
+        ASSERT_NE(index.First(it->first.data()), KeyIndex::kNoRow);
+      }
+      for (const IndexKey& key : probes) {
+        std::vector<RowId> got;
+        index.Lookup(key.data(), &got);
+        ASSERT_EQ(got.size(), reference.count(key));
+      }
+      ASSERT_LE(index.entry_count(), 2 * live_keys + 8);
+    };
+    // Three phases: fill, drain to a few keys (forcing compaction), refill.
+    for (int phase = 0; phase < 3; ++phase) {
+      const int key_range = phase == 1 ? 400 : 200;
+      std::vector<IndexKey> probes;
+      for (int step = 0; step < 3000; ++step) {
+        const size_t entries_before = index.entry_count();
+        bool do_add = phase == 1 ? rng() % 10 == 0 : rng() % 4 != 0;
+        if (do_add || reference.empty()) {
+          if (!reference.empty() && rng() % 8 == 0) {
+            auto it = std::next(reference.begin(),
+                                rng() % reference.size());
+            add(IndexKey(it->first), it->second);  // duplicate posting
+          } else {
+            add(random_key(key_range), rng() % 64);
+          }
+        } else if (rng() % 10 == 0) {
+          erase(random_key(key_range), rng() % 64);  // often absent
+        } else {
+          auto it = std::next(reference.begin(), rng() % reference.size());
+          IndexKey key = it->first;
+          // Probe the erase through an equal key of the other numeric kind.
+          if (key[0].kind() == TypeKind::kInt64) {
+            key[0] = Value::Float64(static_cast<double>(key[0].as_int64()));
+          }
+          erase(key, it->second);
+        }
+        if (probes.size() < 64) probes.push_back(random_key(key_range));
+        if (index.entry_count() < entries_before) ++compactions_seen;
+        if (step % 500 == 499) {
+          ASSERT_NO_FATAL_FAILURE(verify(probes));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(verify(probes));
+    }
+    EXPECT_GT(compactions_seen, 0u);
+    Value null_key[2] = {Value::Null(), Value::String("s0")};
+    std::vector<RowId> got;
+    index.Lookup(null_key, &got);
+    EXPECT_TRUE(got.empty());
+  }
+}
+
+// Readers probe pinned versions while the writer churns a unique index
+// (updates and deletes whose swept erasures compact it). Every hit must
+// be a row of the pinned version carrying the probed key, and a unique
+// key has at most one. Run under -DERBIUM_SANITIZE=thread as well.
+TEST(TableTest, ConcurrentProbesDuringIndexChurn) {
+  Table table(TableSchema("t",
+                          {Column{"k", Type::Int64(), false},
+                           Column{"v", Type::Int64(), true}},
+                          {0}));
+  ASSERT_TRUE(table.CreateIndex("pk", {"k"}, /*unique=*/true).ok());
+  constexpr int kKeys = 64;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937 rng(100 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const TableVersion> version = table.PinVersion();
+        const int64_t k = static_cast<int64_t>(rng() % kKeys);
+        std::vector<RowId> hits;
+        table.LookupEqualIn(*version, {0}, {Value::Int64(k)}, &hits);
+        if (hits.size() > 1) failures.fetch_add(1);
+        for (RowId id : hits) {
+          const Row* row = version->row(id);
+          if (row == nullptr || (*row)[0] != Value::Int64(k)) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // The writer stops at its first failure rather than asserting, so the
+  // readers are always joined.
+  std::mt19937 rng(7);
+  std::map<int64_t, RowId> live;
+  Status writer_status;
+  for (int step = 0; step < 4000 && writer_status.ok(); ++step) {
+    const int64_t k = static_cast<int64_t>(rng() % kKeys);
+    auto it = live.find(k);
+    if (it == live.end()) {
+      auto id = table.Insert({Value::Int64(k), Value::Int64(step)});
+      writer_status = id.status();
+      if (id.ok()) live[k] = *id;
+    } else if (rng() % 2 == 0) {
+      writer_status = table.Delete(it->second);
+      live.erase(it);
+    } else {
+      const int64_t to = static_cast<int64_t>(rng() % kKeys);
+      if (live.count(to) > 0) continue;
+      writer_status =
+          table.Update(it->second, {Value::Int64(to), Value::Int64(step)});
+      live[to] = it->second;
+      live.erase(it);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
+  EXPECT_EQ(failures.load(), 0);
+  for (const auto& [k, id] : live) {
+    std::vector<RowId> hits;
+    table.LookupEqual({0}, {Value::Int64(k)}, &hits);
+    EXPECT_EQ(hits, std::vector<RowId>{id});
+  }
 }
 
 TEST(CatalogTest, CreateDropLookup) {
