@@ -9,30 +9,55 @@ namespace erbium {
 
 namespace {
 
-/// Value of a named column in a table row; Internal error if absent.
-Result<Value> ColumnValue(const Table& table, const Row& row,
-                          const std::string& column) {
-  int idx = table.schema().ColumnIndex(column);
-  if (idx < 0) {
-    return Status::Internal("table " + table.name() + " has no column " +
-                            column);
+/// A multi-valued attribute's value is null or an array of non-null
+/// elements, under every storage (a side table cannot hold a null).
+Status CheckMultiValued(const AttributeDef& attr, const Value& value) {
+  if (value.is_null()) return Status::OK();
+  if (value.kind() != TypeKind::kArray) {
+    return Status::ConstraintViolation("multi-valued attribute " + attr.name +
+                                       " must be an array");
   }
-  return row[idx];
+  for (const Value& element : value.array()) {
+    if (element.is_null()) {
+      return Status::ConstraintViolation("multi-valued attribute " +
+                                         attr.name + " holds a null element");
+    }
+  }
+  return Status::OK();
 }
 
-/// Builds a row for a table by asking `provider` for each column value.
-template <typename Provider>
-Result<Row> BuildRow(const TableSchema& schema, Provider&& provider) {
-  Row row;
-  row.reserve(schema.num_columns());
-  for (const Column& col : schema.columns()) {
-    ERBIUM_ASSIGN_OR_RETURN(Value v, provider(col));
-    row.push_back(std::move(v));
+/// Index of the element of a folded weak array whose partial key equals
+/// `key` after its first `owner_len` (owner key) values; -1 when none.
+int FindFoldedElement(const EntitySetDef& weak, const Value& folded,
+                      const IndexKey& key, size_t owner_len) {
+  if (folded.kind() != TypeKind::kArray) return -1;
+  const Value::ArrayData& elements = folded.array();
+  for (size_t e = 0; e < elements.size(); ++e) {
+    bool match = true;
+    for (size_t i = 0; match && i < weak.partial_key.size(); ++i) {
+      const Value* field = elements[e].FindField(weak.partial_key[i]);
+      match = field != nullptr && *field == key[owner_len + i];
+    }
+    if (match) return static_cast<int>(e);
   }
-  return row;
+  return -1;
 }
 
 }  // namespace
+
+std::vector<RowId> MappedDatabase::RowsWhere(
+    const Table& table, const std::vector<int>& positions,
+    const IndexKey& key) {
+  std::vector<RowId> ids;
+  table.LookupEqual(positions, key, &ids);
+  return ids;
+}
+
+void MappedDatabase::NullOut(const std::vector<int>& positions, Row* row) {
+  for (int pos : positions) {
+    if (pos >= 0) (*row)[pos] = Value::Null();
+  }
+}
 
 Status MappedDatabase::Counted(Status s, const char* counter_name) {
   if (s.ok()) {
@@ -43,22 +68,25 @@ Status MappedDatabase::Counted(Status s, const char* counter_name) {
 
 // ---- logical CRUD choke points -------------------------------------------------
 //
-// Each public mutation applies in memory first, then bumps its crud.*
+// Each public mutation resolves its compiled layout (unknown names fail
+// here, before any lock), applies in memory first, then bumps its crud.*
 // counter and writes its record through the durability hook (when one is
 // attached) while still holding its lock domain. It acknowledges the
 // caller only once that record is durable, a wait that happens after the
 // domain is released. A hook failure (real I/O trouble or an injected
 // crash) is returned to the caller: the write was applied in memory but
-// never acknowledged, so recovery is free to drop it.
+// never acknowledged, so recovery is free to drop it. A rejected write
+// changes nothing: every row it would write is built and validated
+// before the first mutation.
 
 template <typename Apply, typename Log>
-Status MappedDatabase::ApplyAndLog(const std::string& construct,
+Status MappedDatabase::ApplyAndLog(std::mutex* domain,
                                    const char* counter_name, Apply apply,
                                    Log log) {
   DurabilityHook* hook = nullptr;
   uint64_t lsn = 0;
   {
-    std::lock_guard<std::mutex> domain(LockDomain(construct));
+    std::lock_guard<std::mutex> lock(*domain);
     ERBIUM_RETURN_NOT_OK(Counted(apply(), counter_name));
     hook = durability_;
     if (hook == nullptr) return Status::OK();
@@ -69,9 +97,10 @@ Status MappedDatabase::ApplyAndLog(const std::string& construct,
 
 Status MappedDatabase::InsertEntity(const std::string& class_name,
                                     const Value& entity) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
   return ApplyAndLog(
-      class_name, "crud.entity_inserts",
-      [&] { return InsertEntityImpl(class_name, entity); },
+      e->domain, "crud.entity_inserts",
+      [&] { return InsertEntityImpl(*e, entity); },
       [&](DurabilityHook* hook) {
         return hook->LogInsertEntity(class_name, entity);
       });
@@ -79,9 +108,10 @@ Status MappedDatabase::InsertEntity(const std::string& class_name,
 
 Status MappedDatabase::DeleteEntity(const std::string& class_name,
                                     const IndexKey& key) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
   return ApplyAndLog(
-      class_name, "crud.entity_deletes",
-      [&] { return DeleteEntityImpl(class_name, key); },
+      e->domain, "crud.entity_deletes",
+      [&] { return DeleteEntityImpl(*e, key); },
       [&](DurabilityHook* hook) {
         return hook->LogDeleteEntity(class_name, key);
       });
@@ -91,9 +121,10 @@ Status MappedDatabase::UpdateAttribute(const std::string& class_name,
                                        const IndexKey& key,
                                        const std::string& attr,
                                        const Value& value) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
   return ApplyAndLog(
-      class_name, "crud.attribute_updates",
-      [&] { return UpdateAttributeImpl(class_name, key, attr, value); },
+      e->domain, "crud.attribute_updates",
+      [&] { return UpdateAttributeImpl(*e, key, attr, value); },
       [&](DurabilityHook* hook) {
         return hook->LogUpdateAttribute(class_name, key, attr, value);
       });
@@ -103,11 +134,11 @@ Status MappedDatabase::InsertRelationship(const std::string& rel_name,
                                           const IndexKey& left_key,
                                           const IndexKey& right_key,
                                           const Value& attrs) {
+  ERBIUM_ASSIGN_OR_RETURN(const RelationshipLayout* r,
+                          RelationshipLayoutOf(rel_name));
   return ApplyAndLog(
-      rel_name, "crud.relationship_inserts",
-      [&] {
-        return InsertRelationshipImpl(rel_name, left_key, right_key, attrs);
-      },
+      r->domain, "crud.relationship_inserts",
+      [&] { return InsertRelationshipImpl(*r, left_key, right_key, attrs); },
       [&](DurabilityHook* hook) {
         return hook->LogInsertRelationship(rel_name, left_key, right_key,
                                            attrs);
@@ -117,9 +148,11 @@ Status MappedDatabase::InsertRelationship(const std::string& rel_name,
 Status MappedDatabase::DeleteRelationship(const std::string& rel_name,
                                           const IndexKey& left_key,
                                           const IndexKey& right_key) {
+  ERBIUM_ASSIGN_OR_RETURN(const RelationshipLayout* r,
+                          RelationshipLayoutOf(rel_name));
   return ApplyAndLog(
-      rel_name, "crud.relationship_deletes",
-      [&] { return DeleteRelationshipImpl(rel_name, left_key, right_key); },
+      r->domain, "crud.relationship_deletes",
+      [&] { return DeleteRelationshipImpl(*r, left_key, right_key); },
       [&](DurabilityHook* hook) {
         return hook->LogDeleteRelationship(rel_name, left_key, right_key);
       });
@@ -166,36 +199,298 @@ Status MappedDatabase::Initialize() {
           ->Insert({Value::String(mapping_.spec().name),
                     Value::String(mapping_.spec().ToJson())})
           .status());
-  BuildLockDomains();
-  return Status::OK();
+  return BuildLayouts();
 }
 
-void MappedDatabase::BuildLockDomains() {
+// ---- layout compilation ----------------------------------------------------
+
+Status MappedDatabase::BuildLayouts() {
+  const ERSchema& s = schema();
+  for (const std::string& name : s.EntitySetNames()) {
+    entity_layouts_[name].def = s.FindEntitySet(name);
+  }
+  for (const std::string& name : s.RelationshipSetNames()) {
+    relationship_layouts_[name].def = s.FindRelationshipSet(name);
+  }
+  auto layout = [&](const std::string& name) {
+    return &entity_layouts_.at(name);
+  };
+  auto table_named = [&](const std::string& name) -> Result<Table*> {
+    Table* table = catalog_.GetTable(name);
+    if (table == nullptr) return Status::Internal("missing table " + name);
+    return table;
+  };
+
+  // Lock domains: one mutex per connected component of the schema graph
+  // (edges: ISA parent, weak owner, relationship participants).
   UnionFind components;
-  for (const std::string& name : schema().EntitySetNames()) {
-    const EntitySetDef* def = schema().FindEntitySet(name);
+  for (const auto& [name, e] : entity_layouts_) {
     components.Find(name);
-    if (!def->parent.empty()) components.Unite(name, def->parent);
-    if (def->weak && !def->owner.empty()) components.Unite(name, def->owner);
+    if (e.def->is_subclass()) components.Unite(name, e.def->parent);
+    if (e.def->weak) components.Unite(name, e.def->owner);
   }
-  for (const std::string& name : schema().RelationshipSetNames()) {
-    const RelationshipSetDef* def = schema().FindRelationshipSet(name);
-    components.Unite(name, def->left.entity);
-    components.Unite(name, def->right.entity);
+  for (const auto& [name, r] : relationship_layouts_) {
+    components.Unite(name, r.def->left.entity);
+    components.Unite(name, r.def->right.entity);
+  }
+  std::unordered_map<std::string, std::mutex*> by_root;
+  auto domain_of = [&](const std::string& name) {
+    std::mutex*& mu = by_root[components.Find(name)];
+    if (mu == nullptr) {
+      domains_.push_back(std::make_unique<std::mutex>());
+      mu = domains_.back().get();
+    }
+    return mu;
+  };
+
+  for (auto& [name, e] : entity_layouts_) {
+    const EntitySetDef& def = *e.def;
+    e.location = mapping_.segment_location(name);
+    e.domain = domain_of(name);
+    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> key_columns,
+                            mapping_.KeyColumns(name));
+    for (const Column& column : key_columns) {
+      e.key_names.push_back(column.name);
+      e.key_types.push_back(column.type);
+    }
+    std::vector<std::string> chain = {name};
+    if (def.weak) {
+      e.owner = layout(def.owner);
+      e.scope = &e;
+    } else {
+      ERBIUM_ASSIGN_OR_RETURN(std::string root, s.HierarchyRoot(name));
+      e.scope = layout(root);
+      ERBIUM_ASSIGN_OR_RETURN(chain, s.AncestryChain(name));
+    }
+    for (const std::string& cls : chain) e.chain.push_back(layout(cls));
+    std::vector<std::string> subtree = s.SelfAndDescendants(name);
+    for (const std::string& cls : subtree) {
+      e.self_and_descendants.push_back(layout(cls));
+    }
+    for (const std::string& child : s.DirectSubclasses(name)) {
+      e.children.push_back(layout(child));
+    }
+    for (const std::string& weak : s.WeakEntitiesOwnedBy(name)) {
+      e.owned_weak.push_back(layout(weak));
+    }
+    for (const EntityLayout* cls : e.chain) {
+      for (const AttributeDef& attr : cls->def->attributes) {
+        e.declaring[attr.name] = cls;
+        if (attr.multi_valued) e.multi_valued.push_back(&attr);
+        if (std::find(e.key_names.begin(), e.key_names.end(), attr.name) ==
+            e.key_names.end()) {
+          e.value_attrs.push_back(attr.name);
+        }
+      }
+    }
+
+    // Where the own segment lives, and the key positions probing it.
+    std::string role;  // materialized: the column prefix of this side
+    auto add_probe = [&](const std::string& table_name) -> Status {
+      ERBIUM_ASSIGN_OR_RETURN(Table * table, table_named(table_name));
+      std::vector<std::string> columns;
+      for (const std::string& key : e.key_names) columns.push_back(role + key);
+      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> key,
+                              ColumnPositions(*table, columns));
+      e.probes.push_back(SegmentProbe{table, std::move(key)});
+      return Status::OK();
+    };
+    switch (e.location) {
+      case SegmentLocation::kOwnTable:
+        ERBIUM_RETURN_NOT_OK(add_probe(name));
+        break;
+      case SegmentLocation::kHierarchySingle:
+        ERBIUM_RETURN_NOT_OK(add_probe(mapping_.SegmentTableName(name)));
+        e.type_column = e.probes.front().table->schema().ColumnIndex(
+            PhysicalMapping::kTypeColumn);
+        break;
+      case SegmentLocation::kHierarchyDisjoint:
+        for (const std::string& cls : subtree) {
+          ERBIUM_RETURN_NOT_OK(add_probe(cls));
+        }
+        break;
+      case SegmentLocation::kMaterializedLeft:
+      case SegmentLocation::kMaterializedRight: {
+        const RelationshipSetDef* rel =
+            s.FindRelationshipSet(mapping_.SwallowingRelationship(name));
+        role = PhysicalMapping::RoleColumnName(
+            e.location == SegmentLocation::kMaterializedLeft ? rel->left.role
+                                                             : rel->right.role,
+            "");
+        ERBIUM_RETURN_NOT_OK(add_probe(mapping_.SegmentTableName(name)));
+        break;
+      }
+      case SegmentLocation::kPairLeft:
+      case SegmentLocation::kPairRight:
+        e.pair = pair(mapping_.SegmentPairName(name));
+        break;
+      case SegmentLocation::kFoldedInOwner:
+        break;  // folded_column is resolved once the owner has its probes
+    }
+
+    // The segment rows an insert writes: each class-table ancestor's own
+    // table, then the class's own location. Single and disjoint tables
+    // hold the whole instance in one row; a folded instance is a struct
+    // appended to its owner's array instead.
+    auto add_segment = [&](Table* table, bool left,
+                           const std::string& prefix) {
+      SegmentWrite& seg = e.segments.emplace_back();
+      seg.table = table;
+      seg.left = left;
+      if (table == nullptr) {
+        seg.pair = e.pair;
+        seg.pair_schema = TableSchema(
+            e.pair->name(),
+            left ? e.pair->left_columns() : e.pair->right_columns());
+      }
+      for (const Column& col : seg.schema().columns()) {
+        ColumnSource& src = seg.sources.emplace_back();
+        bool array =
+            col.type != nullptr && col.type->kind() == TypeKind::kArray;
+        src.fallback = array ? Value::Array({}) : Value::Null();
+        if (col.name.rfind(prefix, 0) != 0) continue;  // other join side
+        std::string attr = col.name.substr(prefix.size());
+        auto key = std::find(e.key_names.begin(), e.key_names.end(), attr);
+        if (key != e.key_names.end()) {
+          src.key = static_cast<int>(key - e.key_names.begin());
+        } else if (attr == PhysicalMapping::kTypeColumn) {
+          src.fallback = Value::String(name);
+        } else if (e.declaring.count(attr) > 0) {
+          src.field = attr;
+        }
+      }
+    };
+    bool one_row = e.location == SegmentLocation::kHierarchySingle ||
+                   e.location == SegmentLocation::kHierarchyDisjoint;
+    for (size_t i = 0; !one_row && i + 1 < chain.size(); ++i) {
+      ERBIUM_ASSIGN_OR_RETURN(Table * table, table_named(chain[i]));
+      add_segment(table, false, "");
+    }
+    switch (e.location) {
+      case SegmentLocation::kFoldedInOwner:
+        break;
+      case SegmentLocation::kPairLeft:
+      case SegmentLocation::kPairRight:
+        add_segment(nullptr, e.location == SegmentLocation::kPairLeft, "");
+        break;
+      default:  // the first probe is the class's own (or shared) table
+        add_segment(e.probes.front().table, false, role);
+    }
+
+    // Own attributes: separately stored multi-valued ones get a side
+    // table, the rest a column in each probed table (or the pair side).
+    bool folded = e.location == SegmentLocation::kFoldedInOwner;
+    for (const AttributeDef& attr : def.attributes) {
+      AttrSlot& slot = e.own_attrs[attr.name];
+      slot.def = &attr;
+      if (folded) continue;
+      if (attr.multi_valued &&
+          mapping_.spec().multi_valued_storage(name, attr.name) ==
+              MultiValuedStorage::kSeparateTable) {
+        ERBIUM_ASSIGN_OR_RETURN(
+            Table * table,
+            table_named(PhysicalMapping::MvTableName(name, attr.name)));
+        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> key,
+                                ColumnPositions(*table, e.key_names));
+        slot.mv = static_cast<int>(e.mv_tables.size());
+        e.mv_tables.push_back(MvTable{&attr, table, std::move(key)});
+        continue;
+      }
+      if (e.pair != nullptr) {
+        slot.columns.push_back(
+            e.segments.back().pair_schema.ColumnIndex(attr.name));
+        continue;
+      }
+      for (const SegmentProbe& probe : e.probes) {
+        ERBIUM_ASSIGN_OR_RETURN(
+            std::vector<int> column,
+            ColumnPositions(*probe.table, {role + attr.name}));
+        slot.columns.push_back(column.front());
+      }
+    }
+    if (def.weak && e.location == SegmentLocation::kOwnTable) {
+      std::vector<std::string> owner_key(
+          e.key_names.begin(), e.key_names.end() - def.partial_key.size());
+      ERBIUM_ASSIGN_OR_RETURN(
+          e.owner_key, ColumnPositions(*e.probes.front().table, owner_key));
+    }
+  }
+  for (auto& [name, e] : entity_layouts_) {
+    if (e.location != SegmentLocation::kFoldedInOwner) continue;
+    for (const SegmentProbe& probe : e.owner->probes) {
+      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> column,
+                              ColumnPositions(*probe.table, {name}));
+      e.folded_column.push_back(column.front());
+    }
   }
 
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> by_root;
-  lock_domains_.clear();
-  for (const std::string& name : components.Names()) {
-    std::shared_ptr<std::mutex>& mu = by_root[components.Find(name)];
-    if (mu == nullptr) mu = std::make_shared<std::mutex>();
-    lock_domains_.emplace(name, mu);
+  for (auto& [name, r] : relationship_layouts_) {
+    const RelationshipSetDef& def = *r.def;
+    r.storage = mapping_.spec().relationship_storage(def);
+    r.left = layout(def.left.entity);
+    r.right = layout(def.right.entity);
+    r.domain = domain_of(name);
+    layout(def.left.entity)->sides.emplace_back(&r, true);
+    layout(def.right.entity)->sides.emplace_back(&r, false);
+    auto role_columns = [&](const Participant& p, const EntityLayout& side,
+                            std::vector<int>* key,
+                            std::vector<int>* all) -> Status {
+      std::vector<std::string> names;
+      for (const std::string& k : side.key_names) {
+        names.push_back(PhysicalMapping::RoleColumnName(p.role, k));
+      }
+      ERBIUM_ASSIGN_OR_RETURN(*key, ColumnPositions(*r.table, names));
+      std::string prefix = PhysicalMapping::RoleColumnName(p.role, "");
+      const TableSchema& ts = r.table->schema();
+      for (size_t c = 0; c < ts.num_columns(); ++c) {
+        if (ts.column(c).name.rfind(prefix, 0) == 0) {
+          all->push_back(static_cast<int>(c));
+        }
+      }
+      return Status::OK();
+    };
+    switch (r.storage) {
+      case RelationshipStorage::kJoinTable:
+      case RelationshipStorage::kMaterializedJoin: {
+        ERBIUM_ASSIGN_OR_RETURN(
+            r.table,
+            table_named(r.storage == RelationshipStorage::kJoinTable
+                            ? name
+                            : PhysicalMapping::MaterializedTableName(name)));
+        ERBIUM_RETURN_NOT_OK(
+            role_columns(def.left, *r.left, &r.left_key, &r.left_columns));
+        ERBIUM_RETURN_NOT_OK(role_columns(def.right, *r.right, &r.right_key,
+                                          &r.right_columns));
+        for (const AttributeDef& attr : def.attributes) {
+          r.attributes.push_back(r.table->schema().ColumnIndex(attr.name));
+        }
+        break;
+      }
+      case RelationshipStorage::kFactorized:
+        r.pair = pair(PhysicalMapping::PairName(name));
+        break;
+      case RelationshipStorage::kForeignKey: {
+        r.many_is_left = def.left.cardinality == Cardinality::kMany;
+        const EntityLayout& many = r.many_is_left ? *r.left : *r.right;
+        const EntityLayout& one = r.many_is_left ? *r.right : *r.left;
+        std::vector<std::string> fk_names;
+        for (const std::string& k : one.key_names) {
+          fk_names.push_back(PhysicalMapping::FkColumnName(name, k));
+        }
+        for (const SegmentProbe& probe : many.probes) {
+          RelationshipLayout::FkCarrier& carrier = r.carriers.emplace_back();
+          ERBIUM_ASSIGN_OR_RETURN(carrier.key,
+                                  ColumnPositions(*probe.table, fk_names));
+          for (const AttributeDef& attr : def.attributes) {
+            carrier.attributes.push_back(probe.table->schema().ColumnIndex(
+                PhysicalMapping::FkColumnName(name, attr.name)));
+          }
+        }
+        break;
+      }
+    }
   }
-}
-
-std::mutex& MappedDatabase::LockDomain(const std::string& construct) {
-  auto it = lock_domains_.find(construct);
-  return it == lock_domains_.end() ? *fallback_domain_ : *it->second;
+  return Status::OK();
 }
 
 Result<MappingSpec> MappedDatabase::LoadPersistedSpec() const {
@@ -271,25 +566,6 @@ Result<std::vector<std::string>> MappedDatabase::KeyColumnNames(
   return names;
 }
 
-Result<IndexKey> MappedDatabase::ExtractFullKey(const std::string& class_name,
-                                                const Value& entity) const {
-  if (entity.kind() != TypeKind::kStruct) {
-    return Status::InvalidArgument("entity value must be a struct");
-  }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                          KeyColumnNames(class_name));
-  IndexKey key;
-  for (const std::string& name : names) {
-    const Value* v = entity.FindField(name);
-    if (v == nullptr || v->is_null()) {
-      return Status::ConstraintViolation("missing key attribute " + name +
-                                         " for entity set " + class_name);
-    }
-    key.push_back(*v);
-  }
-  return key;
-}
-
 Result<std::vector<int>> MappedDatabase::ColumnPositions(
     const Table& table, const std::vector<std::string>& names) const {
   std::vector<int> out;
@@ -304,747 +580,360 @@ Result<std::vector<int>> MappedDatabase::ColumnPositions(
   return out;
 }
 
-Result<MappedDatabase::SegmentRef> MappedDatabase::FindSegmentRow(
-    const std::string& class_name, const IndexKey& key) {
-  SegmentLocation loc = mapping_.segment_location(class_name);
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  auto lookup = [&](const std::string& table_name,
-                    const std::vector<std::string>& cols)
-      -> Result<SegmentRef> {
-    Table* table = catalog_.GetTable(table_name);
-    if (table == nullptr) {
-      return Status::Internal("missing table " + table_name);
-    }
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                            ColumnPositions(*table, cols));
-    std::vector<RowId> ids;
-    table->LookupEqual(positions, key, &ids);
-    if (ids.empty()) {
-      return Status::NotFound("no " + class_name + " instance with given key");
-    }
-    return SegmentRef{table, ids.front()};
-  };
-  switch (loc) {
-    case SegmentLocation::kOwnTable:
-      return lookup(class_name, key_names);
-    case SegmentLocation::kHierarchySingle:
-      return lookup(mapping_.SegmentTableName(class_name), key_names);
-    case SegmentLocation::kHierarchyDisjoint: {
-      for (const std::string& cls : schema().SelfAndDescendants(class_name)) {
-        Result<SegmentRef> ref = lookup(cls, key_names);
-        if (ref.ok()) return ref;
-      }
-      return Status::NotFound("no " + class_name +
-                              " instance with given key");
-    }
-    case SegmentLocation::kMaterializedLeft:
-    case SegmentLocation::kMaterializedRight: {
-      std::string rel_name = mapping_.SwallowingRelationship(class_name);
-      const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-      const std::string& role = loc == SegmentLocation::kMaterializedLeft
-                                    ? rel->left.role
-                                    : rel->right.role;
-      std::vector<std::string> cols;
-      for (const std::string& name : key_names) {
-        cols.push_back(PhysicalMapping::RoleColumnName(role, name));
-      }
-      return lookup(PhysicalMapping::MaterializedTableName(rel_name), cols);
-    }
-    default:
-      return Status::Internal(
-          "FindSegmentRow does not apply to the storage of " + class_name);
+Result<const MappedDatabase::EntityLayout*> MappedDatabase::EntityLayoutOf(
+    const std::string& name) const {
+  auto it = entity_layouts_.find(name);
+  if (it == entity_layouts_.end()) {
+    return Status::NotFound("no entity set named " + name);
   }
+  return &it->second;
+}
+
+Result<const MappedDatabase::RelationshipLayout*>
+MappedDatabase::RelationshipLayoutOf(const std::string& name) const {
+  auto it = relationship_layouts_.find(name);
+  if (it == relationship_layouts_.end()) {
+    return Status::NotFound("no relationship set named " + name);
+  }
+  return &it->second;
+}
+
+std::optional<MappedDatabase::SegmentRef> MappedDatabase::FindSegmentRow(
+    const EntityLayout& e, const IndexKey& key) const {
+  std::vector<RowId> ids;
+  for (size_t i = 0; i < e.probes.size(); ++i) {
+    e.probes[i].table->LookupEqual(e.probes[i].key, key, &ids);
+    if (!ids.empty()) return SegmentRef{e.probes[i].table, ids.front(), i};
+  }
+  return std::nullopt;
 }
 
 // ---- membership --------------------------------------------------------------
 
 Result<bool> MappedDatabase::EntityExists(const std::string& class_name,
                                           const IndexKey& key) {
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  if (def == nullptr) {
-    return Status::NotFound("no entity set named " + class_name);
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  return EntityExists(*e, key);
+}
+
+Status MappedDatabase::EntityLayout::CheckKeyTypes(const IndexKey& key) const {
+  for (size_t i = 0; i < key.size(); ++i) {
+    ERBIUM_RETURN_NOT_OK(
+        ValidateValue(key[i], key_types[i], /*nullable=*/false));
   }
-  SegmentLocation loc = mapping_.segment_location(class_name);
-  if (loc == SegmentLocation::kPairLeft || loc == SegmentLocation::kPairRight) {
-    FactorizedPair* p = pair(mapping_.SegmentPairName(class_name));
-    return loc == SegmentLocation::kPairLeft ? p->FindLeft(key) >= 0
-                                             : p->FindRight(key) >= 0;
-  }
-  if (loc == SegmentLocation::kFoldedInOwner) {
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_cols,
-                            mapping_.KeyColumns(def->owner));
-    IndexKey owner_key(key.begin(), key.begin() + owner_cols.size());
-    Result<SegmentRef> owner = FindSegmentRow(def->owner, owner_key);
-    if (!owner.ok()) return false;
-    ERBIUM_ASSIGN_OR_RETURN(
-        Value folded,
-        ColumnValue(*owner->table, owner->table->row(owner->row), class_name));
-    if (folded.kind() != TypeKind::kArray) return false;
-    for (const Value& element : folded.array()) {
-      bool match = true;
-      for (size_t i = 0; i < def->partial_key.size(); ++i) {
-        const Value* field = element.FindField(def->partial_key[i]);
-        if (field == nullptr ||
-            *field != key[owner_cols.size() + i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return true;
+  return Status::OK();
+}
+
+bool MappedDatabase::EntityExists(const EntityLayout& e,
+                                  const IndexKey& key) const {
+  if (key.size() != e.key_names.size()) return false;
+  switch (e.location) {
+    case SegmentLocation::kPairLeft:
+      return e.pair->FindLeft(key) >= 0;
+    case SegmentLocation::kPairRight:
+      return e.pair->FindRight(key) >= 0;
+    case SegmentLocation::kFoldedInOwner: {
+      size_t owner_len = e.owner->key_names.size();
+      std::optional<SegmentRef> owner = FindSegmentRow(
+          *e.owner, IndexKey(key.begin(), key.begin() + owner_len));
+      if (!owner) return false;
+      const Row& row = owner->table->row(owner->row);
+      return FindFoldedElement(*e.def, row[e.folded_column[owner->probe]], key,
+                               owner_len) >= 0;
     }
-    return false;
-  }
-  if (loc == SegmentLocation::kHierarchySingle) {
-    Result<SegmentRef> ref = FindSegmentRow(class_name, key);
-    if (!ref.ok()) return false;
-    ERBIUM_ASSIGN_OR_RETURN(
-        Value type_value,
-        ColumnValue(*ref->table, ref->table->row(ref->row),
-                    PhysicalMapping::kTypeColumn));
-    if (type_value.kind() != TypeKind::kString) return false;
-    for (const std::string& cls : schema().SelfAndDescendants(class_name)) {
-      if (type_value.as_string() == cls) return true;
+    case SegmentLocation::kHierarchySingle: {
+      std::optional<SegmentRef> ref = FindSegmentRow(e, key);
+      if (!ref) return false;
+      const Value& type = ref->table->row(ref->row)[e.type_column];
+      return type.kind() == TypeKind::kString &&
+             std::any_of(e.self_and_descendants.begin(),
+                         e.self_and_descendants.end(),
+                         [&](const EntityLayout* cls) {
+                           return cls->def->name == type.as_string();
+                         });
     }
-    return false;
+    default:
+      return FindSegmentRow(e, key).has_value();
   }
-  Result<SegmentRef> ref = FindSegmentRow(class_name, key);
-  return ref.ok();
 }
 
 Result<std::string> MappedDatabase::SpecificClassOf(
     const std::string& class_name, const IndexKey& key) {
-  ERBIUM_ASSIGN_OR_RETURN(bool exists, EntityExists(class_name, key));
-  if (!exists) {
-    return Status::NotFound("no " + class_name + " instance with given key");
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* specific,
+                          SpecificLayout(*e, key));
+  return specific->def->name;
+}
+
+Result<const MappedDatabase::EntityLayout*> MappedDatabase::SpecificLayout(
+    const EntityLayout& e, const IndexKey& key) const {
+  if (!EntityExists(e, key)) {
+    return Status::NotFound("no " + e.def->name + " instance with given key");
   }
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  if (def->weak) return class_name;
-  SegmentLocation loc = mapping_.segment_location(class_name);
-  if (loc == SegmentLocation::kHierarchySingle) {
-    ERBIUM_ASSIGN_OR_RETURN(SegmentRef ref, FindSegmentRow(class_name, key));
-    ERBIUM_ASSIGN_OR_RETURN(
-        Value type_value,
-        ColumnValue(*ref.table, ref.table->row(ref.row),
-                    PhysicalMapping::kTypeColumn));
-    return type_value.as_string();
+  if (e.location == SegmentLocation::kHierarchySingle) {
+    SegmentRef ref = *FindSegmentRow(e, key);
+    return EntityLayoutOf(ref.table->row(ref.row)[e.type_column].as_string());
   }
   // Class-table / disjoint / pair-backed: walk down while a subclass holds
   // the key. (With overlapping specializations the first-found deepest
   // class is returned.)
-  std::string current = class_name;
-  while (true) {
-    bool descended = false;
-    for (const std::string& child : schema().DirectSubclasses(current)) {
-      ERBIUM_ASSIGN_OR_RETURN(bool in_child, EntityExists(child, key));
-      if (in_child) {
+  const EntityLayout* current = &e;
+  for (bool descended = true; descended;) {
+    descended = false;
+    for (const EntityLayout* child : current->children) {
+      if (EntityExists(*child, key)) {
         current = child;
         descended = true;
         break;
       }
     }
-    if (!descended) return current;
   }
+  return current;
 }
 
 // ---- insert -------------------------------------------------------------------
 
-Status MappedDatabase::InsertEntityImpl(const std::string& class_name,
-                                    const Value& entity) {
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  if (def == nullptr) {
-    return Status::NotFound("no entity set named " + class_name);
+Status MappedDatabase::InsertEntityImpl(const EntityLayout& e,
+                                        const Value& entity) {
+  if (entity.kind() != TypeKind::kStruct) {
+    return Status::InvalidArgument("entity value must be a struct");
   }
-  ERBIUM_ASSIGN_OR_RETURN(IndexKey key, ExtractFullKey(class_name, entity));
+  IndexKey key;
+  key.reserve(e.key_names.size());
+  for (const std::string& name : e.key_names) {
+    const Value* v = entity.FindField(name);
+    if (v == nullptr || v->is_null()) {
+      return Status::ConstraintViolation("missing key attribute " + name +
+                                         " for entity set " + e.def->name);
+    }
+    key.push_back(*v);
+  }
   // Uniqueness across the whole hierarchy.
-  std::string uniqueness_scope = class_name;
-  if (!def->weak) {
-    ERBIUM_ASSIGN_OR_RETURN(uniqueness_scope,
-                            schema().HierarchyRoot(class_name));
-  }
-  ERBIUM_ASSIGN_OR_RETURN(bool exists, EntityExists(uniqueness_scope, key));
-  if (exists) {
-    return Status::AlreadyExists("an instance of " + uniqueness_scope +
+  if (EntityExists(*e.scope, key)) {
+    return Status::AlreadyExists("an instance of " + e.scope->def->name +
                                  " with this key already exists");
   }
   // Weak entities require their owner (referential integrity of the
   // identifying relationship).
-  if (def->weak) {
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_cols,
-                            mapping_.KeyColumns(def->owner));
-    IndexKey owner_key(key.begin(), key.begin() + owner_cols.size());
-    ERBIUM_ASSIGN_OR_RETURN(bool owner_exists,
-                            EntityExists(def->owner, owner_key));
-    if (!owner_exists) {
-      return Status::ConstraintViolation("owner instance of weak entity " +
-                                         class_name + " does not exist");
-    }
+  size_t owner_len = e.owner == nullptr ? 0 : e.owner->key_names.size();
+  IndexKey owner_key(key.begin(), key.begin() + owner_len);
+  if (e.owner != nullptr && !EntityExists(*e.owner, owner_key)) {
+    return Status::ConstraintViolation("owner instance of weak entity " +
+                                       e.def->name + " does not exist");
   }
-  ERBIUM_RETURN_NOT_OK(InsertSegments(class_name, entity, key));
-  return InsertMultiValued(class_name, entity, key);
-}
-
-Status MappedDatabase::InsertSegments(const std::string& class_name,
-                                      const Value& entity,
-                                      const IndexKey& key) {
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-
-  // Provides a value for one physical column of a segment table.
-  auto provider = [&](const Column& col) -> Result<Value> {
-    for (size_t i = 0; i < key_names.size(); ++i) {
-      if (col.name == key_names[i]) return key[i];
-    }
-    if (col.name == PhysicalMapping::kTypeColumn) {
-      return Value::String(class_name);
-    }
-    const Value* field = entity.FindField(col.name);
-    if (field != nullptr && !field->is_null()) return *field;
-    // Missing multi-valued array -> empty array; folded weak column ->
-    // empty array; anything else -> null.
-    if (col.type != nullptr && col.type->kind() == TypeKind::kArray) {
-      return Value::Array({});
-    }
-    return Value::Null();
-  };
-
-  // For strong classes under class-table storage, every class on the
-  // ancestry chain contributes its own segment (the leaf may live in a
-  // pair or materialized table); single-table and disjoint storage write
-  // exactly one row. Weak entities are a single segment.
-  SegmentLocation loc = mapping_.segment_location(class_name);
-  if (!def->weak && loc != SegmentLocation::kHierarchySingle &&
-      loc != SegmentLocation::kHierarchyDisjoint) {
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> chain,
-                            schema().AncestryChain(class_name));
-    if (chain.size() > 1) {
-      // Insert ancestor segments first (they are never swallowed), then
-      // fall through to the leaf's own segment below.
-      for (size_t i = 0; i + 1 < chain.size(); ++i) {
-        Table* table = catalog_.GetTable(chain[i]);
-        if (table == nullptr) {
-          return Status::Internal("missing segment table " + chain[i]);
-        }
-        ERBIUM_ASSIGN_OR_RETURN(Row row, BuildRow(table->schema(), provider));
-        ERBIUM_RETURN_NOT_OK(table->Insert(std::move(row)).status());
-      }
-    }
+  ERBIUM_RETURN_NOT_OK(e.CheckKeyTypes(key));
+  for (const AttributeDef* attr : e.multi_valued) {
+    const Value* v = entity.FindField(attr->name);
+    if (v != nullptr) ERBIUM_RETURN_NOT_OK(CheckMultiValued(*attr, *v));
   }
-  switch (loc) {
-    case SegmentLocation::kFoldedInOwner: {
-      // Append a struct to the owner's folded array column.
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_cols,
-                              mapping_.KeyColumns(def->owner));
-      IndexKey owner_key(key.begin(), key.begin() + owner_cols.size());
-      ERBIUM_ASSIGN_OR_RETURN(SegmentRef owner,
-                              FindSegmentRow(def->owner, owner_key));
-      int col = owner.table->schema().ColumnIndex(class_name);
-      Row row = owner.table->row(owner.row);
-      Value::ArrayData elements;
-      if (row[col].kind() == TypeKind::kArray) elements = row[col].array();
-      Value::StructData fields;
-      for (const AttributeDef& attr : def->attributes) {
-        const Value* v = entity.FindField(attr.name);
-        Value field_value = v == nullptr ? Value::Null() : *v;
-        if (attr.multi_valued && field_value.is_null()) {
-          field_value = Value::Array({});
-        }
-        fields.emplace_back(attr.name, std::move(field_value));
-      }
-      elements.push_back(Value::Struct(std::move(fields)));
-      row[col] = Value::Array(std::move(elements));
-      return owner.table->Update(owner.row, std::move(row));
-    }
-    case SegmentLocation::kPairLeft:
-    case SegmentLocation::kPairRight: {
-      FactorizedPair* p = pair(mapping_.SegmentPairName(class_name));
-      const std::vector<Column>& cols = loc == SegmentLocation::kPairLeft
-                                            ? p->left_columns()
-                                            : p->right_columns();
-      Row row;
-      for (const Column& col : cols) {
-        ERBIUM_ASSIGN_OR_RETURN(Value v, provider(col));
-        row.push_back(std::move(v));
-      }
-      if (loc == SegmentLocation::kPairLeft) {
-        return p->InsertLeft(std::move(row)).status();
-      }
-      return p->InsertRight(std::move(row)).status();
-    }
-    case SegmentLocation::kMaterializedLeft:
-    case SegmentLocation::kMaterializedRight: {
-      // A lone row: this side's columns set, the other side null.
-      std::string rel_name = mapping_.SwallowingRelationship(class_name);
-      const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-      const std::string& role = loc == SegmentLocation::kMaterializedLeft
-                                    ? rel->left.role
-                                    : rel->right.role;
-      Table* table = catalog_.GetTable(
-          PhysicalMapping::MaterializedTableName(rel_name));
-      std::string prefix = role + "_";
-      ERBIUM_ASSIGN_OR_RETURN(
-          Row row, BuildRow(table->schema(),
-                            [&](const Column& col) -> Result<Value> {
-                              if (col.name.rfind(prefix, 0) == 0) {
-                                Column unprefixed = col;
-                                unprefixed.name =
-                                    col.name.substr(prefix.size());
-                                return provider(unprefixed);
-                              }
-                              return Value::Null();
-                            }));
-      return table->Insert(std::move(row)).status();
-    }
-    case SegmentLocation::kHierarchySingle:
-    case SegmentLocation::kOwnTable:
-    case SegmentLocation::kHierarchyDisjoint: {
-      std::string table_name =
-          loc == SegmentLocation::kHierarchySingle
-              ? mapping_.SegmentTableName(class_name)
-              : class_name;
-      Table* table = catalog_.GetTable(table_name);
-      if (table == nullptr) {
-        return Status::Internal("missing segment table " + table_name);
-      }
-      ERBIUM_ASSIGN_OR_RETURN(Row row, BuildRow(table->schema(), provider));
-      return table->Insert(std::move(row)).status();
-    }
-  }
-  return Status::Internal("unreachable segment location");
-}
 
-Status MappedDatabase::InsertMultiValued(const std::string& class_name,
-                                         const Value& entity,
-                                         const IndexKey& key) {
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  if (def->weak && mapping_.spec().weak_storage(class_name) ==
-                       WeakEntityStorage::kFoldedArray) {
-    return Status::OK();  // inside the folded struct
+  if (e.location == SegmentLocation::kFoldedInOwner) {
+    // Append a struct to the owner's folded array column.
+    SegmentRef owner = *FindSegmentRow(*e.owner, owner_key);
+    int col = e.folded_column[owner.probe];
+    Row row = owner.table->row(owner.row);
+    Value::ArrayData elements;
+    if (row[col].kind() == TypeKind::kArray) elements = row[col].array();
+    Value::StructData fields;
+    for (const AttributeDef& attr : e.def->attributes) {
+      const Value* v = entity.FindField(attr.name);
+      fields.emplace_back(
+          attr.name, v != nullptr && !v->is_null() ? *v
+                     : attr.multi_valued       ? Value::Array({})
+                                               : Value::Null());
+    }
+    elements.push_back(Value::Struct(std::move(fields)));
+    row[col] = Value::Array(std::move(elements));
+    return owner.table->Update(owner.row, std::move(row));
   }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> chain,
-                          schema().AncestryChain(class_name));
-  for (const std::string& cls : chain) {
-    const EntitySetDef* cls_def = schema().FindEntitySet(cls);
-    for (const AttributeDef& attr : cls_def->attributes) {
-      if (!attr.multi_valued) continue;
-      if (mapping_.spec().multi_valued_storage(cls, attr.name) !=
-          MultiValuedStorage::kSeparateTable) {
-        continue;
-      }
-      const Value* field = entity.FindField(attr.name);
-      if (field == nullptr || field->is_null()) continue;
-      if (field->kind() != TypeKind::kArray) {
-        return Status::InvalidArgument("multi-valued attribute " + attr.name +
-                                       " must be an array");
-      }
-      Table* table =
-          catalog_.GetTable(PhysicalMapping::MvTableName(cls, attr.name));
-      for (const Value& element : field->array()) {
+
+  // Build and validate every row before the first mutation.
+  std::vector<Row> rows;
+  rows.reserve(e.segments.size());
+  for (const SegmentWrite& seg : e.segments) {
+    Row& row = rows.emplace_back();
+    row.reserve(seg.sources.size());
+    for (const ColumnSource& src : seg.sources) {
+      const Value* v = src.key >= 0         ? &key[src.key]
+                       : src.field.empty() ? nullptr
+                                           : entity.FindField(src.field);
+      row.push_back(v != nullptr && !v->is_null() ? *v : src.fallback);
+    }
+    ERBIUM_RETURN_NOT_OK(seg.schema().ValidateRow(row));
+  }
+  std::vector<std::pair<Table*, Row>> mv_rows;
+  for (const EntityLayout* cls : e.chain) {
+    for (const MvTable& mv : cls->mv_tables) {
+      const Value* v = entity.FindField(mv.attr->name);
+      if (v == nullptr || v->is_null()) continue;
+      for (const Value& element : v->array()) {
         Row row = key;
         row.push_back(element);
-        ERBIUM_RETURN_NOT_OK(table->Insert(std::move(row)).status());
+        ERBIUM_RETURN_NOT_OK(mv.table->schema().ValidateRow(row));
+        mv_rows.emplace_back(mv.table, std::move(row));
       }
     }
   }
-  return Status::OK();
-}
-
-// ---- delete helpers ------------------------------------------------------------
-
-Status MappedDatabase::DeleteWhereKey(Table* table,
-                                      const std::vector<std::string>& key_cols,
-                                      const IndexKey& key) {
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                          ColumnPositions(*table, key_cols));
-  std::vector<RowId> ids;
-  table->LookupEqual(positions, key, &ids);
-  for (RowId id : ids) {
-    ERBIUM_RETURN_NOT_OK(table->Delete(id));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const SegmentWrite& seg = e.segments[i];
+    Row& row = rows[i];
+    Status st = seg.pair == nullptr ? seg.table->Insert(std::move(row)).status()
+                : seg.left ? seg.pair->InsertLeft(std::move(row)).status()
+                           : seg.pair->InsertRight(std::move(row)).status();
+    ERBIUM_RETURN_NOT_OK(st);
   }
-  return Status::OK();
-}
-
-Status MappedDatabase::ClearForeignKeysReferencing(
-    const std::string& one_class, const IndexKey& key) {
-  for (const std::string& rel_name : schema().RelationshipSetNames()) {
-    const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-    if (mapping_.spec().relationship_storage(*rel) !=
-        RelationshipStorage::kForeignKey) {
-      continue;
-    }
-    if (!schema().IsSelfOrDescendant(one_class, rel->one_side().entity) &&
-        rel->one_side().entity != one_class) {
-      continue;
-    }
-    // FK columns live on the many side's own-attribute location(s).
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> one_key,
-                            mapping_.KeyColumns(rel->one_side().entity));
-    if (one_key.size() != key.size()) continue;  // different key shape
-    std::vector<std::string> fk_names;
-    for (const Column& c : one_key) {
-      fk_names.push_back(PhysicalMapping::FkColumnName(rel_name, c.name));
-    }
-    const std::string& many = rel->many_side().entity;
-    std::vector<std::string> carriers;
-    switch (mapping_.segment_location(many)) {
-      case SegmentLocation::kOwnTable:
-        carriers.push_back(many);
-        break;
-      case SegmentLocation::kHierarchySingle:
-        carriers.push_back(mapping_.SegmentTableName(many));
-        break;
-      case SegmentLocation::kHierarchyDisjoint:
-        for (const std::string& cls : schema().SelfAndDescendants(many)) {
-          carriers.push_back(cls);
-        }
-        break;
-      default:
-        return Status::Internal("FK carrier for " + many + " missing");
-    }
-    for (const std::string& carrier : carriers) {
-      Table* table = catalog_.GetTable(carrier);
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                              ColumnPositions(*table, fk_names));
-      std::vector<RowId> ids;
-      table->LookupEqual(positions, key, &ids);
-      for (RowId id : ids) {
-        Row row = table->row(id);
-        for (int pos : positions) row[pos] = Value::Null();
-        // Also clear folded relationship attribute columns.
-        for (const AttributeDef& attr : rel->attributes) {
-          int attr_pos = table->schema().ColumnIndex(
-              PhysicalMapping::FkColumnName(rel_name, attr.name));
-          if (attr_pos >= 0) row[attr_pos] = Value::Null();
-        }
-        ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
-      }
-    }
+  for (auto& [table, row] : mv_rows) {
+    ERBIUM_RETURN_NOT_OK(table->Insert(std::move(row)).status());
   }
   return Status::OK();
 }
 
 // ---- delete -------------------------------------------------------------------
 
-Status MappedDatabase::DeleteEntityImpl(const std::string& class_name,
-                                    const IndexKey& key) {
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  if (def == nullptr) {
-    return Status::NotFound("no entity set named " + class_name);
+Result<std::vector<IndexKey>> MappedDatabase::OwnedWeakKeys(
+    const EntityLayout& weak, const IndexKey& key) {
+  std::vector<IndexKey> keys;
+  if (weak.location == SegmentLocation::kOwnTable) {
+    const SegmentProbe& probe = weak.probes.front();
+    for (RowId id : RowsWhere(*probe.table, weak.owner_key, key)) {
+      const Row& row = probe.table->row(id);
+      IndexKey& weak_key = keys.emplace_back();
+      for (int pos : probe.key) weak_key.push_back(row[pos]);
+    }
+  } else if (weak.location == SegmentLocation::kFoldedInOwner) {
+    std::optional<SegmentRef> owner = FindSegmentRow(*weak.owner, key);
+    if (!owner) return keys;
+    const Value& folded =
+        owner->table->row(owner->row)[weak.folded_column[owner->probe]];
+    if (folded.kind() != TypeKind::kArray) return keys;
+    for (const Value& element : folded.array()) {
+      IndexKey& weak_key = keys.emplace_back(key);
+      for (const std::string& part : weak.def->partial_key) {
+        const Value* field = element.FindField(part);
+        weak_key.push_back(field == nullptr ? Value::Null() : *field);
+      }
+    }
+  } else {
+    // Pair- or materialized-backed weak entity: scan its side.
+    ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan, ScanEntity(weak.def->name, {}));
+    ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(scan.get()));
+    for (const Row& row : rows) {
+      if (std::equal(key.begin(), key.end(), row.begin())) {
+        keys.emplace_back(row.begin(), row.begin() + weak.key_names.size());
+      }
+    }
   }
-  ERBIUM_ASSIGN_OR_RETURN(bool exists, EntityExists(class_name, key));
-  if (!exists) {
-    return Status::NotFound("no " + class_name + " instance with given key");
+  return keys;
+}
+
+Status MappedDatabase::DeleteEntityImpl(const EntityLayout& e,
+                                        const IndexKey& key) {
+  if (!EntityExists(e, key)) {
+    return Status::NotFound("no " + e.def->name + " instance with given key");
   }
-  // Deleting through any handle removes the whole instance: start from the
-  // hierarchy root so every segment goes.
-  std::string root = class_name;
-  if (!def->weak) {
-    ERBIUM_ASSIGN_OR_RETURN(root, schema().HierarchyRoot(class_name));
-  }
-  // Member classes (root-down) the instance belongs to.
-  std::vector<std::string> members;
-  for (const std::string& cls : schema().SelfAndDescendants(root)) {
-    ERBIUM_ASSIGN_OR_RETURN(bool member, EntityExists(cls, key));
-    if (member) members.push_back(cls);
+  // Deleting through any handle removes the whole instance: every member
+  // class from the hierarchy root down.
+  std::vector<const EntityLayout*> members;
+  for (const EntityLayout* cls : e.scope->self_and_descendants) {
+    if (EntityExists(*cls, key)) members.push_back(cls);
   }
 
-  // 1. Cascade to owned weak entities.
-  for (const std::string& cls : members) {
-    for (const std::string& weak : schema().WeakEntitiesOwnedBy(cls)) {
-      WeakEntityStorage ws = mapping_.spec().weak_storage(weak);
-      if (ws == WeakEntityStorage::kFoldedArray) {
-        continue;  // dies with the owner segment row
-      }
-      const EntitySetDef* weak_def = schema().FindEntitySet(weak);
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> owner_key_names,
-                              KeyColumnNames(cls));
-      SegmentLocation weak_loc = mapping_.segment_location(weak);
-      // Enumerate this owner's weak instances, then recurse.
-      std::vector<IndexKey> weak_keys;
-      if (weak_loc == SegmentLocation::kOwnTable) {
-        Table* table = catalog_.GetTable(weak);
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                                ColumnPositions(*table, owner_key_names));
-        std::vector<RowId> ids;
-        table->LookupEqual(positions, key, &ids);
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> weak_key_names,
-                                KeyColumnNames(weak));
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> weak_key_positions,
-                                ColumnPositions(*table, weak_key_names));
-        for (RowId id : ids) {
-          const Row& row = table->row(id);
-          IndexKey weak_key;
-          for (int pos : weak_key_positions) weak_key.push_back(row[pos]);
-          weak_keys.push_back(std::move(weak_key));
-        }
-      } else {
-        // Pair- or materialized-backed weak entity: scan its side.
-        ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan, ScanEntity(weak, {}));
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                                CollectRows(scan.get()));
-        for (const Row& row : rows) {
-          IndexKey weak_key(row.begin(),
-                            row.begin() + owner_key_names.size() +
-                                weak_def->partial_key.size());
-          bool owned = true;
-          for (size_t i = 0; i < key.size(); ++i) {
-            if (weak_key[i] != key[i]) {
-              owned = false;
-              break;
-            }
-          }
-          if (owned) weak_keys.push_back(std::move(weak_key));
-        }
-      }
-      // The cascade runs inside the owner's lock domain (weak entities
-      // share it). Each owned instance is applied and logged like a
-      // public delete; the owner's own, later record is the one the
-      // caller waits on, and its durability covers these.
+  // 1. Cascade to owned weak entities. The cascade runs inside the
+  // owner's lock domain (weak entities share it). Each owned instance is
+  // applied and logged like a public delete; the owner's own, later
+  // record is the one the caller waits on, and its durability covers
+  // these.
+  for (const EntityLayout* cls : members) {
+    for (const EntityLayout* weak : cls->owned_weak) {
+      ERBIUM_ASSIGN_OR_RETURN(std::vector<IndexKey> weak_keys,
+                              OwnedWeakKeys(*weak, key));
       for (const IndexKey& weak_key : weak_keys) {
-        ERBIUM_RETURN_NOT_OK(
-            Counted(DeleteEntityImpl(weak, weak_key), "crud.entity_deletes"));
+        ERBIUM_RETURN_NOT_OK(Counted(DeleteEntityImpl(*weak, weak_key),
+                                     "crud.entity_deletes"));
         if (durability_ != nullptr) {
           ERBIUM_RETURN_NOT_OK(
-              durability_->LogDeleteEntity(weak, weak_key).status());
+              durability_->LogDeleteEntity(weak->def->name, weak_key)
+                  .status());
         }
       }
     }
   }
 
-  // 2. Remove relationship instances touching the entity.
-  for (const std::string& rel_name : schema().RelationshipSetNames()) {
-    const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-    RelationshipStorage storage = mapping_.spec().relationship_storage(*rel);
-    for (bool left : {true, false}) {
-      const Participant& p = left ? rel->left : rel->right;
-      bool participates = false;
-      for (const std::string& cls : members) {
-        if (schema().IsSelfOrDescendant(cls, p.entity) || cls == p.entity) {
-          participates = true;
-        }
-      }
-      if (!participates) continue;
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> side_key,
-                              mapping_.KeyColumns(p.entity));
-      if (side_key.size() != key.size()) continue;
-      switch (storage) {
-        case RelationshipStorage::kJoinTable: {
-          Table* table = catalog_.GetTable(rel_name);
-          std::vector<std::string> cols;
-          for (const Column& c : side_key) {
-            cols.push_back(PhysicalMapping::RoleColumnName(p.role, c.name));
+  // 2. Relationship instances touching the entity. Foreign keys held by
+  // the entity die with its segment row, factorized edges with its pair
+  // row; a materialized side's rows are its segment.
+  for (const EntityLayout* cls : members) {
+    for (const auto& [rel, left] : cls->sides) {
+      switch (rel->storage) {
+        case RelationshipStorage::kJoinTable:
+          for (RowId id :
+               RowsWhere(*rel->table, left ? rel->left_key : rel->right_key,
+                         key)) {
+            ERBIUM_RETURN_NOT_OK(rel->table->Delete(id));
           }
-          ERBIUM_RETURN_NOT_OK(DeleteWhereKey(table, cols, key));
           break;
-        }
         case RelationshipStorage::kForeignKey:
-          // Many side: FK columns die with the segment row. One side:
-          // null out referencing FKs.
-          if (p.role == rel->one_side().role) {
-            ERBIUM_RETURN_NOT_OK(
-                ClearForeignKeysReferencing(p.entity, key));
+          if (left != rel->many_is_left) {
+            ERBIUM_RETURN_NOT_OK(ClearForeignKeys(*rel, key));
           }
           break;
-        case RelationshipStorage::kMaterializedJoin: {
-          Table* table = catalog_.GetTable(
-              PhysicalMapping::MaterializedTableName(rel_name));
-          std::vector<std::string> cols;
-          for (const Column& c : side_key) {
-            cols.push_back(PhysicalMapping::RoleColumnName(p.role, c.name));
-          }
-          ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                                  ColumnPositions(*table, cols));
-          // The other side's key columns decide lone vs joined rows.
-          const Participant& other = left ? rel->right : rel->left;
-          ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> other_key,
-                                  mapping_.KeyColumns(other.entity));
-          std::vector<std::string> other_cols;
-          for (const Column& c : other_key) {
-            other_cols.push_back(
-                PhysicalMapping::RoleColumnName(other.role, c.name));
-          }
-          ERBIUM_ASSIGN_OR_RETURN(std::vector<int> other_positions,
-                                  ColumnPositions(*table, other_cols));
-          std::vector<RowId> ids;
-          table->LookupEqual(positions, key, &ids);
-          for (RowId id : ids) {
-            Row row = table->row(id);
-            bool other_present = !row[other_positions.front()].is_null();
-            if (!other_present) {
-              ERBIUM_RETURN_NOT_OK(table->Delete(id));
-              continue;
-            }
-            // Null out this side entirely (the partner becomes lone,
-            // but duplicates of the partner may remain on other rows —
-            // deduplicate: if the partner already appears on another
-            // row, drop this row instead).
-            std::vector<RowId> partner_rows;
-            IndexKey partner_key;
-            for (int pos : other_positions) {
-              partner_key.push_back(row[pos]);
-            }
-            table->LookupEqual(other_positions, partner_key, &partner_rows);
-            if (partner_rows.size() > 1) {
-              ERBIUM_RETURN_NOT_OK(table->Delete(id));
-            } else {
-              std::string prefix = p.role + "_";
-              for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-                if (table->schema().column(c).name.rfind(prefix, 0) == 0) {
-                  row[c] = Value::Null();
-                }
-              }
-              ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
-            }
-          }
+        case RelationshipStorage::kMaterializedJoin:
+          ERBIUM_RETURN_NOT_OK(DetachSide(*rel, left, key));
           break;
-        }
-        case RelationshipStorage::kFactorized: {
-          FactorizedPair* p_pair =
-              pair(PhysicalMapping::PairName(rel_name));
-          // Row + edges die together below (segment deletion) when the
-          // entity lives in this pair; otherwise it cannot be factorized
-          // (both sides are always swallowed).
-          (void)p_pair;
+        case RelationshipStorage::kFactorized:
           break;
-        }
       }
     }
   }
 
   // 3. Multi-valued side tables.
-  for (const std::string& cls : members) {
-    const EntitySetDef* cls_def = schema().FindEntitySet(cls);
-    for (const AttributeDef& attr : cls_def->attributes) {
-      if (!attr.multi_valued) continue;
-      if (mapping_.spec().multi_valued_storage(cls, attr.name) !=
-          MultiValuedStorage::kSeparateTable) {
-        continue;
+  for (const EntityLayout* cls : members) {
+    for (const MvTable& mv : cls->mv_tables) {
+      for (RowId id : RowsWhere(*mv.table, mv.key, key)) {
+        ERBIUM_RETURN_NOT_OK(mv.table->Delete(id));
       }
-      Table* table =
-          catalog_.GetTable(PhysicalMapping::MvTableName(cls, attr.name));
-      if (table == nullptr) continue;  // folded weak: no side table
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                              KeyColumnNames(cls));
-      ERBIUM_RETURN_NOT_OK(DeleteWhereKey(table, key_names, key));
     }
   }
 
-  // 4. Segments.
+  // 4. Segments, leaf first.
   for (auto it = members.rbegin(); it != members.rend(); ++it) {
-    const std::string& cls = *it;
-    SegmentLocation loc = mapping_.segment_location(cls);
-    switch (loc) {
+    const EntityLayout& cls = **it;
+    switch (cls.location) {
       case SegmentLocation::kOwnTable:
       case SegmentLocation::kHierarchySingle:
       case SegmentLocation::kHierarchyDisjoint: {
-        Result<SegmentRef> ref = FindSegmentRow(cls, key);
-        if (ref.ok()) {
-          // Single-table rows are shared by the whole chain: delete once
-          // (when processing the root member).
-          if (loc == SegmentLocation::kHierarchySingle && cls != members.front()) {
-            break;
-          }
-          ERBIUM_RETURN_NOT_OK(ref->table->Delete(ref->row));
+        // Single-table rows are shared by the whole chain: delete once
+        // (when processing the root member).
+        if (cls.location == SegmentLocation::kHierarchySingle &&
+            &cls != members.front()) {
+          break;
         }
+        std::optional<SegmentRef> ref = FindSegmentRow(cls, key);
+        if (ref) ERBIUM_RETURN_NOT_OK(ref->table->Delete(ref->row));
         break;
       }
       case SegmentLocation::kFoldedInOwner: {
-        const EntitySetDef* weak_def = schema().FindEntitySet(cls);
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_cols,
-                                mapping_.KeyColumns(weak_def->owner));
-        IndexKey owner_key(key.begin(), key.begin() + owner_cols.size());
-        ERBIUM_ASSIGN_OR_RETURN(SegmentRef owner,
-                                FindSegmentRow(weak_def->owner, owner_key));
-        int col = owner.table->schema().ColumnIndex(cls);
+        size_t owner_len = cls.owner->key_names.size();
+        SegmentRef owner = *FindSegmentRow(
+            *cls.owner, IndexKey(key.begin(), key.begin() + owner_len));
+        int col = cls.folded_column[owner.probe];
         Row row = owner.table->row(owner.row);
-        Value::ArrayData remaining;
-        if (row[col].kind() == TypeKind::kArray) {
-          for (const Value& element : row[col].array()) {
-            bool match = true;
-            for (size_t i = 0; i < weak_def->partial_key.size(); ++i) {
-              const Value* field =
-                  element.FindField(weak_def->partial_key[i]);
-              if (field == nullptr ||
-                  *field != key[owner_cols.size() + i]) {
-                match = false;
-                break;
-              }
-            }
-            if (!match) remaining.push_back(element);
-          }
-        }
+        int element = FindFoldedElement(*cls.def, row[col], key, owner_len);
+        Value::ArrayData remaining = row[col].array();
+        remaining.erase(remaining.begin() + element);
         row[col] = Value::Array(std::move(remaining));
         ERBIUM_RETURN_NOT_OK(owner.table->Update(owner.row, std::move(row)));
         break;
       }
       case SegmentLocation::kPairLeft:
-        ERBIUM_RETURN_NOT_OK(
-            pair(mapping_.SegmentPairName(cls))->EraseLeft(key));
+        ERBIUM_RETURN_NOT_OK(cls.pair->EraseLeft(key));
         break;
       case SegmentLocation::kPairRight:
-        ERBIUM_RETURN_NOT_OK(
-            pair(mapping_.SegmentPairName(cls))->EraseRight(key));
+        ERBIUM_RETURN_NOT_OK(cls.pair->EraseRight(key));
         break;
       case SegmentLocation::kMaterializedLeft:
-      case SegmentLocation::kMaterializedRight: {
-        // Handled like relationship removal plus lone-row cleanup: drop
-        // every row of this side; partners without other rows become
-        // lone rows (other side already nulled by step 2 merge logic —
-        // here remove remaining rows carrying this segment).
-        std::string rel_name = mapping_.SwallowingRelationship(cls);
-        const RelationshipSetDef* rel =
-            schema().FindRelationshipSet(rel_name);
-        bool is_left = loc == SegmentLocation::kMaterializedLeft;
-        const Participant& self = is_left ? rel->left : rel->right;
-        const Participant& other = is_left ? rel->right : rel->left;
-        Table* table = catalog_.GetTable(
-            PhysicalMapping::MaterializedTableName(rel_name));
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> self_key,
-                                mapping_.KeyColumns(self.entity));
-        std::vector<std::string> self_cols;
-        for (const Column& c : self_key) {
-          self_cols.push_back(
-              PhysicalMapping::RoleColumnName(self.role, c.name));
-        }
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> self_positions,
-                                ColumnPositions(*table, self_cols));
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> other_key,
-                                mapping_.KeyColumns(other.entity));
-        std::vector<std::string> other_cols;
-        for (const Column& c : other_key) {
-          other_cols.push_back(
-              PhysicalMapping::RoleColumnName(other.role, c.name));
-        }
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> other_positions,
-                                ColumnPositions(*table, other_cols));
-        std::vector<RowId> ids;
-        table->LookupEqual(self_positions, key, &ids);
-        for (RowId id : ids) {
-          Row row = table->row(id);
-          bool has_partner = !row[other_positions.front()].is_null();
-          if (!has_partner) {
-            ERBIUM_RETURN_NOT_OK(table->Delete(id));
-            continue;
-          }
-          IndexKey partner_key;
-          for (int pos : other_positions) partner_key.push_back(row[pos]);
-          std::vector<RowId> partner_rows;
-          table->LookupEqual(other_positions, partner_key, &partner_rows);
-          if (partner_rows.size() > 1) {
-            ERBIUM_RETURN_NOT_OK(table->Delete(id));
-          } else {
-            std::string prefix = self.role + "_";
-            for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-              if (table->schema().column(c).name.rfind(prefix, 0) == 0) {
-                row[c] = Value::Null();
-              }
-            }
-            ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
-          }
-        }
-        break;
-      }
+      case SegmentLocation::kMaterializedRight:
+        break;  // detached from its relationship in step 2
     }
   }
   return Status::OK();
@@ -1054,30 +943,20 @@ Status MappedDatabase::DeleteEntityImpl(const std::string& class_name,
 
 Result<Value> MappedDatabase::GetEntity(const std::string& class_name,
                                         const IndexKey& key) {
-  ERBIUM_ASSIGN_OR_RETURN(bool exists, EntityExists(class_name, key));
-  if (!exists) {
-    return Status::NotFound("no " + class_name + " instance with given key");
-  }
-  ERBIUM_ASSIGN_OR_RETURN(std::string specific,
-                          SpecificClassOf(class_name, key));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<AttributeDef> attrs,
-                          schema().AllAttributes(specific));
-  std::vector<std::string> attr_names;
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  std::set<std::string> key_set(key_names.begin(), key_names.end());
-  for (const AttributeDef& attr : attrs) {
-    if (key_set.count(attr.name) == 0) attr_names.push_back(attr.name);
-  }
-  ERBIUM_ASSIGN_OR_RETURN(OperatorPtr plan,
-                          LookupEntity(specific, key, attr_names));
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* specific,
+                          SpecificLayout(*e, key));
+  const std::vector<std::string>& attr_names = specific->value_attrs;
+  ERBIUM_ASSIGN_OR_RETURN(
+      OperatorPtr plan, LookupEntity(specific->def->name, key, attr_names));
   ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(plan.get()));
   if (rows.empty()) {
     return Status::Internal("instance disappeared during GetEntity");
   }
   const Row& row = rows.front();
+  const std::vector<std::string>& key_names = e->key_names;
   Value::StructData fields;
-  fields.emplace_back("_class", Value::String(specific));
+  fields.emplace_back("_class", Value::String(specific->def->name));
   for (size_t i = 0; i < key_names.size(); ++i) {
     fields.emplace_back(key_names[i], key[i]);
   }
@@ -1087,134 +966,96 @@ Result<Value> MappedDatabase::GetEntity(const std::string& class_name,
   return Value::Struct(std::move(fields));
 }
 
-Status MappedDatabase::UpdateAttributeImpl(const std::string& class_name,
-                                       const IndexKey& key,
-                                       const std::string& attr,
-                                       const Value& value) {
-  ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                          DeclaringClass(class_name, attr));
-  ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                          FindVisibleAttribute(class_name, attr));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  for (const std::string& key_name : key_names) {
-    if (key_name == attr) {
-      return Status::InvalidArgument("key attribute " + attr +
-                                     " cannot be updated");
-    }
+Status MappedDatabase::UpdateAttributeImpl(const EntityLayout& e,
+                                           const IndexKey& key,
+                                           const std::string& attr,
+                                           const Value& value) {
+  auto declaring = e.declaring.find(attr);
+  if (declaring == e.declaring.end()) {
+    return Status::AnalysisError("entity set " + e.def->name +
+                                 " has no attribute " + attr);
   }
-  ERBIUM_ASSIGN_OR_RETURN(bool exists, EntityExists(declaring, key));
-  if (!exists) {
-    return Status::NotFound("no " + declaring + " instance with given key");
+  if (std::find(e.key_names.begin(), e.key_names.end(), attr) !=
+      e.key_names.end()) {
+    return Status::InvalidArgument("key attribute " + attr +
+                                   " cannot be updated");
   }
-  const EntitySetDef* def = schema().FindEntitySet(declaring);
-  bool folded_weak =
-      def->weak && mapping_.spec().weak_storage(declaring) ==
-                       WeakEntityStorage::kFoldedArray;
-  if (attr_def->multi_valued && !folded_weak &&
-      mapping_.spec().multi_valued_storage(declaring, attr) ==
-          MultiValuedStorage::kSeparateTable) {
-    if (!value.is_null() && value.kind() != TypeKind::kArray) {
-      return Status::InvalidArgument("multi-valued attribute " + attr +
-                                     " must be set to an array");
+  const EntityLayout& d = *declaring->second;
+  const AttrSlot& slot = d.own_attrs.at(attr);
+  if (!EntityExists(d, key)) {
+    return Status::NotFound("no " + d.def->name + " instance with given key");
+  }
+  ERBIUM_RETURN_NOT_OK(d.CheckKeyTypes(key));
+  Value v = value;
+  if (slot.def->multi_valued) {
+    ERBIUM_RETURN_NOT_OK(CheckMultiValued(*slot.def, v));
+    if (v.is_null()) v = Value::Array({});  // as an insert that omits it
+  }
+  if (slot.mv >= 0) {
+    // Validate the new element rows before the old ones go.
+    const MvTable& mv = d.mv_tables[slot.mv];
+    std::vector<Row> rows;
+    for (const Value& element : v.array()) {
+      Row& row = rows.emplace_back(key);
+      row.push_back(element);
+      ERBIUM_RETURN_NOT_OK(mv.table->schema().ValidateRow(row));
     }
-    Table* table =
-        catalog_.GetTable(PhysicalMapping::MvTableName(declaring, attr));
-    ERBIUM_RETURN_NOT_OK(DeleteWhereKey(table, key_names, key));
-    if (!value.is_null()) {
-      for (const Value& element : value.array()) {
-        Row row = key;
-        row.push_back(element);
-        ERBIUM_RETURN_NOT_OK(table->Insert(std::move(row)).status());
-      }
+    for (RowId id : RowsWhere(*mv.table, mv.key, key)) {
+      ERBIUM_RETURN_NOT_OK(mv.table->Delete(id));
+    }
+    for (Row& row : rows) {
+      ERBIUM_RETURN_NOT_OK(mv.table->Insert(std::move(row)).status());
     }
     return Status::OK();
   }
-  if (folded_weak) {
-    // Update the field inside the folded struct element.
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_cols,
-                            mapping_.KeyColumns(def->owner));
-    IndexKey owner_key(key.begin(), key.begin() + owner_cols.size());
-    ERBIUM_ASSIGN_OR_RETURN(SegmentRef owner,
-                            FindSegmentRow(def->owner, owner_key));
-    int col = owner.table->schema().ColumnIndex(declaring);
-    Row row = owner.table->row(owner.row);
-    Value::ArrayData elements;
-    if (row[col].kind() == TypeKind::kArray) elements = row[col].array();
-    for (Value& element : elements) {
-      bool match = true;
-      for (size_t i = 0; i < def->partial_key.size(); ++i) {
-        const Value* field = element.FindField(def->partial_key[i]);
-        if (field == nullptr || *field != key[owner_cols.size() + i]) {
-          match = false;
-          break;
-        }
+  switch (d.location) {
+    case SegmentLocation::kFoldedInOwner: {
+      // Update the field inside the folded struct element.
+      size_t owner_len = d.owner->key_names.size();
+      SegmentRef owner = *FindSegmentRow(
+          *d.owner, IndexKey(key.begin(), key.begin() + owner_len));
+      int col = d.folded_column[owner.probe];
+      Row row = owner.table->row(owner.row);
+      int index = FindFoldedElement(*d.def, row[col], key, owner_len);
+      Value::ArrayData elements = row[col].array();
+      Value::StructData fields = elements[index].struct_fields();
+      for (auto& [name, field] : fields) {
+        if (name == attr) field = v;
       }
-      if (!match) continue;
-      Value::StructData fields = element.struct_fields();
-      for (auto& [name, v] : fields) {
-        if (name == attr) v = value;
+      elements[index] = Value::Struct(std::move(fields));
+      row[col] = Value::Array(std::move(elements));
+      return owner.table->Update(owner.row, std::move(row));
+    }
+    case SegmentLocation::kPairLeft:
+    case SegmentLocation::kPairRight: {
+      bool left = d.location == SegmentLocation::kPairLeft;
+      Row row = left ? d.pair->left_row(d.pair->FindLeft(key))
+                     : d.pair->right_row(d.pair->FindRight(key));
+      row[slot.columns.front()] = v;
+      ERBIUM_RETURN_NOT_OK(d.segments.back().pair_schema.ValidateRow(row));
+      return left ? d.pair->UpdateLeft(key, std::move(row))
+                  : d.pair->UpdateRight(key, std::move(row));
+    }
+    case SegmentLocation::kMaterializedLeft:
+    case SegmentLocation::kMaterializedRight: {
+      // Duplicated storage: every row of this side must be updated (the
+      // paper's M6 update-cost point). The rows share one column type, so
+      // a rejected value fails on the first, before any change.
+      const SegmentProbe& probe = d.probes.front();
+      for (RowId id : RowsWhere(*probe.table, probe.key, key)) {
+        Row row = probe.table->row(id);
+        row[slot.columns.front()] = v;
+        ERBIUM_RETURN_NOT_OK(probe.table->Update(id, std::move(row)));
       }
-      element = Value::Struct(std::move(fields));
+      return Status::OK();
     }
-    row[col] = Value::Array(std::move(elements));
-    return owner.table->Update(owner.row, std::move(row));
+    default: {
+      SegmentRef ref = *FindSegmentRow(d, key);
+      Row row = ref.table->row(ref.row);
+      row[slot.columns[ref.probe]] = v;
+      return ref.table->Update(ref.row, std::move(row));
+    }
   }
-  // Inline column on the declaring class's segment location.
-  SegmentLocation loc = mapping_.segment_location(declaring);
-  if (loc == SegmentLocation::kPairLeft ||
-      loc == SegmentLocation::kPairRight) {
-    FactorizedPair* p = pair(mapping_.SegmentPairName(declaring));
-    bool left = loc == SegmentLocation::kPairLeft;
-    const std::vector<Column>& cols =
-        left ? p->left_columns() : p->right_columns();
-    int64_t idx = left ? p->FindLeft(key) : p->FindRight(key);
-    Row row = left ? p->left_row(idx) : p->right_row(idx);
-    for (size_t c = 0; c < cols.size(); ++c) {
-      if (cols[c].name == attr) row[c] = value;
-    }
-    return left ? p->UpdateLeft(key, std::move(row))
-                : p->UpdateRight(key, std::move(row));
-  }
-  if (loc == SegmentLocation::kMaterializedLeft ||
-      loc == SegmentLocation::kMaterializedRight) {
-    // Duplicated storage: every row of this side must be updated (the
-    // paper's M6 update-cost point).
-    std::string rel_name = mapping_.SwallowingRelationship(declaring);
-    const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-    const std::string& role = loc == SegmentLocation::kMaterializedLeft
-                                  ? rel->left.role
-                                  : rel->right.role;
-    Table* table =
-        catalog_.GetTable(PhysicalMapping::MaterializedTableName(rel_name));
-    std::vector<std::string> cols;
-    for (const std::string& name : key_names) {
-      cols.push_back(PhysicalMapping::RoleColumnName(role, name));
-    }
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                            ColumnPositions(*table, cols));
-    int attr_pos = table->schema().ColumnIndex(
-        PhysicalMapping::RoleColumnName(role, attr));
-    if (attr_pos < 0) {
-      return Status::Internal("missing column for attribute " + attr);
-    }
-    std::vector<RowId> ids;
-    table->LookupEqual(positions, key, &ids);
-    for (RowId id : ids) {
-      Row row = table->row(id);
-      row[attr_pos] = value;
-      ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
-    }
-    return Status::OK();
-  }
-  ERBIUM_ASSIGN_OR_RETURN(SegmentRef ref, FindSegmentRow(declaring, key));
-  int attr_pos = ref.table->schema().ColumnIndex(attr);
-  if (attr_pos < 0) {
-    return Status::Internal("missing column for attribute " + attr);
-  }
-  Row row = ref.table->row(ref.row);
-  row[attr_pos] = value;
-  return ref.table->Update(ref.row, std::move(row));
 }
 
 Result<size_t> MappedDatabase::CountEntities(const std::string& class_name) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -159,6 +160,124 @@ class MappedDatabase {
   /// so counters reflect applied changes, not attempts.
   static Status Counted(Status s, const char* counter_name);
 
+  // ---- compiled write layouts ----------------------------------------------
+  //
+  // Initialize resolves, once per entity set and relationship set, every
+  // name the CRUD paths need: tables, pairs, key/FK/role column positions,
+  // the uniqueness scope and the writer lock domain. A MappedDatabase is
+  // rebuilt on every DDL, REMAP and ATTACH, so the layouts live and die
+  // with it and are never invalidated.
+
+  /// A table holding an entity set's own segment, with the positions of
+  /// the full key in it (role-prefixed in a materialized join table).
+  struct SegmentProbe {
+    Table* table = nullptr;
+    std::vector<int> key;
+  };
+
+  /// Where an insert takes one physical column's value from: a full-key
+  /// position, else the named attribute of the entity value, else
+  /// `fallback` (the `_type` name, or null / an empty array).
+  struct ColumnSource {
+    int key = -1;
+    std::string field;
+    Value fallback;
+  };
+
+  /// One row an insert writes: into `table`, or into one side of `pair`
+  /// (validated against `pair_schema`, since pairs check only arity).
+  struct SegmentWrite {
+    Table* table = nullptr;
+    FactorizedPair* pair = nullptr;
+    bool left = false;
+    TableSchema pair_schema;
+    std::vector<ColumnSource> sources;
+    const TableSchema& schema() const {
+      return pair != nullptr ? pair_schema : table->schema();
+    }
+  };
+
+  /// A separately stored multi-valued attribute: its side table.
+  struct MvTable {
+    const AttributeDef* attr = nullptr;
+    Table* table = nullptr;
+    std::vector<int> key;
+  };
+
+  /// Where UpdateAttribute writes one own attribute: a multi-valued side
+  /// table (`mv` indexes `mv_tables`), else the column per probe (or the
+  /// pair-side position in `columns[0]`); folded weak sets use the field.
+  struct AttrSlot {
+    const AttributeDef* def = nullptr;
+    int mv = -1;
+    std::vector<int> columns;
+  };
+
+  struct RelationshipLayout;
+
+  struct EntityLayout {
+    const EntitySetDef* def = nullptr;
+    SegmentLocation location = SegmentLocation::kOwnTable;
+    std::vector<std::string> key_names;
+    std::vector<TypePtr> key_types;
+    /// Hierarchy-wide uniqueness scope: the root (weak sets: self).
+    const EntityLayout* scope = nullptr;
+    const EntityLayout* owner = nullptr;  // weak sets only
+    std::mutex* domain = nullptr;
+
+    // Finding an instance.
+    std::vector<SegmentProbe> probes;    // disjoint: self + descendants
+    FactorizedPair* pair = nullptr;      // kPairLeft / kPairRight
+    int type_column = -1;                // kHierarchySingle
+    std::vector<int> folded_column;      // kFoldedInOwner: per owner probe
+
+    // Writing one.
+    std::vector<const EntityLayout*> chain;  // root .. self
+    std::vector<SegmentWrite> segments;      // ancestry order
+    std::vector<MvTable> mv_tables;          // own attributes only
+    std::vector<const AttributeDef*> multi_valued;  // visible ones
+    std::unordered_map<std::string, const EntityLayout*> declaring;
+    std::unordered_map<std::string, AttrSlot> own_attrs;
+    std::vector<std::string> value_attrs;    // visible, non-key
+
+    // Deleting one.
+    std::vector<const EntityLayout*> self_and_descendants;
+    std::vector<const EntityLayout*> children;
+    std::vector<const EntityLayout*> owned_weak;
+    std::vector<int> owner_key;  // own-table weak: owner key positions
+    std::vector<std::pair<const RelationshipLayout*, bool>> sides;  // left?
+
+    /// Lookups match keys across numeric kinds; a write that stores a key
+    /// takes it only with the declared types, under every mapping.
+    Status CheckKeyTypes(const IndexKey& key) const;
+  };
+
+  struct RelationshipLayout {
+    const RelationshipSetDef* def = nullptr;
+    RelationshipStorage storage = RelationshipStorage::kJoinTable;
+    const EntityLayout* left = nullptr;
+    const EntityLayout* right = nullptr;
+    std::mutex* domain = nullptr;
+    Table* table = nullptr;           // join or materialized join table
+    FactorizedPair* pair = nullptr;
+    std::vector<int> left_key, right_key;          // role key positions
+    std::vector<int> left_columns, right_columns;  // materialized sides
+    std::vector<int> attributes;  // per def->attributes; -1 when absent
+    /// Foreign-key storage: the FK and attribute columns on each table
+    /// of the many side, aligned with that side's probes.
+    bool many_is_left = false;
+    struct FkCarrier {
+      std::vector<int> key;
+      std::vector<int> attributes;
+    };
+    std::vector<FkCarrier> carriers;
+  };
+
+  /// The layout of a named set; NotFound with the historical text.
+  Result<const EntityLayout*> EntityLayoutOf(const std::string& name) const;
+  Result<const RelationshipLayout*> RelationshipLayoutOf(
+      const std::string& name) const;
+
   /// The body of the five public CRUD entry points. Under the construct's
   /// lock domain, `apply` changes memory and `log` (only when a hook is
   /// attached) writes the WAL record, so WAL order equals apply order
@@ -166,18 +285,17 @@ class MappedDatabase {
   /// record to become durable (early lock release): writers of one domain
   /// then share a group-commit sync instead of queueing one fsync each.
   template <typename Apply, typename Log>
-  Status ApplyAndLog(const std::string& construct, const char* counter_name,
+  Status ApplyAndLog(std::mutex* domain, const char* counter_name,
                      Apply apply, Log log);
 
-  Status InsertEntityImpl(const std::string& class_name, const Value& entity);
-  Status DeleteEntityImpl(const std::string& class_name, const IndexKey& key);
-  Status UpdateAttributeImpl(const std::string& class_name,
-                             const IndexKey& key, const std::string& attr,
-                             const Value& value);
-  Status InsertRelationshipImpl(const std::string& rel_name,
+  Status InsertEntityImpl(const EntityLayout& e, const Value& entity);
+  Status DeleteEntityImpl(const EntityLayout& e, const IndexKey& key);
+  Status UpdateAttributeImpl(const EntityLayout& e, const IndexKey& key,
+                             const std::string& attr, const Value& value);
+  Status InsertRelationshipImpl(const RelationshipLayout& r,
                                 const IndexKey& left_key,
                                 const IndexKey& right_key, const Value& attrs);
-  Status DeleteRelationshipImpl(const std::string& rel_name,
+  Status DeleteRelationshipImpl(const RelationshipLayout& r,
                                 const IndexKey& left_key,
                                 const IndexKey& right_key);
 
@@ -185,6 +303,8 @@ class MappedDatabase {
       : mapping_(std::move(mapping)) {}
 
   Status Initialize();
+  /// Builds entity_layouts_, relationship_layouts_ and the lock domains.
+  Status BuildLayouts();
 
   // -- helpers (database.cc) --
   Result<const AttributeDef*> FindVisibleAttribute(
@@ -192,21 +312,24 @@ class MappedDatabase {
   /// Class (in the ancestry chain of `class_name`) that declares `attr`.
   Result<std::string> DeclaringClass(const std::string& class_name,
                                      const std::string& attr) const;
-  Result<IndexKey> ExtractFullKey(const std::string& class_name,
-                                  const Value& entity) const;
   /// Positions of the key columns in a table, by key column names.
   Result<std::vector<int>> ColumnPositions(
       const Table& table, const std::vector<std::string>& names) const;
   Result<std::vector<std::string>> KeyColumnNames(
       const std::string& class_name) const;
 
-  /// Segment row ids of an instance in its own-segment table, "" table ok.
+  bool EntityExists(const EntityLayout& e, const IndexKey& key) const;
+  Result<const EntityLayout*> SpecificLayout(const EntityLayout& e,
+                                             const IndexKey& key) const;
+
+  /// The row holding an instance's own segment, and which probe found it.
   struct SegmentRef {
     Table* table = nullptr;
     RowId row = 0;
+    size_t probe = 0;
   };
-  Result<SegmentRef> FindSegmentRow(const std::string& class_name,
-                                    const IndexKey& key);
+  std::optional<SegmentRef> FindSegmentRow(const EntityLayout& e,
+                                          const IndexKey& key) const;
 
   // -- scan helpers (database_scan.cc) --
   /// Base stream over instances of the class: full key columns plus the
@@ -222,38 +345,35 @@ class MappedDatabase {
       const std::vector<ExprPtr>* key_filter);
 
   // -- CRUD helpers (database.cc / database_rel.cc) --
-  Status InsertSegments(const std::string& class_name, const Value& entity,
-                        const IndexKey& key);
-  Status InsertMultiValued(const std::string& class_name, const Value& entity,
-                           const IndexKey& key);
-  Status DeleteWhereKey(Table* table, const std::vector<std::string>& key_cols,
-                        const IndexKey& key);
-  Status ClearForeignKeysReferencing(const std::string& one_class,
-                                     const IndexKey& key);
-
-  /// The writer lock domain of an entity or relationship set. Unknown
-  /// names (analysis errors surface inside the Impl) fall back to one
-  /// shared mutex.
-  std::mutex& LockDomain(const std::string& construct);
-
-  /// Partitions the schema graph into connected components (edges: ISA
-  /// parent, weak→owner, relationship→both participants) and assigns one
-  /// shared mutex per component. Called at the end of Initialize.
-  void BuildLockDomains();
+  /// Ids of the working rows whose `positions` columns equal `key`.
+  static std::vector<RowId> RowsWhere(const Table& table,
+                                      const std::vector<int>& positions,
+                                      const IndexKey& key);
+  /// Sets the columns at `positions` (negative ones skipped) to null.
+  static void NullOut(const std::vector<int>& positions, Row* row);
+  /// Keys of the weak instances of `weak` owned by the owner `key`.
+  Result<std::vector<IndexKey>> OwnedWeakKeys(const EntityLayout& weak,
+                                              const IndexKey& key);
+  /// Nulls the FK (and folded attribute) columns referencing `key`.
+  Status ClearForeignKeys(const RelationshipLayout& r, const IndexKey& key);
+  /// Removes one side's instance `key` from a materialized join table.
+  Status DetachSide(const RelationshipLayout& r, bool left,
+                    const IndexKey& key);
 
   PhysicalMapping mapping_;
   Catalog catalog_;
   std::map<std::string, std::unique_ptr<FactorizedPair>> pairs_;
   DurabilityHook* durability_ = nullptr;
+  std::unordered_map<std::string, EntityLayout> entity_layouts_;
+  std::unordered_map<std::string, RelationshipLayout> relationship_layouts_;
   /// Writer serialization: the five public CRUD entry points lock their
   /// construct's domain — every physical structure one logical mutation
   /// can reach (hierarchy segments, weak cascades, FK clears, pair
   /// edges) lives inside a single domain, so writers in unrelated parts
   /// of the schema run in parallel. Readers never take these locks: they
-  /// pin published versions.
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> lock_domains_;
-  std::shared_ptr<std::mutex> fallback_domain_ =
-      std::make_shared<std::mutex>();
+  /// pin published versions. One mutex per connected schema component
+  /// (edges: ISA parent, weak owner, relationship participants).
+  std::vector<std::unique_ptr<std::mutex>> domains_;
 };
 
 }  // namespace erbium

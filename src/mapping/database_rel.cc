@@ -4,15 +4,26 @@ namespace erbium {
 
 namespace {
 
-/// Copies all `<role>_`-prefixed column values from `src` into `dst`.
-void CopyRoleColumns(const TableSchema& schema, const std::string& role,
-                     const Row& src, Row* dst) {
-  std::string prefix = role + "_";
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    if (schema.column(i).name.rfind(prefix, 0) == 0) {
-      (*dst)[i] = src[i];
+/// Copies the columns at `positions` from `src` into `dst`.
+void CopyColumns(const std::vector<int>& positions, const Row& src, Row* dst) {
+  for (int pos : positions) (*dst)[pos] = src[pos];
+}
+
+/// The row of `table` holding the edge (left_key, right_key), or -1.
+/// `left_rows` receives every row carrying `left_key`.
+int64_t FindEdge(const Table& table, const std::vector<int>& left_pos,
+                 const std::vector<int>& right_pos, const IndexKey& left_key,
+                 const IndexKey& right_key, std::vector<RowId>* left_rows) {
+  table.LookupEqual(left_pos, left_key, left_rows);
+  for (RowId id : *left_rows) {
+    const Row& row = table.row(id);
+    bool same = right_key.size() == right_pos.size();
+    for (size_t i = 0; same && i < right_pos.size(); ++i) {
+      same = !row[right_pos[i]].is_null() && row[right_pos[i]] == right_key[i];
     }
+    if (same) return static_cast<int64_t>(id);
   }
+  return -1;
 }
 
 }  // namespace
@@ -27,381 +38,237 @@ Result<size_t> MappedDatabase::CountRelationships(
   return count;
 }
 
-Status MappedDatabase::InsertRelationshipImpl(const std::string& rel_name,
-                                          const IndexKey& left_key,
-                                          const IndexKey& right_key,
-                                          const Value& attrs) {
-  const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-  if (rel == nullptr) {
-    return Status::NotFound("no relationship set named " + rel_name);
+Status MappedDatabase::ClearForeignKeys(const RelationshipLayout& r,
+                                        const IndexKey& key) {
+  const EntityLayout& many = r.many_is_left ? *r.left : *r.right;
+  for (size_t i = 0; i < r.carriers.size(); ++i) {
+    Table* table = many.probes[i].table;
+    const RelationshipLayout::FkCarrier& carrier = r.carriers[i];
+    for (RowId id : RowsWhere(*table, carrier.key, key)) {
+      Row row = table->row(id);
+      NullOut(carrier.key, &row);
+      NullOut(carrier.attributes, &row);
+      ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
+    }
   }
+  return Status::OK();
+}
+
+Status MappedDatabase::DetachSide(const RelationshipLayout& r, bool left,
+                                  const IndexKey& key) {
+  Table* table = r.table;
+  const std::vector<int>& other_key = left ? r.right_key : r.left_key;
+  for (RowId id : RowsWhere(*table, left ? r.left_key : r.right_key, key)) {
+    Row row = table->row(id);
+    // A lone row goes, and so does a joined row whose partner appears on
+    // another row; otherwise the partner stays, as a lone row.
+    bool drop = row[other_key.front()].is_null();
+    if (!drop) {
+      IndexKey partner;
+      for (int pos : other_key) partner.push_back(row[pos]);
+      drop = RowsWhere(*table, other_key, partner).size() > 1;
+    }
+    if (drop) {
+      ERBIUM_RETURN_NOT_OK(table->Delete(id));
+      continue;
+    }
+    NullOut(left ? r.left_columns : r.right_columns, &row);
+    ERBIUM_RETURN_NOT_OK(table->Update(id, std::move(row)));
+  }
+  return Status::OK();
+}
+
+Status MappedDatabase::InsertRelationshipImpl(const RelationshipLayout& r,
+                                              const IndexKey& left_key,
+                                              const IndexKey& right_key,
+                                              const Value& attrs) {
+  const std::string& rel_name = r.def->name;
   // Referential integrity on both sides — enforceable under every
   // mapping here (the paper notes this is hard on raw relational M3).
-  ERBIUM_ASSIGN_OR_RETURN(bool left_exists,
-                          EntityExists(rel->left.entity, left_key));
-  if (!left_exists) {
+  if (!EntityExists(*r.left, left_key)) {
     return Status::ConstraintViolation("left participant of " + rel_name +
                                        " does not exist");
   }
-  ERBIUM_ASSIGN_OR_RETURN(bool right_exists,
-                          EntityExists(rel->right.entity, right_key));
-  if (!right_exists) {
+  if (!EntityExists(*r.right, right_key)) {
     return Status::ConstraintViolation("right participant of " + rel_name +
                                        " does not exist");
   }
-
-  RelationshipStorage storage = mapping_.spec().relationship_storage(*rel);
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> left_cols,
-                          mapping_.KeyColumns(rel->left.entity));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> right_cols,
-                          mapping_.KeyColumns(rel->right.entity));
+  ERBIUM_RETURN_NOT_OK(r.left->CheckKeyTypes(left_key));
+  ERBIUM_RETURN_NOT_OK(r.right->CheckKeyTypes(right_key));
 
   // Cardinality: a kOne participant admits at most one instance per
   // instance of the other side. Foreign-key storage enforces this through
   // FK occupancy, join tables through their unique indexes; the
   // joined-storage variants are probed explicitly here.
-  if (storage == RelationshipStorage::kFactorized) {
-    FactorizedPair* p = pair(PhysicalMapping::PairName(rel_name));
-    if (rel->left.cardinality == Cardinality::kOne) {
-      int64_t r = p->FindRight(right_key);
-      if (r >= 0 && !p->left_neighbors(r).empty()) {
-        return Status::ConstraintViolation(
-            "cardinality violation: right participant already linked in " +
-            rel_name);
-      }
+  auto linked = [&](bool left, const IndexKey& key) {
+    if (r.pair != nullptr) {
+      int64_t i = left ? r.pair->FindLeft(key) : r.pair->FindRight(key);
+      return i >= 0 && !(left ? r.pair->right_neighbors(i)
+                              : r.pair->left_neighbors(i))
+                            .empty();
     }
-    if (rel->right.cardinality == Cardinality::kOne) {
-      int64_t l = p->FindLeft(left_key);
-      if (l >= 0 && !p->right_neighbors(l).empty()) {
-        return Status::ConstraintViolation(
-            "cardinality violation: left participant already linked in " +
-            rel_name);
-      }
+    const std::vector<int>& other = left ? r.right_key : r.left_key;
+    for (RowId id : RowsWhere(*r.table, left ? r.left_key : r.right_key, key)) {
+      if (!r.table->row(id)[other.front()].is_null()) return true;
     }
-  } else if (storage == RelationshipStorage::kMaterializedJoin) {
-    Table* table =
-        catalog_.GetTable(PhysicalMapping::MaterializedTableName(rel_name));
-    auto linked = [&](const Participant& p, const std::vector<Column>& cols,
-                      const IndexKey& key, const Participant& other,
-                      const std::vector<Column>& other_cols) -> Result<bool> {
-      std::vector<std::string> names;
-      for (const Column& c : cols) {
-        names.push_back(PhysicalMapping::RoleColumnName(p.role, c.name));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                              ColumnPositions(*table, names));
-      std::vector<std::string> other_names;
-      for (const Column& c : other_cols) {
-        other_names.push_back(
-            PhysicalMapping::RoleColumnName(other.role, c.name));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> other_positions,
-                              ColumnPositions(*table, other_names));
-      std::vector<RowId> ids;
-      table->LookupEqual(positions, key, &ids);
-      for (RowId id : ids) {
-        if (!table->row(id)[other_positions.front()].is_null()) return true;
-      }
-      return false;
-    };
-    if (rel->left.cardinality == Cardinality::kOne) {
-      ERBIUM_ASSIGN_OR_RETURN(
-          bool right_linked,
-          linked(rel->right, right_cols, right_key, rel->left, left_cols));
-      if (right_linked) {
-        return Status::ConstraintViolation(
-            "cardinality violation: right participant already linked in " +
-            rel_name);
-      }
+    return false;
+  };
+  if (r.storage == RelationshipStorage::kFactorized ||
+      r.storage == RelationshipStorage::kMaterializedJoin) {
+    if (r.def->left.cardinality == Cardinality::kOne &&
+        linked(false, right_key)) {
+      return Status::ConstraintViolation(
+          "cardinality violation: right participant already linked in " +
+          rel_name);
     }
-    if (rel->right.cardinality == Cardinality::kOne) {
-      ERBIUM_ASSIGN_OR_RETURN(
-          bool left_linked,
-          linked(rel->left, left_cols, left_key, rel->right, right_cols));
-      if (left_linked) {
-        return Status::ConstraintViolation(
-            "cardinality violation: left participant already linked in " +
-            rel_name);
-      }
+    if (r.def->right.cardinality == Cardinality::kOne &&
+        linked(true, left_key)) {
+      return Status::ConstraintViolation(
+          "cardinality violation: left participant already linked in " +
+          rel_name);
     }
   }
 
-  auto attr_value = [&](const std::string& name) -> Value {
-    if (attrs.kind() != TypeKind::kStruct) return Value::Null();
-    const Value* v = attrs.FindField(name);
+  auto attr_value = [&](size_t i) -> Value {
+    const Value* v = attrs.kind() == TypeKind::kStruct
+                         ? attrs.FindField(r.def->attributes[i].name)
+                         : nullptr;
     return v == nullptr ? Value::Null() : *v;
   };
 
-  switch (storage) {
+  switch (r.storage) {
     case RelationshipStorage::kForeignKey: {
-      bool many_is_left = rel->many_side().role == rel->left.role;
-      const IndexKey& many_key = many_is_left ? left_key : right_key;
-      const IndexKey& one_key = many_is_left ? right_key : left_key;
-      const std::vector<Column>& one_cols =
-          many_is_left ? right_cols : left_cols;
-      ERBIUM_ASSIGN_OR_RETURN(
-          SegmentRef ref, FindSegmentRow(rel->many_side().entity, many_key));
+      const IndexKey& many_key = r.many_is_left ? left_key : right_key;
+      const IndexKey& one_key = r.many_is_left ? right_key : left_key;
+      SegmentRef ref =
+          *FindSegmentRow(r.many_is_left ? *r.left : *r.right, many_key);
+      const RelationshipLayout::FkCarrier& carrier = r.carriers[ref.probe];
       Row row = ref.table->row(ref.row);
-      for (size_t i = 0; i < one_cols.size(); ++i) {
-        int pos = ref.table->schema().ColumnIndex(
-            PhysicalMapping::FkColumnName(rel_name, one_cols[i].name));
-        if (pos < 0) return Status::Internal("missing FK column");
-        if (!row[pos].is_null()) {
+      for (size_t i = 0; i < carrier.key.size(); ++i) {
+        if (!row[carrier.key[i]].is_null()) {
           return Status::ConstraintViolation(
               "participant already linked through " + rel_name);
         }
-        row[pos] = one_key[i];
+        row[carrier.key[i]] = one_key[i];
       }
-      for (const AttributeDef& attr : rel->attributes) {
-        int pos = ref.table->schema().ColumnIndex(
-            PhysicalMapping::FkColumnName(rel_name, attr.name));
-        if (pos >= 0) row[pos] = attr_value(attr.name);
+      for (size_t a = 0; a < carrier.attributes.size(); ++a) {
+        if (carrier.attributes[a] >= 0) {
+          row[carrier.attributes[a]] = attr_value(a);
+        }
       }
       return ref.table->Update(ref.row, std::move(row));
     }
     case RelationshipStorage::kJoinTable: {
-      Table* table = catalog_.GetTable(rel_name);
-      // Reject duplicate edges.
-      std::vector<std::string> left_names;
-      for (const Column& c : left_cols) {
-        left_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->left.role, c.name));
+      std::vector<RowId> left_rows;
+      if (FindEdge(*r.table, r.left_key, r.right_key, left_key, right_key,
+                   &left_rows) >= 0) {
+        return Status::AlreadyExists("relationship instance already exists");
       }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> left_positions,
-                              ColumnPositions(*table, left_names));
-      std::vector<RowId> candidates;
-      table->LookupEqual(left_positions, left_key, &candidates);
-      for (RowId id : candidates) {
-        const Row& existing = table->row(id);
-        bool same = true;
-        for (size_t i = 0; i < right_key.size(); ++i) {
-          if (existing[left_cols.size() + i] != right_key[i]) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          return Status::AlreadyExists("relationship instance already exists");
-        }
+      Row row(r.table->schema().num_columns(), Value::Null());
+      for (size_t i = 0; i < left_key.size(); ++i) {
+        row[r.left_key[i]] = left_key[i];
       }
-      Row row = left_key;
-      row.insert(row.end(), right_key.begin(), right_key.end());
-      for (const AttributeDef& attr : rel->attributes) {
-        row.push_back(attr_value(attr.name));
+      for (size_t i = 0; i < right_key.size(); ++i) {
+        row[r.right_key[i]] = right_key[i];
       }
-      return table->Insert(std::move(row)).status();
+      for (size_t a = 0; a < r.attributes.size(); ++a) {
+        row[r.attributes[a]] = attr_value(a);
+      }
+      return r.table->Insert(std::move(row)).status();
     }
     case RelationshipStorage::kMaterializedJoin: {
-      Table* table = catalog_.GetTable(
-          PhysicalMapping::MaterializedTableName(rel_name));
-      const TableSchema& ts = table->schema();
-      std::vector<std::string> left_names, right_names;
-      for (const Column& c : left_cols) {
-        left_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->left.role, c.name));
+      Table* table = r.table;
+      std::vector<RowId> left_rows;
+      if (FindEdge(*table, r.left_key, r.right_key, left_key, right_key,
+                   &left_rows) >= 0) {
+        return Status::AlreadyExists("relationship instance already exists");
       }
-      for (const Column& c : right_cols) {
-        right_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->right.role, c.name));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> left_positions,
-                              ColumnPositions(*table, left_names));
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                              ColumnPositions(*table, right_names));
-      std::vector<RowId> left_rows, right_rows;
-      table->LookupEqual(left_positions, left_key, &left_rows);
-      table->LookupEqual(right_positions, right_key, &right_rows);
+      std::vector<RowId> right_rows = RowsWhere(*table, r.right_key, right_key);
       if (left_rows.empty() || right_rows.empty()) {
         return Status::Internal("materialized segment rows missing");
       }
-      // Duplicate edge?
-      for (RowId lid : left_rows) {
-        const Row& row = table->row(lid);
-        bool same = true;
-        for (size_t i = 0; i < right_positions.size(); ++i) {
-          if (row[right_positions[i]] != right_key[i]) {
-            same = false;
-            break;
-          }
+      // A lone row of either side is reused for the joined row.
+      auto lone = [&](const std::vector<RowId>& ids,
+                      const std::vector<int>& other) -> int64_t {
+        for (RowId id : ids) {
+          if (table->row(id)[other.front()].is_null()) return id;
         }
-        if (same) {
-          return Status::AlreadyExists("relationship instance already exists");
-        }
-      }
-      auto is_lone = [&](RowId id, const std::vector<int>& other_side) {
-        return table->row(id)[other_side.front()].is_null();
+        return -1;
       };
-      RowId lone_left = 0;
-      bool has_lone_left = false;
-      for (RowId id : left_rows) {
-        if (is_lone(id, right_positions)) {
-          lone_left = id;
-          has_lone_left = true;
-          break;
-        }
+      int64_t lone_left = lone(left_rows, r.right_key);
+      int64_t lone_right = lone(right_rows, r.left_key);
+      Row merged(table->schema().num_columns(), Value::Null());
+      CopyColumns(r.left_columns, table->row(left_rows.front()), &merged);
+      CopyColumns(r.right_columns, table->row(right_rows.front()), &merged);
+      for (size_t a = 0; a < r.attributes.size(); ++a) {
+        if (r.attributes[a] >= 0) merged[r.attributes[a]] = attr_value(a);
       }
-      RowId lone_right = 0;
-      bool has_lone_right = false;
-      for (RowId id : right_rows) {
-        if (is_lone(id, left_positions)) {
-          lone_right = id;
-          has_lone_right = true;
-          break;
-        }
-      }
-      const Row left_source = table->row(left_rows.front());
-      const Row right_source = table->row(right_rows.front());
-      Row merged(ts.num_columns(), Value::Null());
-      CopyRoleColumns(ts, rel->left.role, left_source, &merged);
-      CopyRoleColumns(ts, rel->right.role, right_source, &merged);
-      for (const AttributeDef& attr : rel->attributes) {
-        int pos = ts.ColumnIndex(attr.name);
-        if (pos >= 0) merged[pos] = attr_value(attr.name);
-      }
-      if (has_lone_left && has_lone_right) {
+      if (lone_left >= 0) {
         ERBIUM_RETURN_NOT_OK(table->Update(lone_left, std::move(merged)));
-        return table->Delete(lone_right);
+        return lone_right >= 0 ? table->Delete(lone_right) : Status::OK();
       }
-      if (has_lone_left) {
-        return table->Update(lone_left, std::move(merged));
-      }
-      if (has_lone_right) {
-        return table->Update(lone_right, std::move(merged));
-      }
+      if (lone_right >= 0) return table->Update(lone_right, std::move(merged));
       return table->Insert(std::move(merged)).status();
     }
-    case RelationshipStorage::kFactorized: {
-      FactorizedPair* p = pair(PhysicalMapping::PairName(rel_name));
-      return p->Connect(left_key, right_key);
-    }
+    case RelationshipStorage::kFactorized:
+      return r.pair->Connect(left_key, right_key);
   }
   return Status::Internal("unreachable relationship storage");
 }
 
-Status MappedDatabase::DeleteRelationshipImpl(const std::string& rel_name,
-                                          const IndexKey& left_key,
-                                          const IndexKey& right_key) {
-  const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-  if (rel == nullptr) {
-    return Status::NotFound("no relationship set named " + rel_name);
+Status MappedDatabase::DeleteRelationshipImpl(const RelationshipLayout& r,
+                                              const IndexKey& left_key,
+                                              const IndexKey& right_key) {
+  auto not_found = [] {
+    return Status::NotFound("relationship instance not found");
+  };
+  if (left_key.size() != r.left->key_names.size() ||
+      right_key.size() != r.right->key_names.size()) {
+    return not_found();
   }
-  RelationshipStorage storage = mapping_.spec().relationship_storage(*rel);
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> left_cols,
-                          mapping_.KeyColumns(rel->left.entity));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> right_cols,
-                          mapping_.KeyColumns(rel->right.entity));
-  switch (storage) {
+  switch (r.storage) {
     case RelationshipStorage::kForeignKey: {
-      bool many_is_left = rel->many_side().role == rel->left.role;
-      const IndexKey& many_key = many_is_left ? left_key : right_key;
-      const IndexKey& one_key = many_is_left ? right_key : left_key;
-      const std::vector<Column>& one_cols =
-          many_is_left ? right_cols : left_cols;
-      ERBIUM_ASSIGN_OR_RETURN(
-          SegmentRef ref, FindSegmentRow(rel->many_side().entity, many_key));
-      Row row = ref.table->row(ref.row);
-      for (size_t i = 0; i < one_cols.size(); ++i) {
-        int pos = ref.table->schema().ColumnIndex(
-            PhysicalMapping::FkColumnName(rel_name, one_cols[i].name));
-        if (pos < 0 || row[pos].is_null() || row[pos] != one_key[i]) {
-          return Status::NotFound("relationship instance not found");
-        }
+      const IndexKey& many_key = r.many_is_left ? left_key : right_key;
+      const IndexKey& one_key = r.many_is_left ? right_key : left_key;
+      std::optional<SegmentRef> ref =
+          FindSegmentRow(r.many_is_left ? *r.left : *r.right, many_key);
+      if (!ref) return not_found();
+      const RelationshipLayout::FkCarrier& carrier = r.carriers[ref->probe];
+      Row row = ref->table->row(ref->row);
+      for (size_t i = 0; i < carrier.key.size(); ++i) {
+        const Value& fk = row[carrier.key[i]];
+        if (fk.is_null() || fk != one_key[i]) return not_found();
       }
-      for (size_t i = 0; i < one_cols.size(); ++i) {
-        int pos = ref.table->schema().ColumnIndex(
-            PhysicalMapping::FkColumnName(rel_name, one_cols[i].name));
-        row[pos] = Value::Null();
-      }
-      for (const AttributeDef& attr : rel->attributes) {
-        int pos = ref.table->schema().ColumnIndex(
-            PhysicalMapping::FkColumnName(rel_name, attr.name));
-        if (pos >= 0) row[pos] = Value::Null();
-      }
-      return ref.table->Update(ref.row, std::move(row));
+      NullOut(carrier.key, &row);
+      NullOut(carrier.attributes, &row);
+      return ref->table->Update(ref->row, std::move(row));
     }
     case RelationshipStorage::kJoinTable: {
-      Table* table = catalog_.GetTable(rel_name);
-      std::vector<std::string> left_names;
-      for (const Column& c : left_cols) {
-        left_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->left.role, c.name));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> left_positions,
-                              ColumnPositions(*table, left_names));
-      std::vector<RowId> candidates;
-      table->LookupEqual(left_positions, left_key, &candidates);
-      for (RowId id : candidates) {
-        const Row& row = table->row(id);
-        bool same = true;
-        for (size_t i = 0; i < right_key.size(); ++i) {
-          if (row[left_cols.size() + i] != right_key[i]) {
-            same = false;
-            break;
-          }
-        }
-        if (same) return table->Delete(id);
-      }
-      return Status::NotFound("relationship instance not found");
+      std::vector<RowId> left_rows;
+      int64_t edge = FindEdge(*r.table, r.left_key, r.right_key, left_key,
+                              right_key, &left_rows);
+      return edge < 0 ? not_found() : r.table->Delete(edge);
     }
     case RelationshipStorage::kMaterializedJoin: {
-      Table* table = catalog_.GetTable(
-          PhysicalMapping::MaterializedTableName(rel_name));
-      const TableSchema& ts = table->schema();
-      std::vector<std::string> left_names, right_names;
-      for (const Column& c : left_cols) {
-        left_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->left.role, c.name));
-      }
-      for (const Column& c : right_cols) {
-        right_names.push_back(
-            PhysicalMapping::RoleColumnName(rel->right.role, c.name));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> left_positions,
-                              ColumnPositions(*table, left_names));
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                              ColumnPositions(*table, right_names));
+      Table* table = r.table;
       std::vector<RowId> left_rows;
-      table->LookupEqual(left_positions, left_key, &left_rows);
-      RowId edge_row = 0;
-      bool found = false;
-      for (RowId id : left_rows) {
-        const Row& row = table->row(id);
-        bool same = true;
-        for (size_t i = 0; i < right_positions.size(); ++i) {
-          if (row[right_positions[i]].is_null() ||
-              row[right_positions[i]] != right_key[i]) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          edge_row = id;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return Status::NotFound("relationship instance not found");
+      int64_t edge = FindEdge(*table, r.left_key, r.right_key, left_key,
+                              right_key, &left_rows);
+      if (edge < 0) return not_found();
+      size_t right_rows = RowsWhere(*table, r.right_key, right_key).size();
+      Row original = table->row(edge);
+      ERBIUM_RETURN_NOT_OK(table->Delete(edge));
       // Preserve lone segments when this was their last row.
-      std::vector<RowId> right_rows;
-      table->LookupEqual(right_positions, right_key, &right_rows);
-      Row original = table->row(edge_row);
-      ERBIUM_RETURN_NOT_OK(table->Delete(edge_row));
-      if (left_rows.size() == 1) {
-        Row lone(ts.num_columns(), Value::Null());
-        CopyRoleColumns(ts, rel->left.role, original, &lone);
-        ERBIUM_RETURN_NOT_OK(table->Insert(std::move(lone)).status());
-      }
-      if (right_rows.size() == 1) {
-        Row lone(ts.num_columns(), Value::Null());
-        CopyRoleColumns(ts, rel->right.role, original, &lone);
+      for (bool left : {true, false}) {
+        if ((left ? left_rows.size() : right_rows) != 1) continue;
+        Row lone(table->schema().num_columns(), Value::Null());
+        CopyColumns(left ? r.left_columns : r.right_columns, original, &lone);
         ERBIUM_RETURN_NOT_OK(table->Insert(std::move(lone)).status());
       }
       return Status::OK();
     }
-    case RelationshipStorage::kFactorized: {
-      FactorizedPair* p = pair(PhysicalMapping::PairName(rel_name));
-      return p->Disconnect(left_key, right_key);
-    }
+    case RelationshipStorage::kFactorized:
+      return r.pair->Disconnect(left_key, right_key);
   }
   return Status::Internal("unreachable relationship storage");
 }

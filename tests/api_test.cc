@@ -1,7 +1,10 @@
 // Tests for the entity-centric API / governance layer: JSON rendering,
-// expanded entity retrieval, PII tagging, subject export and erasure.
+// expanded entity retrieval, PII tagging, subject export and erasure;
+// a rejected INSERT through an attached StatementRunner.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "api/entity_store.h"
 #include "api/statement_runner.h"
@@ -175,6 +178,40 @@ TEST(StatementClassifyTest, WhitespaceAndCaseInsensitive) {
     EXPECT_EQ(Runner::Classify(c.statement), c.expected)
         << "statement: \"" << c.statement << "\"";
   }
+}
+
+// A rejected INSERT changes nothing in memory and is never logged, so
+// the live database and a reopened one agree on the count, even for a
+// subclass insert that fails after its superclass row was built.
+TEST(AttachedRunnerTest, RejectedInsertLeavesCountUnchangedAcrossReopen) {
+  std::string dir = ::testing::TempDir() + "/erbium_api_rejected_insert";
+  std::filesystem::remove_all(dir);
+  auto count = [](api::StatementRunner* runner) -> int64_t {
+    auto result = runner->Execute("SELECT count(*) AS n FROM R");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->result.rows.at(0).at(0).as_int64() : -1;
+  };
+  {
+    api::StatementRunner::Options options;
+    options.attach_dir = dir;
+    auto runner = api::StatementRunner::Create(std::move(options));
+    ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+    for (const char* ddl : {"CREATE ENTITY R ( r_id INT KEY, r_a1 INT )",
+                            "CREATE ENTITY R1 EXTENDS R ( r1_a1 INT )"}) {
+      auto created = (*runner)->Execute(ddl);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+    }
+    ASSERT_TRUE((*runner)->Execute("INSERT R (r_id = 1, r_a1 = 5)").ok());
+    EXPECT_FALSE((*runner)->Execute("INSERT R1 (r_id = 2, r1_a1 = 'x')").ok());
+    EXPECT_EQ(count(runner->get()), 1);
+  }
+  api::StatementRunner::Options reopen;
+  reopen.attach_dir = dir;
+  auto runner = api::StatementRunner::Create(std::move(reopen));
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  EXPECT_EQ(count(runner->get()), 1);
+  ASSERT_TRUE((*runner)->Execute("INSERT R1 (r_id = 2, r1_a1 = 3)").ok());
+  EXPECT_EQ(count(runner->get()), 2);
 }
 
 }  // namespace

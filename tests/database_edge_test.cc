@@ -1,11 +1,13 @@
 // Edge-case CRUD tests: M6pg (materialized-join) storage semantics —
 // lone rows, duplication-aware updates, edge deletion splitting rows —
 // plus composite attributes end-to-end, GetEntity metadata, and
-// miscellaneous error paths.
+// miscellaneous error paths, and the all-or-nothing contract of a
+// rejected write under every mapping.
 
 #include <gtest/gtest.h>
 
 #include "er/ddl_parser.h"
+#include "logical_dump.h"
 #include "workload/figure4.h"
 
 namespace erbium {
@@ -217,6 +219,121 @@ TEST(ErrorPathTest, UsefulErrorsForBadCalls) {
                                           {"s1_no", I(1)}}))
                 .code(),
             StatusCode::kConstraintViolation);
+}
+
+// A rejected write changes nothing, whatever the mapping: every row it
+// would write is validated before the first one is applied — including
+// a subclass insert's superclass segment, the side-table rows of a
+// multi-valued attribute, and a factorized pair side.
+class RejectedWriteTest : public ::testing::TestWithParam<MappingSpec> {
+ protected:
+  void SetUp() override {
+    Figure4Config config;
+    config.num_r = 30;
+    config.num_s = 10;
+    auto db = MakeFigure4Database(GetParam(), config, &schema_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).value();
+  }
+
+  size_t Count(const std::string& cls) {
+    auto n = db_->CountEntities(cls);
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ok() ? *n : 0;
+  }
+
+  std::shared_ptr<ERSchema> schema_;
+  std::unique_ptr<MappedDatabase> db_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Figure4, RejectedWriteTest,
+    ::testing::ValuesIn([] {
+      std::vector<MappingSpec> specs = Figure4AllMappings();
+      specs.push_back(Figure4M6Pg());
+      return specs;
+    }()),
+    [](const ::testing::TestParamInfo<MappingSpec>& info) {
+      return info.param.name;
+    });
+
+TEST_P(RejectedWriteTest, RejectedSubclassInsertLeavesNoInstance) {
+  size_t before = Count("R");
+  Value bad = Value::Struct(
+      {{"r_id", I(9001)}, {"r1_a1", Value::String("not an int")}});
+  EXPECT_EQ(db_->InsertEntity("R1", bad).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_FALSE(db_->EntityExists("R", {I(9001)}).value());
+  EXPECT_EQ(Count("R"), before);
+  ASSERT_TRUE(db_->InsertEntity("R1", Value::Struct({{"r_id", I(9001)},
+                                                    {"r1_a1", I(1)}}))
+                  .ok());
+  EXPECT_EQ(db_->SpecificClassOf("R", {I(9001)}).value(), "R1");
+  EXPECT_EQ(Count("R"), before + 1);
+}
+
+TEST_P(RejectedWriteTest, RejectedMultiValuedElementLeavesNoInstance) {
+  size_t before = Count("R");
+  for (const Value& bad : {Value::Array({I(7), Value::String("x")}),
+                           Value::Array({I(7), Value::Null()}), I(7)}) {
+    Value entity = Value::Struct({{"r_id", I(9002)}, {"r_mv1", bad}});
+    EXPECT_EQ(db_->InsertEntity("R", entity).code(),
+              StatusCode::kConstraintViolation)
+        << bad.ToString();
+    EXPECT_FALSE(db_->EntityExists("R", {I(9002)}).value());
+  }
+  EXPECT_EQ(Count("R"), before);
+  Value good = Value::Struct(
+      {{"r_id", I(9002)}, {"r_mv1", Value::Array({I(8), I(7)})}});
+  ASSERT_TRUE(db_->InsertEntity("R", good).ok());
+  auto entity = db_->GetEntity("R", {I(9002)});
+  ASSERT_TRUE(entity.ok()) << entity.status().ToString();
+  EXPECT_EQ(Canonicalize(*entity->FindField("r_mv1")),
+            Value::Array({I(7), I(8)}));
+}
+
+TEST_P(RejectedWriteTest, RejectedPairSideAndFoldedInsertsLeaveNothing) {
+  std::string before = LogicalDump(db_.get());
+  EXPECT_EQ(db_->InsertEntity(
+                   "R2", Value::Struct({{"r_id", I(9003)},
+                                        {"r2_a1", Value::String("x")}}))
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db_->InsertEntity(
+                   "S1", Value::Struct({{"s_id", I(1)},
+                                        {"s1_no", I(77)},
+                                        {"s1_a1", Value::String("x")}}))
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(LogicalDump(db_.get()), before);
+  EXPECT_TRUE(db_->InsertEntity("R2", Value::Struct({{"r_id", I(9003)}})).ok());
+  EXPECT_TRUE(
+      db_->InsertEntity("S1", Value::Struct({{"s_id", I(1)}, {"s1_no", I(77)}}))
+          .ok());
+}
+
+TEST_P(RejectedWriteTest, RejectedUpdatesKeepOldValues) {
+  Value entity = Value::Struct({{"r_id", I(9004)},
+                                {"r2_a1", I(5)},
+                                {"r_mv1", Value::Array({I(1), I(2)})}});
+  ASSERT_TRUE(db_->InsertEntity("R2", entity).ok());
+  std::string before = LogicalDump(db_.get());
+  EXPECT_EQ(db_->UpdateAttribute("R2", {I(9004)}, "r_mv1",
+                                 Value::Array({I(7), Value::String("x")}))
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db_->UpdateAttribute("R2", {I(9004)}, "r_mv1",
+                                 Value::Array({I(7), Value::Null()}))
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db_->UpdateAttribute("R2", {I(9004)}, "r2_a1", Value::String("x"))
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(LogicalDump(db_.get()), before);
+  auto stored = db_->GetEntity("R", {I(9004)});
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(Canonicalize(*stored->FindField("r_mv1")),
+            Value::Array({I(1), I(2)}));
 }
 
 TEST(WorkloadDeterminismTest, SameSeedSameData) {

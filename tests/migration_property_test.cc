@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-
 #include "evolution/evolution.h"
+#include "logical_dump.h"
 #include "workload/figure4.h"
 
 namespace erbium {
@@ -20,62 +18,6 @@ Figure4Config TinyConfig() {
   config.num_r = 150;
   config.num_s = 50;
   return config;
-}
-
-Value Canonicalize(const Value& v) {
-  if (v.kind() == TypeKind::kArray) {
-    Value::ArrayData elements;
-    for (const Value& e : v.array()) elements.push_back(Canonicalize(e));
-    std::sort(elements.begin(), elements.end());
-    return Value::Array(std::move(elements));
-  }
-  if (v.kind() == TypeKind::kStruct) {
-    Value::StructData fields;
-    for (const auto& [name, value] : v.struct_fields()) {
-      fields.emplace_back(name, Canonicalize(value));
-    }
-    // Field order is schema-defined and stable; keep it.
-    return Value::Struct(std::move(fields));
-  }
-  return v;
-}
-
-/// Full logical dump: every entity of every root/weak set rendered, plus
-/// every relationship instance, sorted.
-std::string LogicalDump(MappedDatabase* db) {
-  std::vector<std::string> lines;
-  for (const std::string& name : db->schema().EntitySetNames()) {
-    const EntitySetDef* def = db->schema().FindEntitySet(name);
-    if (def->is_subclass()) continue;  // covered by the root scan
-    auto scan = db->ScanEntity(name, {});
-    EXPECT_TRUE(scan.ok()) << scan.status().ToString();
-    auto keys = CollectRows(scan->get());
-    EXPECT_TRUE(keys.ok());
-    for (const Row& key_row : *keys) {
-      IndexKey key(key_row.begin(), key_row.end());
-      auto entity = db->GetEntity(name, key);
-      EXPECT_TRUE(entity.ok()) << entity.status().ToString();
-      lines.push_back(name + ": " + Canonicalize(*entity).ToString());
-    }
-  }
-  for (const std::string& rel : db->schema().RelationshipSetNames()) {
-    auto scan = db->ScanRelationship(rel);
-    EXPECT_TRUE(scan.ok());
-    auto rows = CollectRows(scan->get());
-    EXPECT_TRUE(rows.ok());
-    for (const Row& row : *rows) {
-      std::string line = rel + ":";
-      for (const Value& v : row) line += " " + v.ToString();
-      lines.push_back(std::move(line));
-    }
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& line : lines) {
-    out += line;
-    out += "\n";
-  }
-  return out;
 }
 
 class MigrationRoundTripTest : public ::testing::TestWithParam<MappingSpec> {
