@@ -277,10 +277,7 @@ Status MappedDatabase::BuildLayouts() {
       for (const AttributeDef& attr : cls->def->attributes) {
         e.declaring[attr.name] = cls;
         if (attr.multi_valued) e.multi_valued.push_back(&attr);
-        if (std::find(e.key_names.begin(), e.key_names.end(), attr.name) ==
-            e.key_names.end()) {
-          e.value_attrs.push_back(attr.name);
-        }
+        if (!e.IsKey(attr.name)) e.value_attrs.push_back(attr.name);
       }
     }
 
@@ -313,6 +310,7 @@ Status MappedDatabase::BuildLayouts() {
       case SegmentLocation::kMaterializedRight: {
         const RelationshipSetDef* rel =
             s.FindRelationshipSet(mapping_.SwallowingRelationship(name));
+        e.joined = &relationship_layouts_.at(rel->name);
         role = PhysicalMapping::RoleColumnName(
             e.location == SegmentLocation::kMaterializedLeft ? rel->left.role
                                                              : rel->right.role,
@@ -432,21 +430,37 @@ Status MappedDatabase::BuildLayouts() {
     r.domain = domain_of(name);
     layout(def.left.entity)->sides.emplace_back(&r, true);
     layout(def.right.entity)->sides.emplace_back(&r, false);
+    for (const auto& [p, side] :
+         {std::pair(&def.left, r.left), std::pair(&def.right, r.right)}) {
+      for (size_t i = 0; i < side->key_names.size(); ++i) {
+        r.columns.push_back(
+            Column{PhysicalMapping::RoleColumnName(p->role, side->key_names[i]),
+                   side->key_types[i], false});
+      }
+    }
+    for (const AttributeDef& attr : def.attributes) {
+      r.columns.push_back(Column{attr.name, attr.type, true});
+    }
+    // A side's columns in the joined table: its role-prefixed key, and
+    // (materialized) every own-segment column.
     auto role_columns = [&](const Participant& p, const EntityLayout& side,
-                            std::vector<int>* key,
+                            std::vector<int>* key, std::vector<Column>* segment,
                             std::vector<int>* all) -> Status {
       std::vector<std::string> names;
       for (const std::string& k : side.key_names) {
         names.push_back(PhysicalMapping::RoleColumnName(p.role, k));
       }
       ERBIUM_ASSIGN_OR_RETURN(*key, ColumnPositions(*r.table, names));
-      std::string prefix = PhysicalMapping::RoleColumnName(p.role, "");
-      const TableSchema& ts = r.table->schema();
-      for (size_t c = 0; c < ts.num_columns(); ++c) {
-        if (ts.column(c).name.rfind(prefix, 0) == 0) {
-          all->push_back(static_cast<int>(c));
-        }
+      if (r.storage != RelationshipStorage::kMaterializedJoin) {
+        return Status::OK();
       }
+      ERBIUM_ASSIGN_OR_RETURN(*segment,
+                              mapping_.OwnSegmentColumns(side.def->name));
+      names.clear();
+      for (const Column& c : *segment) {
+        names.push_back(PhysicalMapping::RoleColumnName(p.role, c.name));
+      }
+      ERBIUM_ASSIGN_OR_RETURN(*all, ColumnPositions(*r.table, names));
       return Status::OK();
     };
     switch (r.storage) {
@@ -457,10 +471,10 @@ Status MappedDatabase::BuildLayouts() {
             table_named(r.storage == RelationshipStorage::kJoinTable
                             ? name
                             : PhysicalMapping::MaterializedTableName(name)));
-        ERBIUM_RETURN_NOT_OK(
-            role_columns(def.left, *r.left, &r.left_key, &r.left_columns));
+        ERBIUM_RETURN_NOT_OK(role_columns(def.left, *r.left, &r.left_key,
+                                          &r.left_segment, &r.left_columns));
         ERBIUM_RETURN_NOT_OK(role_columns(def.right, *r.right, &r.right_key,
-                                          &r.right_columns));
+                                          &r.right_segment, &r.right_columns));
         for (const AttributeDef& attr : def.attributes) {
           r.attributes.push_back(r.table->schema().ColumnIndex(attr.name));
         }
@@ -468,6 +482,15 @@ Status MappedDatabase::BuildLayouts() {
       }
       case RelationshipStorage::kFactorized:
         r.pair = pair(PhysicalMapping::PairName(name));
+        r.left_segment = r.pair->left_columns();
+        r.right_segment = r.pair->right_columns();
+        for (size_t i = 0; i < r.left_segment.size(); ++i) {
+          r.left_columns.push_back(static_cast<int>(i));
+        }
+        for (size_t i = 0; i < r.right_segment.size(); ++i) {
+          r.right_columns.push_back(
+              static_cast<int>(r.left_segment.size() + i));
+        }
         break;
       case RelationshipStorage::kForeignKey: {
         r.many_is_left = def.left.cardinality == Cardinality::kMany;
@@ -525,47 +548,6 @@ size_t MappedDatabase::ApproximateDataBytes() const {
 
 // ---- small helpers -----------------------------------------------------------
 
-Result<const AttributeDef*> MappedDatabase::FindVisibleAttribute(
-    const std::string& class_name, const std::string& attr) const {
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<AttributeDef> attrs,
-                          schema().AllAttributes(class_name));
-  for (const AttributeDef& a : attrs) {
-    if (a.name == attr) {
-      // Return a pointer into the schema's stable storage.
-      ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                              DeclaringClass(class_name, attr));
-      return FindAttribute(schema().FindEntitySet(declaring)->attributes,
-                           attr);
-    }
-  }
-  return Status::AnalysisError("entity set " + class_name +
-                               " has no attribute " + attr);
-}
-
-Result<std::string> MappedDatabase::DeclaringClass(
-    const std::string& class_name, const std::string& attr) const {
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> chain,
-                          schema().AncestryChain(class_name));
-  for (const std::string& cls : chain) {
-    if (FindAttribute(schema().FindEntitySet(cls)->attributes, attr) !=
-        nullptr) {
-      return cls;
-    }
-  }
-  return Status::AnalysisError("entity set " + class_name +
-                               " has no attribute " + attr);
-}
-
-Result<std::vector<std::string>> MappedDatabase::KeyColumnNames(
-    const std::string& class_name) const {
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> cols,
-                          mapping_.KeyColumns(class_name));
-  std::vector<std::string> names;
-  names.reserve(cols.size());
-  for (const Column& c : cols) names.push_back(c.name);
-  return names;
-}
-
 Result<std::vector<int>> MappedDatabase::ColumnPositions(
     const Table& table, const std::vector<std::string>& names) const {
   std::vector<int> out;
@@ -622,6 +604,26 @@ Status MappedDatabase::EntityLayout::CheckKeyTypes(const IndexKey& key) const {
         ValidateValue(key[i], key_types[i], /*nullable=*/false));
   }
   return Status::OK();
+}
+
+bool MappedDatabase::EntityLayout::IsKey(const std::string& attr) const {
+  return std::find(key_names.begin(), key_names.end(), attr) !=
+         key_names.end();
+}
+
+Status MappedDatabase::EntityLayout::CheckVisible(
+    const std::string& attr) const {
+  if (declaring.count(attr) > 0) return Status::OK();
+  return Status::AnalysisError("entity set " + def->name +
+                               " has no attribute " + attr);
+}
+
+const MappedDatabase::MvTable* MappedDatabase::EntityLayout::SideTable(
+    const std::string& attr) const {
+  auto d = declaring.find(attr);
+  if (d == declaring.end()) return nullptr;
+  int mv = d->second->own_attrs.at(attr).mv;
+  return mv < 0 ? nullptr : &d->second->mv_tables[mv];
 }
 
 bool MappedDatabase::EntityExists(const EntityLayout& e,
@@ -815,7 +817,8 @@ Result<std::vector<IndexKey>> MappedDatabase::OwnedWeakKeys(
     }
   } else {
     // Pair- or materialized-backed weak entity: scan its side.
-    ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan, ScanEntity(weak.def->name, {}));
+    ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan,
+                            BuildEntityPlan(weak, {}, nullptr));
     ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(scan.get()));
     for (const Row& row : rows) {
       if (std::equal(key.begin(), key.end(), row.begin())) {
@@ -939,48 +942,18 @@ Status MappedDatabase::DeleteEntityImpl(const EntityLayout& e,
   return Status::OK();
 }
 
-// ---- get / update / count ------------------------------------------------------
-
-Result<Value> MappedDatabase::GetEntity(const std::string& class_name,
-                                        const IndexKey& key) {
-  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
-  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* specific,
-                          SpecificLayout(*e, key));
-  const std::vector<std::string>& attr_names = specific->value_attrs;
-  ERBIUM_ASSIGN_OR_RETURN(
-      OperatorPtr plan, LookupEntity(specific->def->name, key, attr_names));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(plan.get()));
-  if (rows.empty()) {
-    return Status::Internal("instance disappeared during GetEntity");
-  }
-  const Row& row = rows.front();
-  const std::vector<std::string>& key_names = e->key_names;
-  Value::StructData fields;
-  fields.emplace_back("_class", Value::String(specific->def->name));
-  for (size_t i = 0; i < key_names.size(); ++i) {
-    fields.emplace_back(key_names[i], key[i]);
-  }
-  for (size_t i = 0; i < attr_names.size(); ++i) {
-    fields.emplace_back(attr_names[i], row[key_names.size() + i]);
-  }
-  return Value::Struct(std::move(fields));
-}
+// ---- update / count ----------------------------------------------------------
 
 Status MappedDatabase::UpdateAttributeImpl(const EntityLayout& e,
                                            const IndexKey& key,
                                            const std::string& attr,
                                            const Value& value) {
-  auto declaring = e.declaring.find(attr);
-  if (declaring == e.declaring.end()) {
-    return Status::AnalysisError("entity set " + e.def->name +
-                                 " has no attribute " + attr);
-  }
-  if (std::find(e.key_names.begin(), e.key_names.end(), attr) !=
-      e.key_names.end()) {
+  ERBIUM_RETURN_NOT_OK(e.CheckVisible(attr));
+  if (e.IsKey(attr)) {
     return Status::InvalidArgument("key attribute " + attr +
                                    " cannot be updated");
   }
-  const EntityLayout& d = *declaring->second;
+  const EntityLayout& d = *e.declaring.at(attr);
   const AttrSlot& slot = d.own_attrs.at(attr);
   if (!EntityExists(d, key)) {
     return Status::NotFound("no " + d.def->name + " instance with given key");

@@ -148,25 +148,20 @@ class MappedDatabase {
       const std::string& rel_name, const std::vector<std::string>& left_attrs,
       const std::vector<std::string>& right_attrs);
 
-  /// Stream of a weak entity set's instances belonging to one owner
-  /// instance, through the owner-key index (own-table storage) or the
-  /// owner's folded array (folded storage). Columns as ScanEntity.
-  Result<OperatorPtr> LookupWeakByOwner(const std::string& weak_entity,
-                                        const IndexKey& owner_key,
-                                        const std::vector<std::string>& attrs);
-
  private:
   /// Bumps the named logical-CRUD counter when the operation succeeded,
   /// so counters reflect applied changes, not attempts.
   static Status Counted(Status s, const char* counter_name);
 
-  // ---- compiled write layouts ----------------------------------------------
+  // ---- compiled layouts ----------------------------------------------------
   //
   // Initialize resolves, once per entity set and relationship set, every
-  // name the CRUD paths need: tables, pairs, key/FK/role column positions,
-  // the uniqueness scope and the writer lock domain. A MappedDatabase is
-  // rebuilt on every DDL, REMAP and ATTACH, so the layouts live and die
-  // with it and are never invalidated.
+  // name the CRUD paths and the access-plan builders need: tables, pairs,
+  // side tables, key/FK/role column positions, declaring classes, the
+  // uniqueness scope and the writer lock domain. Reads and writes both
+  // start from one layout lookup and then work on positions. A
+  // MappedDatabase is rebuilt on every DDL, REMAP and ATTACH, so the
+  // layouts live and die with it and are never invalidated.
 
   /// A table holding an entity set's own segment, with the positions of
   /// the full key in it (role-prefixed in a materialized join table).
@@ -228,6 +223,7 @@ class MappedDatabase {
     // Finding an instance.
     std::vector<SegmentProbe> probes;    // disjoint: self + descendants
     FactorizedPair* pair = nullptr;      // kPairLeft / kPairRight
+    const RelationshipLayout* joined = nullptr;  // kMaterialized*
     int type_column = -1;                // kHierarchySingle
     std::vector<int> folded_column;      // kFoldedInOwner: per owner probe
 
@@ -250,6 +246,11 @@ class MappedDatabase {
     /// Lookups match keys across numeric kinds; a write that stores a key
     /// takes it only with the declared types, under every mapping.
     Status CheckKeyTypes(const IndexKey& key) const;
+    bool IsKey(const std::string& attr) const;
+    /// AnalysisError unless `attr` is visible (declared here or above).
+    Status CheckVisible(const std::string& attr) const;
+    /// The side table of a visible attribute stored in one; else null.
+    const MvTable* SideTable(const std::string& attr) const;
   };
 
   struct RelationshipLayout {
@@ -261,8 +262,14 @@ class MappedDatabase {
     Table* table = nullptr;           // join or materialized join table
     FactorizedPair* pair = nullptr;
     std::vector<int> left_key, right_key;          // role key positions
-    std::vector<int> left_columns, right_columns;  // materialized sides
+    /// Joined storages: each side's own-segment columns (unprefixed) and
+    /// their positions in a joined row (a materialized table row, or a
+    /// FactorizedJoinScan row: left side, then right side).
+    std::vector<Column> left_segment, right_segment;
+    std::vector<int> left_columns, right_columns;
     std::vector<int> attributes;  // per def->attributes; -1 when absent
+    /// ScanRelationship's output: role-prefixed keys, then attributes.
+    std::vector<Column> columns;
     /// Foreign-key storage: the FK and attribute columns on each table
     /// of the many side, aligned with that side's probes.
     bool many_is_left = false;
@@ -307,16 +314,9 @@ class MappedDatabase {
   Status BuildLayouts();
 
   // -- helpers (database.cc) --
-  Result<const AttributeDef*> FindVisibleAttribute(
-      const std::string& class_name, const std::string& attr) const;
-  /// Class (in the ancestry chain of `class_name`) that declares `attr`.
-  Result<std::string> DeclaringClass(const std::string& class_name,
-                                     const std::string& attr) const;
-  /// Positions of the key columns in a table, by key column names.
+  /// Positions of the named columns in a table (layout compilation only).
   Result<std::vector<int>> ColumnPositions(
       const Table& table, const std::vector<std::string>& names) const;
-  Result<std::vector<std::string>> KeyColumnNames(
-      const std::string& class_name) const;
 
   bool EntityExists(const EntityLayout& e, const IndexKey& key) const;
   Result<const EntityLayout*> SpecificLayout(const EntityLayout& e,
@@ -332,17 +332,26 @@ class MappedDatabase {
                                           const IndexKey& key) const;
 
   // -- scan helpers (database_scan.cc) --
-  /// Base stream over instances of the class: full key columns plus the
-  /// own-location columns needed for `needed_attrs` that are inline
-  /// (arrays / scalars / FK cols are handled by the callers). The
-  /// `key_filter` (may be null) restricts to one key for point access.
+  /// Base stream over instances of the class: the full key columns plus
+  /// every column of `inline_attrs` (visible, non-key attributes stored
+  /// in the segment rows, not in side tables). The `key_filter` (may be
+  /// null) restricts to one key for point access.
   Result<OperatorPtr> BuildSegmentStream(
-      const std::string& class_name, const std::vector<std::string>& attrs,
-      const std::vector<ExprPtr>* key_filter);
+      const EntityLayout& e, const std::vector<std::string>& inline_attrs,
+      const std::vector<ExprPtr>* key_filter) const;
 
+  /// Full key followed by `attrs` (each visible at `e`; multi-valued ones
+  /// as arrays, side tables grouped and joined in).
   Result<OperatorPtr> BuildEntityPlan(
-      const std::string& class_name, const std::vector<std::string>& attrs,
-      const std::vector<ExprPtr>* key_filter);
+      const EntityLayout& e, const std::vector<std::string>& attrs,
+      const std::vector<ExprPtr>* key_filter) const;
+
+  /// Index-joins to `base` the class-table segment of every ancestor of
+  /// `e` that declares one of `attrs` (non-key), once each in first-use
+  /// order, probing with the key columns at `key` in `base`.
+  static Result<OperatorPtr> JoinAncestors(
+      OperatorPtr base, const std::vector<int>& key, const EntityLayout& e,
+      const std::vector<std::string>& attrs);
 
   // -- CRUD helpers (database.cc / database_rel.cc) --
   /// Ids of the working rows whose `positions` columns equal `key`.

@@ -39,6 +39,28 @@ Result<OperatorPtr> ProjectTo(OperatorPtr child,
       std::make_unique<ProjectOp>(std::move(child), out, std::move(exprs)));
 }
 
+/// Projects a child to the columns at `positions`, keeping their names.
+OperatorPtr ProjectAt(OperatorPtr child, const std::vector<int>& positions) {
+  std::vector<ExprPtr> exprs;
+  std::vector<Column> out;
+  for (int pos : positions) {
+    out.push_back(child->output_columns()[pos]);
+    exprs.push_back(ColRef(*child, pos));
+  }
+  return std::make_unique<ProjectOp>(std::move(child), std::move(out),
+                                     std::move(exprs));
+}
+
+/// Positions of the named key columns in an operator's output.
+std::vector<int> KeyPositions(const Operator& op,
+                              const std::vector<std::string>& key_names) {
+  std::vector<int> positions;
+  for (const std::string& name : key_names) {
+    positions.push_back(ColIndex(op, name));
+  }
+  return positions;
+}
+
 /// Equality predicate `columns == key` over the child's output.
 ExprPtr KeyEqualsPredicate(const Operator& op, const std::vector<int>& cols,
                            const std::vector<ExprPtr>& key) {
@@ -48,6 +70,12 @@ ExprPtr KeyEqualsPredicate(const Operator& op, const std::vector<int>& cols,
         MakeCompare(CompareOp::kEq, ColRef(op, cols[i]), key[i]));
   }
   return ConjoinAll(std::move(conjuncts));
+}
+
+/// Rows whose column `index` is not null.
+OperatorPtr NotNullAt(OperatorPtr child, int index) {
+  ExprPtr present = std::make_shared<IsNullExpr>(ColRef(*child, index), true);
+  return std::make_unique<FilterOp>(std::move(child), std::move(present));
 }
 
 /// A constant key as IndexLookup / key-filter expressions.
@@ -61,118 +89,72 @@ std::vector<ExprPtr> LiteralKey(const IndexKey& key) {
 
 // ---- segment/base streams ------------------------------------------------------
 
-Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
-    const std::string& class_name, const std::vector<std::string>& attrs,
-    const std::vector<ExprPtr>* key_filter) {
-  // Returns a stream over instances of `class_name` whose columns include
-  // the full key (named by key attribute names) and every *inline* column
-  // among `attrs` (arrays, scalars). Separate-table multi-valued attrs
-  // are joined in by BuildEntityPlan.
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  SegmentLocation loc = mapping_.segment_location(class_name);
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-
-  // Which inline attrs live on which declaring class (for ancestor joins
-  // under class-table storage).
-  struct InlineAttr {
-    std::string name;
-    std::string declaring;
-  };
-  std::vector<InlineAttr> inline_attrs;
+Result<OperatorPtr> MappedDatabase::JoinAncestors(
+    OperatorPtr base, const std::vector<int>& key, const EntityLayout& e,
+    const std::vector<std::string>& attrs) {
+  // Class-table storage: the paper's multi-way hierarchy joins. Joined
+  // key columns collide by name; later name lookups find the first (left)
+  // occurrence, which is correct.
+  std::vector<const EntityLayout*> joined;
   for (const std::string& attr : attrs) {
-    if (std::find(key_names.begin(), key_names.end(), attr) !=
-        key_names.end()) {
-      continue;  // key columns are always present
+    const EntityLayout* ancestor = e.declaring.at(attr);
+    if (ancestor == &e || std::find(joined.begin(), joined.end(),
+                                    ancestor) != joined.end()) {
+      continue;
     }
-    ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                            DeclaringClass(class_name, attr));
-    ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                            FindVisibleAttribute(class_name, attr));
-    bool folded_weak =
-        def->weak && mapping_.spec().weak_storage(class_name) ==
-                         WeakEntityStorage::kFoldedArray;
-    if (attr_def->multi_valued && !folded_weak &&
-        mapping_.spec().multi_valued_storage(declaring, attr) ==
-            MultiValuedStorage::kSeparateTable) {
-      continue;  // joined in later
+    joined.push_back(ancestor);
+    if (ancestor->location != SegmentLocation::kOwnTable) {
+      return Status::Internal("missing ancestor segment table " +
+                              ancestor->def->name);
     }
-    inline_attrs.push_back(InlineAttr{attr, declaring});
+    std::vector<ExprPtr> probe;
+    for (int pos : key) probe.push_back(ColRef(*base, pos));
+    const SegmentProbe& segment = ancestor->probes.front();
+    base = std::make_unique<IndexJoinOp>(std::move(base), segment.table,
+                                         std::move(probe), segment.key);
   }
+  return base;
+}
 
-  auto table_base = [&](const std::string& table_name)
-      -> Result<OperatorPtr> {
-    Table* table = catalog_.GetTable(table_name);
-    if (table == nullptr) {
-      return Status::Internal("missing table " + table_name);
-    }
+Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
+    const EntityLayout& e, const std::vector<std::string>& inline_attrs,
+    const std::vector<ExprPtr>* key_filter) const {
+  auto table_base = [&](const SegmentProbe& probe) -> OperatorPtr {
     if (key_filter != nullptr) {
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                              ColumnPositions(*table, key_names));
-      return OperatorPtr(
-          std::make_unique<IndexLookup>(table, positions, *key_filter));
+      return std::make_unique<IndexLookup>(probe.table, probe.key,
+                                           *key_filter);
     }
-    return OperatorPtr(std::make_unique<SeqScan>(table));
+    return std::make_unique<SeqScan>(probe.table);
   };
 
-  switch (loc) {
-    case SegmentLocation::kOwnTable: {
-      ERBIUM_ASSIGN_OR_RETURN(OperatorPtr base, table_base(class_name));
-      // Join ancestor segment tables for inherited inline attrs
-      // (class-table storage: the paper's multi-way hierarchy joins).
-      std::set<std::string> joined;
-      for (const InlineAttr& attr : inline_attrs) {
-        if (attr.declaring == class_name) continue;
-        if (!joined.insert(attr.declaring).second) continue;
-        Table* ancestor = catalog_.GetTable(attr.declaring);
-        if (ancestor == nullptr) {
-          return Status::Internal("missing ancestor segment table " +
-                                  attr.declaring);
-        }
-        std::vector<ExprPtr> left_keys;
-        for (const std::string& key_name : key_names) {
-          int idx = ColIndex(*base, key_name);
-          left_keys.push_back(ColRef(*base, idx));
-        }
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                                ColumnPositions(*ancestor, key_names));
-        base = std::make_unique<IndexJoinOp>(std::move(base), ancestor,
-                                             std::move(left_keys),
-                                             right_positions);
-        // Joined key columns collide by name; later name lookups find the
-        // first (left) occurrence, which is correct.
-      }
-      return base;
-    }
+  switch (e.location) {
+    case SegmentLocation::kOwnTable:
+      return JoinAncestors(table_base(e.probes.front()),
+                           e.probes.front().key, e, inline_attrs);
     case SegmentLocation::kHierarchySingle: {
-      ERBIUM_ASSIGN_OR_RETURN(std::string root,
-                              schema().HierarchyRoot(class_name));
-      ERBIUM_ASSIGN_OR_RETURN(OperatorPtr base, table_base(root));
-      std::vector<std::string> subtree =
-          schema().SelfAndDescendants(class_name);
-      if (subtree.size() != schema().SelfAndDescendants(root).size()) {
-        // Restrict to the subtree through the discriminator.
-        int type_idx = ColIndex(*base, PhysicalMapping::kTypeColumn);
-        std::vector<Value> members;
-        for (const std::string& cls : subtree) {
-          members.push_back(Value::String(cls));
-        }
-        base = std::make_unique<FilterOp>(
-            std::move(base),
-            MakeInList(ColRef(*base, type_idx), std::move(members)));
+      OperatorPtr base = table_base(e.probes.front());
+      if (e.self_and_descendants.size() ==
+          e.scope->self_and_descendants.size()) {
+        return base;
       }
-      return base;
+      // Restrict to the subtree through the discriminator.
+      std::vector<Value> members;
+      for (const EntityLayout* cls : e.self_and_descendants) {
+        members.push_back(Value::String(cls->def->name));
+      }
+      ExprPtr in_subtree =
+          MakeInList(ColRef(*base, e.type_column), std::move(members));
+      return OperatorPtr(
+          std::make_unique<FilterOp>(std::move(base), std::move(in_subtree)));
     }
     case SegmentLocation::kHierarchyDisjoint: {
       std::vector<OperatorPtr> branches;
-      std::vector<std::string> projection = key_names;
-      for (const InlineAttr& attr : inline_attrs) {
-        projection.push_back(attr.name);
-      }
-      for (const std::string& cls : schema().SelfAndDescendants(class_name)) {
-        ERBIUM_ASSIGN_OR_RETURN(OperatorPtr branch, table_base(cls));
-        ERBIUM_ASSIGN_OR_RETURN(branch,
-                                ProjectTo(std::move(branch), projection));
+      std::vector<std::string> projection = e.key_names;
+      projection.insert(projection.end(), inline_attrs.begin(),
+                        inline_attrs.end());
+      for (const SegmentProbe& probe : e.probes) {
+        ERBIUM_ASSIGN_OR_RETURN(OperatorPtr branch,
+                                ProjectTo(table_base(probe), projection));
         branches.push_back(std::move(branch));
       }
       if (branches.size() == 1) return std::move(branches.front());
@@ -182,36 +164,32 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
     case SegmentLocation::kFoldedInOwner: {
       // Owner stream (restricted by the owner-key prefix when a full key
       // filter is present), unnested over the folded array.
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> owner_keys,
-                              KeyColumnNames(def->owner));
-      std::vector<std::string> owner_attrs;  // just the folded column
-      OperatorPtr base;
+      const std::vector<std::string>& owner_keys = e.owner->key_names;
+      std::vector<ExprPtr> owner_key;
       if (key_filter != nullptr) {
-        std::vector<ExprPtr> owner_key(
-            key_filter->begin(), key_filter->begin() + owner_keys.size());
-        ERBIUM_ASSIGN_OR_RETURN(
-            base, BuildSegmentStream(def->owner, owner_attrs, &owner_key));
-      } else {
-        ERBIUM_ASSIGN_OR_RETURN(
-            base, BuildSegmentStream(def->owner, owner_attrs, nullptr));
+        owner_key.assign(key_filter->begin(),
+                         key_filter->begin() + owner_keys.size());
       }
-      int folded_idx = ColIndex(*base, class_name);
+      ERBIUM_ASSIGN_OR_RETURN(
+          OperatorPtr base,
+          BuildSegmentStream(*e.owner, {},
+                             key_filter != nullptr ? &owner_key : nullptr));
+      const std::string& name = e.def->name;
+      int folded_idx = ColIndex(*base, name);
       if (folded_idx < 0) {
-        return Status::Internal("missing folded column " + class_name);
+        return Status::Internal("missing folded column " + name);
       }
       base = std::make_unique<UnnestOp>(std::move(base), folded_idx,
-                                        class_name + "_element");
+                                        name + "_element");
       // Project owner key + struct fields (partial key and attributes).
-      int element_idx = folded_idx;
       std::vector<Column> out;
       std::vector<ExprPtr> exprs;
-      for (const std::string& key_name : owner_keys) {
-        int idx = ColIndex(*base, key_name);
+      for (int idx : KeyPositions(*base, owner_keys)) {
         out.push_back(base->output_columns()[idx]);
-        exprs.push_back(MakeColumnRef(idx, key_name));
+        exprs.push_back(ColRef(*base, idx));
       }
-      ExprPtr element = ColRef(*base, element_idx);
-      for (const AttributeDef& attr : def->attributes) {
+      ExprPtr element = ColRef(*base, folded_idx);
+      for (const AttributeDef& attr : e.def->attributes) {
         out.push_back(Column{attr.name,
                              PhysicalMapping::PhysicalAttrType(
                                  attr, attr.multi_valued),
@@ -220,191 +198,100 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
       }
       OperatorPtr projected = std::make_unique<ProjectOp>(
           std::move(base), std::move(out), std::move(exprs));
-      if (key_filter != nullptr) {
-        // Restrict to the exact partial key.
-        std::vector<int> partial_positions;
-        for (const std::string& pk : def->partial_key) {
-          partial_positions.push_back(ColIndex(*projected, pk));
-        }
-        std::vector<ExprPtr> partial(
-            key_filter->begin() + owner_keys.size(), key_filter->end());
-        ExprPtr predicate =
-            KeyEqualsPredicate(*projected, partial_positions, partial);
-        projected = std::make_unique<FilterOp>(std::move(projected),
-                                               std::move(predicate));
-      }
-      return projected;
+      if (key_filter == nullptr) return projected;
+      // Restrict to the exact partial key.
+      std::vector<ExprPtr> partial(key_filter->begin() + owner_keys.size(),
+                                   key_filter->end());
+      ExprPtr predicate = KeyEqualsPredicate(
+          *projected, KeyPositions(*projected, e.def->partial_key), partial);
+      return OperatorPtr(std::make_unique<FilterOp>(std::move(projected),
+                                                    std::move(predicate)));
     }
     case SegmentLocation::kPairLeft:
     case SegmentLocation::kPairRight: {
-      FactorizedPair* p = pair(mapping_.SegmentPairName(class_name));
-      bool left = loc == SegmentLocation::kPairLeft;
-      OperatorPtr base = std::make_unique<FactorizedSideScan>(p, left);
+      OperatorPtr base = std::make_unique<FactorizedSideScan>(
+          e.pair, e.location == SegmentLocation::kPairLeft);
+      std::vector<int> key = KeyPositions(*base, e.key_names);
       if (key_filter != nullptr) {
-        std::vector<int> positions;
-        for (const std::string& key_name : key_names) {
-          positions.push_back(ColIndex(*base, key_name));
-        }
-        base = std::make_unique<FilterOp>(
-            std::move(base),
-            KeyEqualsPredicate(*base, positions, *key_filter));
+        ExprPtr predicate = KeyEqualsPredicate(*base, key, *key_filter);
+        base =
+            std::make_unique<FilterOp>(std::move(base), std::move(predicate));
       }
       // Inherited attrs come from ancestor tables (class-table storage is
       // validated for swallowed subclasses).
-      std::set<std::string> joined;
-      for (const InlineAttr& attr : inline_attrs) {
-        if (attr.declaring == class_name) continue;
-        if (!joined.insert(attr.declaring).second) continue;
-        Table* ancestor = catalog_.GetTable(attr.declaring);
-        std::vector<ExprPtr> left_keys;
-        for (const std::string& key_name : key_names) {
-          left_keys.push_back(ColRef(*base, ColIndex(*base, key_name)));
-        }
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                                ColumnPositions(*ancestor, key_names));
-        base = std::make_unique<IndexJoinOp>(std::move(base), ancestor,
-                                             std::move(left_keys),
-                                             right_positions);
-      }
-      return base;
+      return JoinAncestors(std::move(base), key, e, inline_attrs);
     }
     case SegmentLocation::kMaterializedLeft:
     case SegmentLocation::kMaterializedRight: {
-      std::string rel_name = mapping_.SwallowingRelationship(class_name);
-      const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-      bool left = loc == SegmentLocation::kMaterializedLeft;
-      const std::string& role = left ? rel->left.role : rel->right.role;
-      Table* table = catalog_.GetTable(
-          PhysicalMapping::MaterializedTableName(rel_name));
-      OperatorPtr base;
-      std::vector<std::string> prefixed_keys;
-      for (const std::string& key_name : key_names) {
-        prefixed_keys.push_back(
-            PhysicalMapping::RoleColumnName(role, key_name));
-      }
-      if (key_filter != nullptr) {
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                                ColumnPositions(*table, prefixed_keys));
-        base = std::make_unique<IndexLookup>(table, positions, *key_filter);
-      } else {
-        base = std::make_unique<SeqScan>(table);
-      }
       // Keep rows that carry this side, strip the prefix, deduplicate
       // (the M:N duplication cost of materialized storage).
-      int first_key = ColIndex(*base, prefixed_keys.front());
-      base = std::make_unique<FilterOp>(
-          std::move(base),
-          std::make_shared<IsNullExpr>(ColRef(*base, first_key), true));
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> seg_cols,
-                              mapping_.OwnSegmentColumns(class_name));
-      std::vector<Column> out;
+      const SegmentProbe& probe = e.probes.front();
+      OperatorPtr base = NotNullAt(table_base(probe), probe.key.front());
+      bool left = e.location == SegmentLocation::kMaterializedLeft;
+      const std::vector<Column>& segment =
+          left ? e.joined->left_segment : e.joined->right_segment;
+      const std::vector<int>& columns =
+          left ? e.joined->left_columns : e.joined->right_columns;
       std::vector<ExprPtr> exprs;
-      for (const Column& col : seg_cols) {
-        int idx =
-            ColIndex(*base, PhysicalMapping::RoleColumnName(role, col.name));
-        if (idx < 0) {
-          return Status::Internal("materialized column missing: " + col.name);
-        }
-        out.push_back(Column{col.name, col.type, col.nullable});
-        exprs.push_back(MakeColumnRef(idx, col.name));
+      for (size_t i = 0; i < segment.size(); ++i) {
+        exprs.push_back(MakeColumnRef(columns[i], segment[i].name));
       }
-      base = std::make_unique<ProjectOp>(std::move(base), std::move(out),
+      base = std::make_unique<ProjectOp>(std::move(base), segment,
                                          std::move(exprs));
       base = std::make_unique<DistinctOp>(std::move(base));
       // Ancestor joins (swallowed subclass under class-table storage).
-      std::set<std::string> joined;
-      for (const InlineAttr& attr : inline_attrs) {
-        if (attr.declaring == class_name) continue;
-        if (!joined.insert(attr.declaring).second) continue;
-        Table* ancestor = catalog_.GetTable(attr.declaring);
-        std::vector<ExprPtr> left_keys;
-        for (const std::string& key_name : key_names) {
-          left_keys.push_back(ColRef(*base, ColIndex(*base, key_name)));
-        }
-        ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                                ColumnPositions(*ancestor, key_names));
-        base = std::make_unique<IndexJoinOp>(std::move(base), ancestor,
-                                             std::move(left_keys),
-                                             right_positions);
-      }
-      return base;
+      std::vector<int> key = KeyPositions(*base, e.key_names);
+      return JoinAncestors(std::move(base), key, e, inline_attrs);
     }
   }
   return Status::Internal("unreachable segment location");
 }
 
 Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
-    const std::string& class_name, const std::vector<std::string>& attrs,
-    const std::vector<ExprPtr>* key_filter) {
-  if (schema().FindEntitySet(class_name) == nullptr) {
-    return Status::NotFound("no entity set named " + class_name);
-  }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  bool folded_weak =
-      def->weak && mapping_.spec().weak_storage(class_name) ==
-                       WeakEntityStorage::kFoldedArray;
-
+    const EntityLayout& e, const std::vector<std::string>& attrs,
+    const std::vector<ExprPtr>* key_filter) const {
+  const std::vector<std::string>& key_names = e.key_names;
   // Partition: which requested attrs need a separate-table join.
+  std::vector<std::string> inline_attrs;
   std::vector<std::string> side_attrs;
   for (const std::string& attr : attrs) {
-    if (std::find(key_names.begin(), key_names.end(), attr) !=
-        key_names.end()) {
-      continue;
-    }
-    ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                            FindVisibleAttribute(class_name, attr));
-    ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                            DeclaringClass(class_name, attr));
-    if (attr_def->multi_valued && !folded_weak &&
-        mapping_.spec().multi_valued_storage(declaring, attr) ==
-            MultiValuedStorage::kSeparateTable) {
+    if (e.IsKey(attr)) continue;  // key columns are always present
+    ERBIUM_RETURN_NOT_OK(e.CheckVisible(attr));
+    if (e.SideTable(attr) != nullptr) {
       side_attrs.push_back(attr);
+    } else {
+      inline_attrs.push_back(attr);
     }
   }
 
   ERBIUM_ASSIGN_OR_RETURN(OperatorPtr base,
-                          BuildSegmentStream(class_name, attrs, key_filter));
+                          BuildSegmentStream(e, inline_attrs, key_filter));
 
   // Join each separate-table multi-valued attribute, grouped into an
   // array per key (the paper's chain of array_agg + group by, and the
   // source of M1's multi-way-join cost in experiment E1).
   for (const std::string& attr : side_attrs) {
-    ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                            DeclaringClass(class_name, attr));
-    Table* side =
-        catalog_.GetTable(PhysicalMapping::MvTableName(declaring, attr));
-    if (side == nullptr) {
-      return Status::Internal("missing side table for " + attr);
-    }
+    const MvTable& side = *e.SideTable(attr);
     OperatorPtr side_scan;
     if (key_filter != nullptr) {
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                              ColumnPositions(*side, key_names));
-      side_scan = std::make_unique<IndexLookup>(side, positions, *key_filter);
+      side_scan =
+          std::make_unique<IndexLookup>(side.table, side.key, *key_filter);
     } else {
-      side_scan = std::make_unique<SeqScan>(side);
+      side_scan = std::make_unique<SeqScan>(side.table);
     }
     std::vector<ExprPtr> group_exprs;
-    std::vector<std::string> group_names;
-    for (const std::string& key_name : key_names) {
-      int idx = ColIndex(*side_scan, key_name);
-      group_exprs.push_back(ColRef(*side_scan, idx));
-      group_names.push_back(key_name);
-    }
-    int value_idx = ColIndex(*side_scan, attr);
+    for (int pos : side.key) group_exprs.push_back(ColRef(*side_scan, pos));
     std::vector<AggregateSpec> aggs;
     aggs.push_back(AggregateSpec{AggKind::kArrayAgg,
-                                 ColRef(*side_scan, value_idx), attr, false});
+                                 ColRef(*side_scan, ColIndex(*side_scan, attr)),
+                                 attr, false});
     OperatorPtr grouped = std::make_unique<HashAggregateOp>(
-        std::move(side_scan), std::move(group_exprs), std::move(group_names),
+        std::move(side_scan), std::move(group_exprs), key_names,
         std::move(aggs));
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
     for (size_t i = 0; i < key_names.size(); ++i) {
-      left_keys.push_back(
-          ColRef(*base, ColIndex(*base, key_names[i])));
+      left_keys.push_back(ColRef(*base, ColIndex(*base, key_names[i])));
       right_keys.push_back(MakeColumnRef(static_cast<int>(i), key_names[i]));
     }
     base = std::make_unique<HashJoinOp>(std::move(base), std::move(grouped),
@@ -417,10 +304,9 @@ Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
   // arrays from outer joins normalize to empty arrays.
   std::vector<Column> out;
   std::vector<ExprPtr> exprs;
-  for (const std::string& key_name : key_names) {
-    int idx = ColIndex(*base, key_name);
+  for (int idx : KeyPositions(*base, key_names)) {
     out.push_back(base->output_columns()[idx]);
-    exprs.push_back(MakeColumnRef(idx, key_name));
+    exprs.push_back(ColRef(*base, idx));
   }
   for (const std::string& attr : attrs) {
     // The array column appended by the side join is the LAST column with
@@ -439,7 +325,7 @@ Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
     }
     if (idx < 0) {
       return Status::AnalysisError("attribute " + attr +
-                                   " is not available on " + class_name);
+                                   " is not available on " + e.def->name);
     }
     Column col = base->output_columns()[idx];
     col.name = attr;
@@ -456,9 +342,12 @@ Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
                                                  std::move(exprs)));
 }
 
+// ---- entity access plans -------------------------------------------------------
+
 Result<OperatorPtr> MappedDatabase::ScanEntity(
     const std::string& class_name, const std::vector<std::string>& attrs) {
-  return BuildEntityPlan(class_name, attrs, nullptr);
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  return BuildEntityPlan(*e, attrs, nullptr);
 }
 
 Result<OperatorPtr> MappedDatabase::LookupEntity(
@@ -470,46 +359,60 @@ Result<OperatorPtr> MappedDatabase::LookupEntity(
 Result<OperatorPtr> MappedDatabase::LookupEntity(
     const std::string& class_name, const std::vector<ExprPtr>& key,
     const std::vector<std::string>& attrs) {
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  if (key.size() != key_names.size()) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  if (key.size() != e->key_names.size()) {
     return Status::InvalidArgument("key arity mismatch for " + class_name);
   }
-  return BuildEntityPlan(class_name, attrs, &key);
+  return BuildEntityPlan(*e, attrs, &key);
+}
+
+Result<Value> MappedDatabase::GetEntity(const std::string& class_name,
+                                        const IndexKey& key) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* specific,
+                          SpecificLayout(*e, key));
+  const std::vector<std::string>& attr_names = specific->value_attrs;
+  std::vector<ExprPtr> key_exprs = LiteralKey(key);
+  ERBIUM_ASSIGN_OR_RETURN(OperatorPtr plan,
+                          BuildEntityPlan(*specific, attr_names, &key_exprs));
+  ERBIUM_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(plan.get()));
+  if (rows.empty()) {
+    return Status::Internal("instance disappeared during GetEntity");
+  }
+  const Row& row = rows.front();
+  const std::vector<std::string>& key_names = e->key_names;
+  Value::StructData fields;
+  fields.emplace_back("_class", Value::String(specific->def->name));
+  for (size_t i = 0; i < key_names.size(); ++i) {
+    fields.emplace_back(key_names[i], key[i]);
+  }
+  for (size_t i = 0; i < attr_names.size(); ++i) {
+    fields.emplace_back(attr_names[i], row[key_names.size() + i]);
+  }
+  return Value::Struct(std::move(fields));
 }
 
 Result<OperatorPtr> MappedDatabase::ScanMultiValued(
     const std::string& class_name, const std::string& attr) {
-  ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                          FindVisibleAttribute(class_name, attr));
-  if (!attr_def->multi_valued) {
+  ERBIUM_ASSIGN_OR_RETURN(const EntityLayout* e, EntityLayoutOf(class_name));
+  ERBIUM_RETURN_NOT_OK(e->CheckVisible(attr));
+  const EntityLayout* declaring = e->declaring.at(attr);
+  if (!declaring->own_attrs.at(attr).def->multi_valued) {
     return Status::AnalysisError("attribute " + attr + " of " + class_name +
                                  " is not multi-valued");
   }
-  ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                          DeclaringClass(class_name, attr));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(class_name));
-  const EntitySetDef* def = schema().FindEntitySet(class_name);
-  bool folded_weak =
-      def->weak && mapping_.spec().weak_storage(class_name) ==
-                       WeakEntityStorage::kFoldedArray;
-  if (!folded_weak &&
-      mapping_.spec().multi_valued_storage(declaring, attr) ==
-          MultiValuedStorage::kSeparateTable) {
-    Table* side =
-        catalog_.GetTable(PhysicalMapping::MvTableName(declaring, attr));
-    OperatorPtr scan = std::make_unique<SeqScan>(side);
-    if (class_name == declaring) return scan;
+  const std::vector<std::string>& key_names = e->key_names;
+  if (const MvTable* side = e->SideTable(attr)) {
+    OperatorPtr scan = std::make_unique<SeqScan>(side->table);
+    if (declaring == e) return scan;
     // Restrict to instances of the narrower class via a semi-join.
     ERBIUM_ASSIGN_OR_RETURN(OperatorPtr members,
-                            BuildEntityPlan(class_name, {}, nullptr));
+                            BuildEntityPlan(*e, {}, nullptr));
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
-    for (const std::string& key_name : key_names) {
-      left_keys.push_back(ColRef(*scan, ColIndex(*scan, key_name)));
-      right_keys.push_back(
-          ColRef(*members, ColIndex(*members, key_name)));
+    for (size_t i = 0; i < key_names.size(); ++i) {
+      left_keys.push_back(ColRef(*scan, side->key[i]));
+      right_keys.push_back(ColRef(*members, static_cast<int>(i)));
     }
     OperatorPtr joined = std::make_unique<HashJoinOp>(
         std::move(scan), std::move(members), std::move(left_keys),
@@ -520,256 +423,110 @@ Result<OperatorPtr> MappedDatabase::ScanMultiValued(
   }
   // Array-backed (or folded weak): entity plan + unnest.
   ERBIUM_ASSIGN_OR_RETURN(OperatorPtr base,
-                          BuildEntityPlan(class_name, {attr}, nullptr));
+                          BuildEntityPlan(*e, {attr}, nullptr));
   int array_idx = static_cast<int>(key_names.size());
   return OperatorPtr(
       std::make_unique<UnnestOp>(std::move(base), array_idx, attr));
 }
 
-Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
-    const std::string& weak_entity, const IndexKey& owner_key,
-    const std::vector<std::string>& attrs) {
-  const EntitySetDef* def = schema().FindEntitySet(weak_entity);
-  if (def == nullptr || !def->weak) {
-    return Status::InvalidArgument(weak_entity + " is not a weak entity set");
-  }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> owner_key_names,
-                          KeyColumnNames(def->owner));
-  if (owner_key.size() != owner_key_names.size()) {
-    return Status::InvalidArgument("owner key arity mismatch");
-  }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
-                          KeyColumnNames(weak_entity));
-  SegmentLocation loc = mapping_.segment_location(weak_entity);
-  std::vector<std::string> projection = key_names;
-  for (const std::string& attr : attrs) {
-    if (std::find(projection.begin(), projection.end(), attr) ==
-        projection.end()) {
-      projection.push_back(attr);
-    }
-  }
-  if (loc == SegmentLocation::kOwnTable) {
-    // MV attrs stored separately would need side joins; not supported in
-    // this point-access path.
-    for (const std::string& attr : attrs) {
-      ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                              FindVisibleAttribute(weak_entity, attr));
-      if (attr_def->multi_valued &&
-          mapping_.spec().multi_valued_storage(weak_entity, attr) ==
-              MultiValuedStorage::kSeparateTable) {
-        return Status::NotImplemented(
-            "LookupWeakByOwner with separate-table multi-valued attrs");
-      }
-    }
-    Table* table = catalog_.GetTable(weak_entity);
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                            ColumnPositions(*table, owner_key_names));
-    OperatorPtr scan = std::make_unique<IndexLookup>(table, positions,
-                                                     LiteralKey(owner_key));
-    return ProjectTo(std::move(scan), projection);
-  }
-  if (loc == SegmentLocation::kFoldedInOwner) {
-    // One owner-row lookup, then unnest the folded array column.
-    SegmentLocation owner_loc = mapping_.segment_location(def->owner);
-    std::string owner_table_name = mapping_.SegmentTableName(def->owner);
-    if (owner_loc != SegmentLocation::kOwnTable &&
-        owner_loc != SegmentLocation::kHierarchySingle) {
-      return Status::NotImplemented(
-          "LookupWeakByOwner through this owner storage");
-    }
-    Table* owner_table = catalog_.GetTable(owner_table_name);
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
-                            ColumnPositions(*owner_table, owner_key_names));
-    OperatorPtr base = std::make_unique<IndexLookup>(owner_table, positions,
-                                                     LiteralKey(owner_key));
-    int folded_idx = ColIndex(*base, weak_entity);
-    if (folded_idx < 0) {
-      return Status::Internal("missing folded column " + weak_entity);
-    }
-    base = std::make_unique<UnnestOp>(std::move(base), folded_idx,
-                                      weak_entity + "_element");
-    std::vector<Column> out;
-    std::vector<ExprPtr> exprs;
-    for (const std::string& key_name : owner_key_names) {
-      int idx = ColIndex(*base, key_name);
-      out.push_back(base->output_columns()[idx]);
-      exprs.push_back(MakeColumnRef(idx, key_name));
-    }
-    ExprPtr element = ColRef(*base, folded_idx);
-    for (const AttributeDef& attr : def->attributes) {
-      out.push_back(Column{attr.name,
-                           PhysicalMapping::PhysicalAttrType(
-                               attr, attr.multi_valued),
-                           true});
-      exprs.push_back(std::make_shared<FieldAccessExpr>(element, attr.name));
-    }
-    OperatorPtr projected = std::make_unique<ProjectOp>(
-        std::move(base), std::move(out), std::move(exprs));
-    return ProjectTo(std::move(projected), projection);
-  }
-  return Status::NotImplemented(
-      "LookupWeakByOwner through this weak-entity storage");
-}
+// ---- relationship access plans -------------------------------------------------
 
 Result<OperatorPtr> MappedDatabase::ScanRelationshipJoined(
     const std::string& rel_name, const std::vector<std::string>& left_attrs,
     const std::vector<std::string>& right_attrs) {
-  const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-  if (rel == nullptr) {
-    return Status::NotFound("no relationship set named " + rel_name);
-  }
-  RelationshipStorage storage = mapping_.spec().relationship_storage(*rel);
-  if (storage != RelationshipStorage::kMaterializedJoin &&
-      storage != RelationshipStorage::kFactorized) {
+  ERBIUM_ASSIGN_OR_RETURN(const RelationshipLayout* r,
+                          RelationshipLayoutOf(rel_name));
+  bool factorized = r->storage == RelationshipStorage::kFactorized;
+  if (!factorized && r->storage != RelationshipStorage::kMaterializedJoin) {
     return Status::NotImplemented(
         "relationship " + rel_name + " is not stored joined");
   }
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> left_keys,
-                          KeyColumnNames(rel->left.entity));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> right_keys,
-                          KeyColumnNames(rel->right.entity));
-  // Partition requested attrs per side: own-segment (available in the
-  // joined structure) vs inherited (ancestor joins afterwards). MV
-  // side-table attrs are unsupported here.
-  struct SideAttrs {
+  // Per side: the requested non-key attributes, and those of them in the
+  // side's own segment (available in the joined row; inherited ones join
+  // in afterwards). MV side-table attrs are unsupported here.
+  struct Side {
+    const EntityLayout* e;
+    const std::vector<Column>* segment;
+    const std::vector<int>* columns;
+    const std::vector<std::string>* requested;
+    std::vector<std::string> values;
     std::vector<std::string> own;
-    std::vector<std::pair<std::string, std::string>> inherited;  // attr,cls
   };
-  auto partition = [&](const std::string& cls,
-                       const std::vector<std::string>& attrs,
-                       const std::vector<std::string>& keys)
-      -> Result<SideAttrs> {
-    SideAttrs out;
-    for (const std::string& attr : attrs) {
-      if (std::find(keys.begin(), keys.end(), attr) != keys.end()) continue;
-      ERBIUM_ASSIGN_OR_RETURN(const AttributeDef* attr_def,
-                              FindVisibleAttribute(cls, attr));
-      ERBIUM_ASSIGN_OR_RETURN(std::string declaring,
-                              DeclaringClass(cls, attr));
-      if (attr_def->multi_valued &&
-          mapping_.spec().multi_valued_storage(declaring, attr) ==
-              MultiValuedStorage::kSeparateTable) {
+  Side sides[2] = {
+      {r->left, &r->left_segment, &r->left_columns, &left_attrs, {}, {}},
+      {r->right, &r->right_segment, &r->right_columns, &right_attrs, {}, {}}};
+  for (Side& side : sides) {
+    for (const std::string& attr : *side.requested) {
+      if (side.e->IsKey(attr)) continue;
+      ERBIUM_RETURN_NOT_OK(side.e->CheckVisible(attr));
+      if (side.e->SideTable(attr) != nullptr) {
         return Status::NotImplemented(
             "joined scan with separate-table multi-valued attribute " + attr);
       }
-      if (declaring == cls) {
-        out.own.push_back(attr);
-      } else {
-        out.inherited.emplace_back(attr, declaring);
-      }
+      side.values.push_back(attr);
+      if (side.e->declaring.at(attr) == side.e) side.own.push_back(attr);
     }
-    return out;
-  };
-  ERBIUM_ASSIGN_OR_RETURN(
-      SideAttrs left_side,
-      partition(rel->left.entity, left_attrs, left_keys));
-  ERBIUM_ASSIGN_OR_RETURN(
-      SideAttrs right_side,
-      partition(rel->right.entity, right_attrs, right_keys));
+  }
 
   OperatorPtr base;
-  std::map<std::string, int> left_pos;   // name -> position in base
-  std::map<std::string, int> right_pos;
-  if (storage == RelationshipStorage::kFactorized) {
-    FactorizedPair* p = pair(PhysicalMapping::PairName(rel_name));
-    base = std::make_unique<FactorizedJoinScan>(p);
-    size_t left_arity = p->left_columns().size();
-    for (size_t i = 0; i < p->left_columns().size(); ++i) {
-      left_pos[p->left_columns()[i].name] = static_cast<int>(i);
-    }
-    for (size_t i = 0; i < p->right_columns().size(); ++i) {
-      right_pos[p->right_columns()[i].name] =
-          static_cast<int>(left_arity + i);
-    }
+  if (factorized) {
+    base = std::make_unique<FactorizedJoinScan>(r->pair);
   } else {
-    Table* table =
-        catalog_.GetTable(PhysicalMapping::MaterializedTableName(rel_name));
-    base = std::make_unique<SeqScan>(table);
-    auto locate = [&](const std::string& role, const std::string& name) {
-      return table->schema().ColumnIndex(
-          PhysicalMapping::RoleColumnName(role, name));
-    };
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> left_seg,
-                            mapping_.OwnSegmentColumns(rel->left.entity));
-    ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> right_seg,
-                            mapping_.OwnSegmentColumns(rel->right.entity));
-    for (const Column& c : left_seg) {
-      left_pos[c.name] = locate(rel->left.role, c.name);
-    }
-    for (const Column& c : right_seg) {
-      right_pos[c.name] = locate(rel->right.role, c.name);
-    }
     // One pass over the wide table: joined rows only.
+    base = std::make_unique<SeqScan>(r->table);
     ExprPtr both = MakeAnd(
-        std::make_shared<IsNullExpr>(
-            ColRef(*base, left_pos[left_keys.front()]), true),
-        std::make_shared<IsNullExpr>(
-            ColRef(*base, right_pos[right_keys.front()]), true));
+        std::make_shared<IsNullExpr>(ColRef(*base, r->left_key.front()), true),
+        std::make_shared<IsNullExpr>(ColRef(*base, r->right_key.front()),
+                                     true));
     base = std::make_unique<FilterOp>(std::move(base), std::move(both));
   }
 
-  // Project into canonical order: left key, left own+inherited slots,
-  // right key, right own attrs. Inherited attrs join after projection.
+  // Project into canonical order: left key, left own attrs, right key,
+  // right own attrs. Inherited attrs join after projection.
   std::vector<Column> out;
   std::vector<ExprPtr> exprs;
-  auto emit = [&](const std::map<std::string, int>& pos,
-                  const std::string& name) -> Status {
-    auto it = pos.find(name);
-    if (it == pos.end()) {
+  auto emit = [&](const Side& side, const std::string& name) -> Status {
+    const std::vector<Column>& segment = *side.segment;
+    size_t i = 0;
+    while (i < segment.size() && segment[i].name != name) ++i;
+    if (i == segment.size()) {
       return Status::Internal("joined scan missing column " + name);
     }
-    Column col = base->output_columns()[it->second];
+    int pos = (*side.columns)[i];
+    Column col = base->output_columns()[pos];
     col.name = name;
     out.push_back(col);
-    exprs.push_back(MakeColumnRef(it->second, name));
+    exprs.push_back(MakeColumnRef(pos, name));
     return Status::OK();
   };
-  for (const std::string& k : left_keys) ERBIUM_RETURN_NOT_OK(emit(left_pos, k));
-  for (const std::string& a : left_side.own) {
-    ERBIUM_RETURN_NOT_OK(emit(left_pos, a));
-  }
-  for (const std::string& k : right_keys) {
-    ERBIUM_RETURN_NOT_OK(emit(right_pos, k));
-  }
-  for (const std::string& a : right_side.own) {
-    ERBIUM_RETURN_NOT_OK(emit(right_pos, a));
+  for (const Side& side : sides) {
+    for (const std::string& k : side.e->key_names) {
+      ERBIUM_RETURN_NOT_OK(emit(side, k));
+    }
+    for (const std::string& a : side.own) ERBIUM_RETURN_NOT_OK(emit(side, a));
   }
   base = std::make_unique<ProjectOp>(std::move(base), std::move(out),
                                      std::move(exprs));
 
   // Inherited attributes via ancestor index joins (left side keys are at
   // positions 0.., right side keys follow the left block).
-  auto join_ancestors = [&](const SideAttrs& side,
-                            const std::vector<std::string>& keys,
-                            size_t key_offset) -> Status {
-    std::set<std::string> joined;
-    for (const auto& [attr, declaring] : side.inherited) {
-      if (!joined.insert(declaring).second) continue;
-      Table* ancestor = catalog_.GetTable(declaring);
-      if (ancestor == nullptr) {
-        return Status::Internal("missing ancestor table " + declaring);
-      }
-      std::vector<ExprPtr> probe;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        probe.push_back(MakeColumnRef(static_cast<int>(key_offset + i),
-                                      keys[i]));
-      }
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> right_positions,
-                              ColumnPositions(*ancestor, keys));
-      base = std::make_unique<IndexJoinOp>(std::move(base), ancestor,
-                                           std::move(probe), right_positions);
+  int offset = 0;
+  for (const Side& side : sides) {
+    std::vector<int> key;
+    for (size_t i = 0; i < side.e->key_names.size(); ++i) {
+      key.push_back(offset + static_cast<int>(i));
     }
-    return Status::OK();
-  };
-  size_t left_block = left_keys.size() + left_side.own.size();
-  ERBIUM_RETURN_NOT_OK(join_ancestors(left_side, left_keys, 0));
-  ERBIUM_RETURN_NOT_OK(join_ancestors(right_side, right_keys, left_block));
+    ERBIUM_ASSIGN_OR_RETURN(
+        base, JoinAncestors(std::move(base), key, *side.e, side.values));
+    offset += static_cast<int>(key.size() + side.own.size());
+  }
 
   // Final canonical projection: left key + left_attrs + right key +
   // right_attrs (requested order).
-  std::vector<std::string> final_names = left_keys;
+  std::vector<std::string> final_names = r->left->key_names;
   final_names.insert(final_names.end(), left_attrs.begin(), left_attrs.end());
-  final_names.insert(final_names.end(), right_keys.begin(), right_keys.end());
+  final_names.insert(final_names.end(), r->right->key_names.begin(),
+                     r->right->key_names.end());
   final_names.insert(final_names.end(), right_attrs.begin(),
                      right_attrs.end());
   // Deduplicate while preserving order (requested attrs may repeat keys).
@@ -783,152 +540,91 @@ Result<OperatorPtr> MappedDatabase::ScanRelationshipJoined(
 
 Result<OperatorPtr> MappedDatabase::ScanRelationship(
     const std::string& rel_name) {
-  const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
-  if (rel == nullptr) {
-    return Status::NotFound("no relationship set named " + rel_name);
-  }
-  RelationshipStorage storage = mapping_.spec().relationship_storage(*rel);
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> left_key,
-                          mapping_.KeyColumns(rel->left.entity));
-  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> right_key,
-                          mapping_.KeyColumns(rel->right.entity));
-  std::vector<std::string> role_columns;
-  for (const Column& c : left_key) {
-    role_columns.push_back(
-        PhysicalMapping::RoleColumnName(rel->left.role, c.name));
-  }
-  for (const Column& c : right_key) {
-    role_columns.push_back(
-        PhysicalMapping::RoleColumnName(rel->right.role, c.name));
-  }
-  switch (storage) {
-    case RelationshipStorage::kJoinTable: {
-      Table* table = catalog_.GetTable(rel_name);
-      return OperatorPtr(std::make_unique<SeqScan>(table));
-    }
+  ERBIUM_ASSIGN_OR_RETURN(const RelationshipLayout* r,
+                          RelationshipLayoutOf(rel_name));
+  size_t left_len = r->left->key_names.size();
+  size_t right_len = r->right->key_names.size();
+  switch (r->storage) {
+    case RelationshipStorage::kJoinTable:
+      return OperatorPtr(std::make_unique<SeqScan>(r->table));
     case RelationshipStorage::kForeignKey: {
-      // Stream over the many side's FK carrier, filtered to linked rows.
-      const Participant& many = rel->many_side();
-      const Participant& one = rel->one_side();
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> many_keys,
-                              KeyColumnNames(many.entity));
-      std::vector<std::string> fk_names;
-      for (const Column& c : one.entity == rel->left.entity ? left_key
-                                                            : right_key) {
-        fk_names.push_back(PhysicalMapping::FkColumnName(rel_name, c.name));
-      }
-      // Scan the FK carrier tables directly so the FK columns survive.
-      std::vector<std::string> needed = many_keys;
-      needed.insert(needed.end(), fk_names.begin(), fk_names.end());
-      for (const AttributeDef& attr : rel->attributes) {
-        needed.push_back(PhysicalMapping::FkColumnName(rel_name, attr.name));
-      }
-      std::vector<std::string> carrier_tables;
-      switch (mapping_.segment_location(many.entity)) {
-        case SegmentLocation::kOwnTable:
-          carrier_tables.push_back(many.entity);
-          break;
-        case SegmentLocation::kHierarchySingle:
-          // Rows of other classes carry null FKs and are filtered below.
-          carrier_tables.push_back(mapping_.SegmentTableName(many.entity));
-          break;
-        case SegmentLocation::kHierarchyDisjoint:
-          for (const std::string& cls :
-               schema().SelfAndDescendants(many.entity)) {
-            carrier_tables.push_back(cls);
-          }
-          break;
-        default:
-          return Status::Internal("FK carrier for " + many.entity +
-                                  " has no physical table");
-      }
+      // Stream over the many side's FK carriers (its segment tables),
+      // keeping the many key, the FK and the attribute columns.
+      const EntityLayout& many = r->many_is_left ? *r->left : *r->right;
+      size_t many_len = many.key_names.size();
+      size_t one_len = r->many_is_left ? right_len : left_len;
       std::vector<OperatorPtr> branches;
-      for (const std::string& carrier : carrier_tables) {
-        Table* table = catalog_.GetTable(carrier);
-        if (table == nullptr) {
-          return Status::Internal("missing carrier table " + carrier);
+      for (size_t i = 0; i < r->carriers.size(); ++i) {
+        const SegmentProbe& probe = many.probes[i];
+        const RelationshipLayout::FkCarrier& carrier = r->carriers[i];
+        std::vector<int> needed = probe.key;
+        needed.insert(needed.end(), carrier.key.begin(), carrier.key.end());
+        for (size_t a = 0; a < carrier.attributes.size(); ++a) {
+          if (carrier.attributes[a] < 0) {
+            return Status::Internal("missing FK attribute column " +
+                                    r->def->attributes[a].name);
+          }
+          needed.push_back(carrier.attributes[a]);
         }
-        OperatorPtr scan = std::make_unique<SeqScan>(table);
-        ERBIUM_ASSIGN_OR_RETURN(scan, ProjectTo(std::move(scan), needed));
-        branches.push_back(std::move(scan));
+        branches.push_back(
+            ProjectAt(std::make_unique<SeqScan>(probe.table), needed));
       }
       OperatorPtr base =
           branches.size() == 1
               ? std::move(branches.front())
               : OperatorPtr(std::make_unique<UnionAllOp>(std::move(branches)));
-      int first_fk = ColIndex(*base, fk_names.front());
-      if (first_fk < 0) {
-        return Status::Internal("missing FK column " + fk_names.front());
+      // Linked rows only; other classes' rows of a shared table carry
+      // null FKs too.
+      base = NotNullAt(std::move(base), static_cast<int>(many_len));
+      // Project to role-prefixed output: left role columns, right role
+      // columns, attributes.
+      std::vector<int> positions;
+      for (size_t side = 0; side < 2; ++side) {
+        bool is_many = (side == 0) == r->many_is_left;
+        size_t first = is_many ? 0 : many_len;
+        size_t len = is_many ? many_len : one_len;
+        for (size_t i = 0; i < len; ++i) {
+          positions.push_back(static_cast<int>(first + i));
+        }
       }
-      base = std::make_unique<FilterOp>(
-          std::move(base),
-          std::make_shared<IsNullExpr>(ColRef(*base, first_fk), true));
-      // Project to role-prefixed output: left role columns then right.
-      std::vector<Column> out;
+      for (size_t a = 0; a < r->def->attributes.size(); ++a) {
+        positions.push_back(static_cast<int>(many_len + one_len + a));
+      }
       std::vector<ExprPtr> exprs;
-      auto emit = [&](const Participant& p, const std::vector<Column>& key,
-                      bool is_many) -> Status {
-        for (size_t i = 0; i < key.size(); ++i) {
-          std::string source =
-              is_many ? many_keys[i]
-                      : PhysicalMapping::FkColumnName(rel_name, key[i].name);
-          int idx = ColIndex(*base, source);
-          if (idx < 0) return Status::Internal("missing column " + source);
-          out.push_back(
-              Column{PhysicalMapping::RoleColumnName(p.role, key[i].name),
-                     key[i].type, false});
-          exprs.push_back(MakeColumnRef(idx, out.back().name));
-        }
-        return Status::OK();
-      };
-      bool left_is_many = many.role == rel->left.role;
-      ERBIUM_RETURN_NOT_OK(emit(rel->left, left_key, left_is_many));
-      ERBIUM_RETURN_NOT_OK(emit(rel->right, right_key, !left_is_many));
-      for (const AttributeDef& attr : rel->attributes) {
-        int idx = ColIndex(
-            *base, PhysicalMapping::FkColumnName(rel_name, attr.name));
-        if (idx < 0) {
-          return Status::Internal("missing FK attribute column " + attr.name);
-        }
-        out.push_back(Column{attr.name, attr.type, true});
-        exprs.push_back(MakeColumnRef(idx, attr.name));
+      for (size_t c = 0; c < positions.size(); ++c) {
+        exprs.push_back(MakeColumnRef(positions[c], r->columns[c].name));
       }
       return OperatorPtr(std::make_unique<ProjectOp>(
-          std::move(base), std::move(out), std::move(exprs)));
+          std::move(base), r->columns, std::move(exprs)));
     }
     case RelationshipStorage::kMaterializedJoin: {
-      Table* table = catalog_.GetTable(
-          PhysicalMapping::MaterializedTableName(rel_name));
-      OperatorPtr base = std::make_unique<SeqScan>(table);
-      int left_idx = ColIndex(*base, role_columns.front());
-      int right_idx = ColIndex(*base, role_columns[left_key.size()]);
-      ExprPtr both_present =
-          MakeAnd(std::make_shared<IsNullExpr>(ColRef(*base, left_idx), true),
-                  std::make_shared<IsNullExpr>(ColRef(*base, right_idx), true));
+      OperatorPtr base = std::make_unique<SeqScan>(r->table);
+      ExprPtr both_present = MakeAnd(
+          std::make_shared<IsNullExpr>(ColRef(*base, r->left_key.front()),
+                                       true),
+          std::make_shared<IsNullExpr>(ColRef(*base, r->right_key.front()),
+                                       true));
       base = std::make_unique<FilterOp>(std::move(base),
                                         std::move(both_present));
-      std::vector<std::string> projection = role_columns;
-      for (const AttributeDef& attr : rel->attributes) {
-        projection.push_back(attr.name);
-      }
-      return ProjectTo(std::move(base), projection);
+      std::vector<int> projection = r->left_key;
+      projection.insert(projection.end(), r->right_key.begin(),
+                        r->right_key.end());
+      projection.insert(projection.end(), r->attributes.begin(),
+                        r->attributes.end());
+      return ProjectAt(std::move(base), projection);
     }
     case RelationshipStorage::kFactorized: {
-      FactorizedPair* p = pair(PhysicalMapping::PairName(rel_name));
-      OperatorPtr base = std::make_unique<FactorizedJoinScan>(p);
       // Key columns are the leading columns of each side's segment.
-      std::vector<Column> out;
+      OperatorPtr base = std::make_unique<FactorizedJoinScan>(r->pair);
+      std::vector<Column> out(r->columns.begin(),
+                              r->columns.begin() + left_len + right_len);
       std::vector<ExprPtr> exprs;
-      size_t left_arity = p->left_columns().size();
-      for (size_t i = 0; i < left_key.size(); ++i) {
-        out.push_back(Column{role_columns[i], left_key[i].type, false});
-        exprs.push_back(MakeColumnRef(static_cast<int>(i), out.back().name));
+      for (size_t i = 0; i < left_len; ++i) {
+        exprs.push_back(MakeColumnRef(r->left_columns[i], out[i].name));
       }
-      for (size_t i = 0; i < right_key.size(); ++i) {
-        out.push_back(Column{role_columns[left_key.size() + i],
-                             right_key[i].type, false});
-        exprs.push_back(MakeColumnRef(static_cast<int>(left_arity + i),
-                                      out.back().name));
+      for (size_t i = 0; i < right_len; ++i) {
+        exprs.push_back(MakeColumnRef(r->right_columns[i],
+                                      out[left_len + i].name));
       }
       return OperatorPtr(std::make_unique<ProjectOp>(
           std::move(base), std::move(out), std::move(exprs)));

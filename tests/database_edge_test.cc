@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "er/ddl_parser.h"
 #include "logical_dump.h"
 #include "workload/figure4.h"
@@ -246,16 +248,18 @@ class RejectedWriteTest : public ::testing::TestWithParam<MappingSpec> {
   std::unique_ptr<MappedDatabase> db_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Figure4, RejectedWriteTest,
-    ::testing::ValuesIn([] {
-      std::vector<MappingSpec> specs = Figure4AllMappings();
-      specs.push_back(Figure4M6Pg());
-      return specs;
-    }()),
-    [](const ::testing::TestParamInfo<MappingSpec>& info) {
-      return info.param.name;
-    });
+std::vector<MappingSpec> EveryMapping() {
+  std::vector<MappingSpec> specs = Figure4AllMappings();
+  specs.push_back(Figure4M6Pg());
+  return specs;
+}
+
+std::string MappingName(const ::testing::TestParamInfo<MappingSpec>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Figure4, RejectedWriteTest,
+                         ::testing::ValuesIn(EveryMapping()), MappingName);
 
 TEST_P(RejectedWriteTest, RejectedSubclassInsertLeavesNoInstance) {
   size_t before = Count("R");
@@ -334,6 +338,94 @@ TEST_P(RejectedWriteTest, RejectedUpdatesKeepOldValues) {
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
   EXPECT_EQ(Canonicalize(*stored->FindField("r_mv1")),
             Value::Array({I(1), I(2)}));
+}
+
+// A bad access-plan request fails with the same code under every
+// mapping: an unknown construct, an attribute not visible at the class, a
+// scalar unnested, a key of the wrong arity, and a fused scan that the
+// relationship's storage (or a side-table attribute) cannot answer.
+using AccessPlanErrorTest = RejectedWriteTest;
+
+INSTANTIATE_TEST_SUITE_P(Figure4, AccessPlanErrorTest,
+                         ::testing::ValuesIn(EveryMapping()), MappingName);
+
+TEST_P(AccessPlanErrorTest, SameCodeUnderEveryMapping) {
+  MappedDatabase* db = db_.get();
+  RelationshipStorage r2s1 = db->mapping().spec().relationship_storage(
+      *db->schema().FindRelationshipSet("R2S1"));
+  bool r2s1_joined = r2s1 == RelationshipStorage::kFactorized ||
+                     r2s1 == RelationshipStorage::kMaterializedJoin;
+  struct Case {
+    std::string what;
+    std::function<Result<OperatorPtr>()> plan;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"scan of an unknown entity set",
+       [&] { return db->ScanEntity("Nope", {}); }, StatusCode::kNotFound},
+      {"lookup in an unknown entity set",
+       [&] { return db->LookupEntity("Nope", {I(1)}, {}); },
+       StatusCode::kNotFound},
+      {"unnest of an unknown entity set",
+       [&] { return db->ScanMultiValued("Nope", "r_mv1"); },
+       StatusCode::kNotFound},
+      {"scan of an unknown relationship set",
+       [&] { return db->ScanRelationship("Nope"); }, StatusCode::kNotFound},
+      {"fused scan of an unknown relationship set",
+       [&] { return db->ScanRelationshipJoined("Nope", {}, {}); },
+       StatusCode::kNotFound},
+      {"subclass attribute at the superclass",
+       [&] { return db->ScanEntity("R", {"r_a1", "r1_a1"}); },
+       StatusCode::kAnalysisError},
+      {"sibling attribute",
+       [&] { return db->ScanEntity("R2", {"r1_a1"}); },
+       StatusCode::kAnalysisError},
+      {"owner attribute at the weak set",
+       [&] { return db->ScanEntity("S1", {"s_a1"}); },
+       StatusCode::kAnalysisError},
+      {"lookup of an unknown attribute",
+       [&] { return db->LookupEntity("R3", {I(1)}, {"r1_a1", "ghost"}); },
+       StatusCode::kAnalysisError},
+      {"unnest of an unknown attribute",
+       [&] { return db->ScanMultiValued("R", "ghost"); },
+       StatusCode::kAnalysisError},
+      {"unnest of a scalar",
+       [&] { return db->ScanMultiValued("R", "r_a1"); },
+       StatusCode::kAnalysisError},
+      {"unnest of an inherited scalar",
+       [&] { return db->ScanMultiValued("R3", "r1_a1"); },
+       StatusCode::kAnalysisError},
+      {"unnest of a key",
+       [&] { return db->ScanMultiValued("R", "r_id"); },
+       StatusCode::kAnalysisError},
+      {"lookup with too long a key",
+       [&] { return db->LookupEntity("R", {I(1), I(2)}, {}); },
+       StatusCode::kInvalidArgument},
+      {"weak lookup with only the owner key",
+       [&] { return db->LookupEntity("S1", {I(1)}, {"s1_a1"}); },
+       StatusCode::kInvalidArgument},
+      {"lookup with an empty key expression list",
+       [&] { return db->LookupEntity("S2", std::vector<ExprPtr>{}, {}); },
+       StatusCode::kInvalidArgument},
+      {"fused scan of a join table",
+       [&] { return db->ScanRelationshipJoined("RS", {"r_a1"}, {}); },
+       StatusCode::kNotImplemented},
+      {"fused scan of a foreign key",
+       [&] { return db->ScanRelationshipJoined("R1R3", {}, {"r3_a1"}); },
+       StatusCode::kNotImplemented},
+      {"fused scan with a side-table multi-valued attribute",
+       [&] { return db->ScanRelationshipJoined("R2S1", {"r_mv1"}, {}); },
+       StatusCode::kNotImplemented},
+      {"fused scan with an unknown attribute",
+       [&] { return db->ScanRelationshipJoined("R2S1", {}, {"ghost"}); },
+       r2s1_joined ? StatusCode::kAnalysisError
+                   : StatusCode::kNotImplemented},
+  };
+  for (const Case& c : cases) {
+    Result<OperatorPtr> plan = c.plan();
+    EXPECT_EQ(plan.status().code(), c.code)
+        << c.what << ": " << plan.status().ToString();
+  }
 }
 
 TEST(WorkloadDeterminismTest, SameSeedSameData) {

@@ -226,40 +226,5 @@ TEST_F(FusedJoinTest, FusedAndGenericAgree) {
   EXPECT_EQ(pg->ToCanonicalString(), generic->ToCanonicalString());
 }
 
-TEST_F(FusedJoinTest, LookupWeakByOwnerMatchesScan) {
-  for (MappedDatabase* db : {db_.get(), pg_db_.get()}) {
-    // S1 is swallowed here, so LookupWeakByOwner is unsupported —
-    // NotImplemented, never wrong data.
-    auto result =
-        db->LookupWeakByOwner("S1", {Value::Int64(1)}, {"s1_a1"});
-    EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
-  }
-  // Own-table and folded storages support it.
-  Figure4Config config;
-  config.num_r = 150;
-  config.num_s = 50;
-  for (const MappingSpec& spec : {Figure4M1(), Figure4M5()}) {
-    std::shared_ptr<ERSchema> schema;
-    auto db = MakeFigure4Database(spec, config, &schema);
-    ASSERT_TRUE(db.ok());
-    auto scan = (*db)->ScanEntity("S1", {"s1_a1"});
-    ASSERT_TRUE(scan.ok());
-    auto all = CollectRows(scan->get());
-    ASSERT_TRUE(all.ok());
-    ASSERT_FALSE(all->empty());
-    Value owner = all->front()[0];
-    size_t expected = 0;
-    for (const Row& row : *all) {
-      if (row[0] == owner) ++expected;
-    }
-    auto lookup = (*db)->LookupWeakByOwner("S1", {owner}, {"s1_a1"});
-    ASSERT_TRUE(lookup.ok()) << spec.name << ": "
-                             << lookup.status().ToString();
-    auto rows = CollectRows(lookup->get());
-    ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(rows->size(), expected) << spec.name;
-  }
-}
-
 }  // namespace
 }  // namespace erbium

@@ -3,7 +3,9 @@
 
 // A mapping-independent rendering of a database's logical content, shared
 // by the tests that compare two databases across mappings: every entity
-// (via GetEntity, arrays canonicalized) and every relationship instance,
+// (via GetEntity, arrays canonicalized), every relationship instance, and
+// the bulk reads (ScanEntity of every set with all its visible non-key
+// attributes, ScanMultiValued of every visible multi-valued attribute),
 // as sorted lines.
 
 #include <gtest/gtest.h>
@@ -36,10 +38,51 @@ inline Value Canonicalize(const Value& v) {
   return v;
 }
 
-/// Full logical dump: every entity of every root/weak set rendered, plus
-/// every relationship instance, sorted.
+/// Appends one line per row of `plan` (cells canonicalized), or fails the
+/// test when the plan could not be built or run.
+inline void AppendRows(const std::string& label, Result<OperatorPtr> plan,
+                       std::vector<std::string>* lines) {
+  EXPECT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+  if (!plan.ok()) return;
+  auto rows = CollectRows(plan->get());
+  EXPECT_TRUE(rows.ok()) << label << ": " << rows.status().ToString();
+  if (!rows.ok()) return;
+  for (const Row& row : *rows) {
+    std::string line = label + ":";
+    for (const Value& v : row) line += " " + Canonicalize(v).ToString();
+    lines->push_back(std::move(line));
+  }
+}
+
+/// The visible non-key attributes of an entity set, in schema order.
+inline std::vector<AttributeDef> ValueAttributes(const ERSchema& schema,
+                                                 const std::string& name) {
+  std::vector<std::string> key = schema.FullKey(name).value();
+  std::vector<AttributeDef> all = schema.AllAttributes(name).value();
+  std::vector<AttributeDef> out;
+  for (const AttributeDef& attr : all) {
+    if (std::find(key.begin(), key.end(), attr.name) == key.end()) {
+      out.push_back(attr);
+    }
+  }
+  return out;
+}
+
+/// Full logical dump: every entity of every root/weak set rendered, every
+/// relationship instance, and the bulk scans of every set, sorted.
 inline std::string LogicalDump(MappedDatabase* db) {
   std::vector<std::string> lines;
+  for (const std::string& name : db->schema().EntitySetNames()) {
+    std::vector<std::string> attrs;
+    for (const AttributeDef& attr : ValueAttributes(db->schema(), name)) {
+      attrs.push_back(attr.name);
+      if (attr.multi_valued) {
+        AppendRows("unnest " + name + "." + attr.name,
+                   db->ScanMultiValued(name, attr.name), &lines);
+      }
+    }
+    AppendRows("scan " + name, db->ScanEntity(name, attrs), &lines);
+  }
   for (const std::string& name : db->schema().EntitySetNames()) {
     const EntitySetDef* def = db->schema().FindEntitySet(name);
     if (def->is_subclass()) continue;  // covered by the root scan
@@ -59,17 +102,7 @@ inline std::string LogicalDump(MappedDatabase* db) {
     }
   }
   for (const std::string& rel : db->schema().RelationshipSetNames()) {
-    auto scan = db->ScanRelationship(rel);
-    EXPECT_TRUE(scan.ok());
-    if (!scan.ok()) continue;
-    auto rows = CollectRows(scan->get());
-    EXPECT_TRUE(rows.ok());
-    if (!rows.ok()) continue;
-    for (const Row& row : *rows) {
-      std::string line = rel + ":";
-      for (const Value& v : row) line += " " + v.ToString();
-      lines.push_back(std::move(line));
-    }
+    AppendRows(rel, db->ScanRelationship(rel), &lines);
   }
   std::sort(lines.begin(), lines.end());
   std::string out;
