@@ -6,7 +6,7 @@
 //
 // kFsync numbers are dominated by the device's flush latency; kNone shows
 // the pure logging overhead (encode + write(2)) that every acknowledged
-// logical CRUD op pays.
+// logical CRUD op pays. BM_Crc32 measures the checksum alone.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "durability/durable_db.h"
+#include "durability/serde.h"
 #include "workload/figure4.h"
 
 namespace erbium {
@@ -137,6 +138,20 @@ void BM_RecoverFromWal(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_RecoverFromWal)->Arg(1000)->Arg(10000);
+
+// CRC-32 throughput over one buffer: the checksum of every WAL record,
+// snapshot and wire frame.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(durability::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(2 << 20);
 
 }  // namespace
 }  // namespace bench

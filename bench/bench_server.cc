@@ -1,5 +1,6 @@
 // Network server scenarios that the repo benchmark (perfbench/) does not
-// cover: pipelined point reads (16-statement batches per round-trip),
+// cover: the result-frame encode and decode of E1's 20,000-row response,
+// pipelined point reads (16-statement batches per round-trip),
 // point reads under a writer stream and under CHECKPOINT, a
 // 1000-connection idle+burst scenario measuring what idle connections
 // cost the reactor (fds and RSS, not threads), and durable inserts under
@@ -626,6 +627,72 @@ void BM_DurableInserts(benchmark::State& state) {
   registry.gauge(prefix + ".wal_syncs").Set(syncs);
 }
 
+/// E1's result (r_id plus the three multi-valued attributes, one row per
+/// R instance: 20,000 rows at bench scale) as the server encodes it.
+const api::StatementOutcome& E1Outcome() {
+  static const api::StatementOutcome* outcome = [] {
+    auto result = erql::QueryEngine::Execute(
+        GetDatabase(Figure4M1()), "SELECT r_id, r_mv1, r_mv2, r_mv3 FROM R");
+    if (!result.ok()) {
+      std::fprintf(stderr, "E1 failed: %s\n",
+                   result.status().ToString().c_str());
+      std::abort();
+    }
+    auto* out = new api::StatementOutcome;
+    out->shape = api::OutputShape::kTable;
+    out->result = std::move(result).value();
+    return out;
+  }();
+  return *outcome;
+}
+
+server::ServerTiming BenchTiming() {
+  server::ServerTiming timing;
+  timing.present = true;
+  timing.queue_wait_us = 12;
+  timing.execute_us = 34'567;
+  return timing;
+}
+
+/// The server's encode of E1's response: rows straight into one kResultSeq
+/// frame, CRC included.
+void BM_EncodeResultFrame(benchmark::State& state) {
+  const api::StatementOutcome& outcome = E1Outcome();
+  const server::ServerTiming timing = BenchTiming();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string frame = server::EncodeResultSeqFrame(1, outcome, timing);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.counters["rows"] = static_cast<double>(outcome.result.rows.size());
+}
+
+/// The client's decode of E1's response body, where it lies (the frame
+/// CRC is BM_Crc32's); the decoded rows are freed inside the timing.
+void BM_DecodeResultBody(benchmark::State& state) {
+  const std::string frame =
+      server::EncodeResultSeqFrame(1, E1Outcome(), BenchTiming());
+  const std::string_view body = std::string_view(frame).substr(9);
+  for (auto _ : state) {
+    std::string_view rest;
+    server::ServerTiming timing;
+    auto seq = server::DecodeSeqPrefix(body, &rest);
+    auto decoded = server::DecodeResultBody(rest, &timing);
+    if (!seq.ok() || !decoded.ok()) {
+      state.SkipWithError("decode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded->result.rows.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * body.size()));
+}
+
+BENCHMARK(BM_EncodeResultFrame)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeResultBody)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PointReadPipelined)->Arg(1)->Arg(8)->UseRealTime()
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReadUnderWrites)->UseRealTime()->Iterations(1)

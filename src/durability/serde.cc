@@ -19,23 +19,63 @@ enum : uint8_t {
   kTagStruct = 6,
 };
 
+/// Little-endian load of a fixed-width integer; compiles to one load on
+/// little-endian hosts.
+template <typename T>
+T LoadLe(const char* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+/// Appends a fixed-width integer little-endian, in one append.
+template <typename T>
+void PutLe(T v, std::string* out) {
+  char bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  }
+  out->append(bytes, sizeof(T));
+}
+
+/// The eight lookup tables of slicing-by-8 CRC-32: t[0] is the classic
+/// bytewise table of the reflected polynomial, and t[k][i] is the CRC of
+/// byte i followed by k zero bytes.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    tables.t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
 }  // namespace
 
 void PutU8(uint8_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void PutU32(uint32_t v, std::string* out) { PutLe(v, out); }
 
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void PutU64(uint64_t v, std::string* out) { PutLe(v, out); }
 
 void PutF64(double v, std::string* out) {
   uint64_t bits;
@@ -108,19 +148,15 @@ Result<uint8_t> ByteReader::U8() {
 
 Result<uint32_t> ByteReader::U32() {
   ERBIUM_RETURN_NOT_OK(Need(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(*p_++)) << (8 * i);
-  }
+  uint32_t v = LoadLe<uint32_t>(p_);
+  p_ += 4;
   return v;
 }
 
 Result<uint64_t> ByteReader::U64() {
   ERBIUM_RETURN_NOT_OK(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(*p_++)) << (8 * i);
-  }
+  uint64_t v = LoadLe<uint64_t>(p_);
+  p_ += 8;
   return v;
 }
 
@@ -139,9 +175,30 @@ Result<std::string> ByteReader::String() {
   return s;
 }
 
-Result<Value> ByteReader::ReadValue() { return ReadValueAt(0); }
+Result<Value> ByteReader::ReadValue() {
+  Value v;
+  ERBIUM_RETURN_NOT_OK(ReadInto(&v, 0));
+  return v;
+}
 
-Result<Value> ByteReader::ReadValueAt(int depth) {
+Result<std::vector<Value>> ByteReader::ReadValues() {
+  std::vector<Value> values;
+  ERBIUM_RETURN_NOT_OK(ReadValuesInto(&values));
+  return values;
+}
+
+Status ByteReader::ReadValuesInto(std::vector<Value>* out) {
+  ERBIUM_ASSIGN_OR_RETURN(uint32_t count, U32());
+  // Every value takes at least one tag byte.
+  ERBIUM_RETURN_NOT_OK(Need(count));
+  out->resize(count);
+  for (Value& v : *out) {
+    ERBIUM_RETURN_NOT_OK(ReadInto(&v, 0));
+  }
+  return Status::OK();
+}
+
+Status ByteReader::ReadInto(Value* out, int depth) {
   if (depth >= kMaxValueDepth) {
     return Status::IOError("value nesting deeper than " +
                            std::to_string(kMaxValueDepth) + " levels");
@@ -149,82 +206,72 @@ Result<Value> ByteReader::ReadValueAt(int depth) {
   ERBIUM_ASSIGN_OR_RETURN(uint8_t tag, U8());
   switch (tag) {
     case kTagNull:
-      return Value::Null();
+      *out = Value::Null();
+      return Status::OK();
     case kTagBool: {
       ERBIUM_ASSIGN_OR_RETURN(uint8_t b, U8());
-      return Value::Bool(b != 0);
+      *out = Value::Bool(b != 0);
+      return Status::OK();
     }
     case kTagInt64: {
       ERBIUM_ASSIGN_OR_RETURN(uint64_t v, U64());
-      return Value::Int64(static_cast<int64_t>(v));
+      *out = Value::Int64(static_cast<int64_t>(v));
+      return Status::OK();
     }
     case kTagFloat64: {
       ERBIUM_ASSIGN_OR_RETURN(double v, F64());
-      return Value::Float64(v);
+      *out = Value::Float64(v);
+      return Status::OK();
     }
     case kTagString: {
-      ERBIUM_ASSIGN_OR_RETURN(std::string s, String());
-      return Value::String(std::move(s));
+      // Built straight from the input bytes: no intermediate string.
+      ERBIUM_ASSIGN_OR_RETURN(uint32_t len, U32());
+      ERBIUM_RETURN_NOT_OK(Need(len));
+      *out = Value::String(std::string(p_, len));
+      p_ += len;
+      return Status::OK();
     }
     case kTagArray: {
       ERBIUM_ASSIGN_OR_RETURN(uint32_t count, U32());
       // Every element takes at least one tag byte.
       ERBIUM_RETURN_NOT_OK(Need(count));
-      Value::ArrayData elements;
-      elements.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        ERBIUM_ASSIGN_OR_RETURN(Value e, ReadValueAt(depth + 1));
-        elements.push_back(std::move(e));
+      Value::ArrayData elements(count);
+      for (Value& e : elements) {
+        ERBIUM_RETURN_NOT_OK(ReadInto(&e, depth + 1));
       }
-      return Value::Array(std::move(elements));
+      *out = Value::Array(std::move(elements));
+      return Status::OK();
     }
     case kTagStruct: {
       ERBIUM_ASSIGN_OR_RETURN(uint32_t count, U32());
       ERBIUM_RETURN_NOT_OK(Need(count));
-      Value::StructData fields;
-      fields.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        ERBIUM_ASSIGN_OR_RETURN(std::string name, String());
-        ERBIUM_ASSIGN_OR_RETURN(Value v, ReadValueAt(depth + 1));
-        fields.emplace_back(std::move(name), std::move(v));
+      Value::StructData fields(count);
+      for (auto& [name, field] : fields) {
+        ERBIUM_ASSIGN_OR_RETURN(name, String());
+        ERBIUM_RETURN_NOT_OK(ReadInto(&field, depth + 1));
       }
-      return Value::Struct(std::move(fields));
+      *out = Value::Struct(std::move(fields));
+      return Status::OK();
     }
     default:
       return Status::IOError("unknown value tag " + std::to_string(tag));
   }
 }
 
-Result<std::vector<Value>> ByteReader::ReadValues() {
-  ERBIUM_ASSIGN_OR_RETURN(uint32_t count, U32());
-  ERBIUM_RETURN_NOT_OK(Need(count));
-  std::vector<Value> values;
-  values.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ERBIUM_ASSIGN_OR_RETURN(Value v, ReadValue());
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  // Table-driven reflected CRC-32 (polynomial 0xEDB88320), the classic
-  // IEEE 802.3 variant used by zlib and friends.
-  static const uint32_t* kTable = [] {
-    static uint32_t table[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
+  const auto& t = kCrc32Tables.t;
+  const char* p = static_cast<const char*>(data);
   uint32_t crc = ~seed;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  // Slicing-by-8: fold eight bytes per step, then finish bytewise.
+  for (; size >= 8; p += 8, size -= 8) {
+    uint32_t lo = LoadLe<uint32_t>(p) ^ crc;
+    uint32_t hi = LoadLe<uint32_t>(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ static_cast<uint8_t>(*p)) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
 }

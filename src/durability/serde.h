@@ -11,11 +11,12 @@ namespace erbium {
 namespace durability {
 
 /// Little-endian binary encoding for the on-disk formats (WAL records and
-/// snapshots). Fixed-width integers are written least-significant byte
-/// first regardless of host order; strings are u32-length-prefixed;
-/// Values are a one-byte kind tag followed by the payload. Everything a
-/// record needs round-trips through these helpers so the WAL reader and
-/// the fault-injection tests agree byte-for-byte on the format.
+/// snapshots) and the wire protocol's frames. Fixed-width integers are
+/// written least-significant byte first regardless of host order, each
+/// with one append; strings are u32-length-prefixed; Values are a one-byte
+/// kind tag followed by the payload. Everything a record needs round-trips
+/// through these helpers so the WAL reader and the fault-injection tests
+/// agree byte-for-byte on the format.
 
 void PutU8(uint8_t v, std::string* out);
 void PutU32(uint32_t v, std::string* out);
@@ -52,16 +53,23 @@ class ByteReader {
   Result<std::string> String();
   Result<Value> ReadValue();
   Result<std::vector<Value>> ReadValues();
+  /// Decodes a count-prefixed value sequence straight into *out, which is
+  /// resized to the count (existing elements are overwritten in place).
+  Status ReadValuesInto(std::vector<Value>* out);
 
  private:
   Status Need(size_t n) const;
-  Result<Value> ReadValueAt(int depth);
+  /// The one value decoder: writes the next value into *out.
+  Status ReadInto(Value* out, int depth);
   const char* p_;
   const char* end_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected, init/final xor 0xFFFFFFFF) — the
-/// checksum guarding every WAL record payload and snapshot body.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init/final xor
+/// 0xFFFFFFFF) — the checksum guarding every WAL record payload, snapshot
+/// body and wire frame. Computed slicing-by-8 (eight bytes per step
+/// through eight 256-entry tables); the value equals the bytewise
+/// algorithm's. Chains: Crc32(b, nb, Crc32(a, na)) == Crc32(a + b).
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 }  // namespace durability

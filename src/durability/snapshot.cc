@@ -32,11 +32,9 @@ Result<std::vector<Row>> ReadRows(ByteReader* reader) {
       count <= reader->remaining()
           ? Status::OK()
           : Status::IOError("snapshot row count exceeds file size"));
-  std::vector<Row> rows;
-  rows.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ERBIUM_ASSIGN_OR_RETURN(Row row, reader->ReadValues());
-    rows.push_back(std::move(row));
+  std::vector<Row> rows(count);
+  for (Row& row : rows) {
+    ERBIUM_RETURN_NOT_OK(reader->ReadValuesInto(&row));
   }
   return rows;
 }
@@ -302,13 +300,19 @@ std::vector<uint64_t> ListSnapshotGens(const std::string& dir) {
 }
 
 Result<SnapshotData> LoadSnapshotFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) {
     return Status::IOError("cannot open snapshot " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
-  if (file.bad()) {
+  // One sized read: the string is allocated once at the file's size.
+  const std::streamoff size = file.tellg();
+  if (size < 0) {
+    return Status::IOError("failed reading snapshot " + path);
+  }
+  std::string bytes(static_cast<size_t>(size), '\0');
+  file.seekg(0);
+  file.read(bytes.data(), size);
+  if (file.bad() || file.gcount() != size) {
     return Status::IOError("failed reading snapshot " + path);
   }
   return DecodeSnapshot(bytes);

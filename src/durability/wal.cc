@@ -128,11 +128,17 @@ std::string EncodeWalRecord(const WalRecord& record) {
 
 Result<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult result;
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return result;  // no log yet: empty and clean
-  std::string contents((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  if (file.bad()) {
+  // One sized read: the string is allocated once at the file's size.
+  const std::streamoff size = file.tellg();
+  if (size < 0) {
+    return Status::IOError("failed reading WAL file " + path);
+  }
+  std::string contents(static_cast<size_t>(size), '\0');
+  file.seekg(0);
+  file.read(contents.data(), size);
+  if (file.bad() || file.gcount() != size) {
     return Status::IOError("failed reading WAL file " + path);
   }
   size_t offset = 0;

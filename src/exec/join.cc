@@ -1,5 +1,7 @@
 #include "exec/join.h"
 
+#include <algorithm>
+
 #include "exec/parallel.h"
 #include "exec/snapshot.h"
 
@@ -194,25 +196,29 @@ Status NestedLoopJoinOp::OpenImpl() {
 bool NestedLoopJoinOp::NextImpl(Row* out) {
   while (true) {
     if (!has_left_) {
-      if (!left_->Next(&current_left_)) return false;
+      // combined_ = the left row, then a right-hand suffix that each pair
+      // overwrites in place; a row is copied out only on a match.
+      if (!left_->Next(&combined_)) return false;
+      left_arity_ = combined_.size();
+      combined_.resize(left_arity_ + right_arity_);
       has_left_ = true;
       left_matched_ = false;
       right_index_ = 0;
     }
+    const auto suffix = combined_.begin() + static_cast<ptrdiff_t>(left_arity_);
     while (right_index_ < right_rows_.size()) {
       const Row& right_row = right_rows_[right_index_++];
-      Row combined = current_left_;
-      AppendRow(right_row, &combined);
-      if (predicate_ == nullptr || EvalPredicate(*predicate_, combined)) {
+      std::copy(right_row.begin(), right_row.end(), suffix);
+      if (predicate_ == nullptr || EvalPredicate(*predicate_, combined_)) {
         left_matched_ = true;
-        *out = std::move(combined);
+        *out = combined_;
         return true;
       }
     }
     has_left_ = false;
     if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
-      *out = current_left_;
-      AppendNulls(right_arity_, out);
+      std::fill(suffix, combined_.end(), Value::Null());
+      *out = std::move(combined_);
       return true;
     }
   }

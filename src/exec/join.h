@@ -139,7 +139,8 @@ class NestedLoopJoinOp : public Operator {
 
   std::vector<Row> right_rows_;
   bool right_materialized_ = false;
-  Row current_left_;
+  Row combined_;  // current left row + the right row under test
+  size_t left_arity_ = 0;
   bool has_left_ = false;
   bool left_matched_ = false;
   size_t right_index_ = 0;

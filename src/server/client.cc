@@ -186,7 +186,7 @@ Result<std::vector<Client::BatchItem>> Client::ExecuteBatch(
           std::to_string(static_cast<int>(reply->type)));
       return broken_;
     }
-    std::string body;
+    std::string_view body;  // views reply->body: decoded where it lies
     Result<uint64_t> seq = DecodeSeqPrefix(reply->body, &body);
     if (!seq.ok()) {
       broken_ = seq.status();

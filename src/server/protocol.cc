@@ -2,8 +2,10 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -23,24 +25,98 @@ using durability::PutU32;
 using durability::PutU64;
 using durability::PutValues;
 
+constexpr size_t kFrameHeaderBytes = 8;
+/// A result frame's first allocation: room for a short result (a point
+/// read's row) without regrowing.
+constexpr size_t kInitialResultFrameBytes = 256;
+/// Rows a result body encodes before it reserves room for the rest from
+/// their average size (plus a quarter for rows that run larger).
+constexpr size_t kSizingRows = 64;
+/// Room kept for what follows the rows (the server-timing footer).
+constexpr size_t kTrailerSlack = 64;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
+/// Starts a frame in *out: the header's bytes, patched by FinishFrame
+/// once the payload is complete, then the type tag.
+void BeginFrame(FrameType type, std::string* out) {
+  out->append(kFrameHeaderBytes, '\0');
+  PutU8(static_cast<uint8_t>(type), out);
+}
+
+/// Patches the payload length and CRC into the header BeginFrame left.
+void FinishFrame(std::string* frame) {
+  const size_t payload_len = frame->size() - kFrameHeaderBytes;
+  std::string header;
+  PutU32(static_cast<uint32_t>(payload_len), &header);
+  PutU32(Crc32(frame->data() + kFrameHeaderBytes, payload_len), &header);
+  frame->replace(0, kFrameHeaderBytes, header);
+}
+
+void AppendResultBody(const api::StatementOutcome& outcome, std::string* out) {
+  PutU8(static_cast<uint8_t>(outcome.shape), out);
+  PutString(outcome.message, out);
+  PutU32(static_cast<uint32_t>(outcome.result.columns.size()), out);
+  for (const std::string& column : outcome.result.columns) {
+    PutString(column, out);
+  }
+  const std::vector<Row>& rows = outcome.result.rows;
+  PutU32(static_cast<uint32_t>(rows.size()), out);
+  const size_t rows_begin = out->size();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    PutValues(rows[i], out);
+    if (i + 1 == kSizingRows && rows.size() > kSizingRows) {
+      const size_t per_row = (out->size() - rows_begin) / kSizingRows;
+      const size_t rest = rows.size() - kSizingRows;
+      out->reserve(out->size() + per_row * rest + per_row * rest / 4 +
+                   kTrailerSlack);
+    }
+  }
+}
+
+void AppendServerTimingFooter(const ServerTiming& timing, std::string* out) {
+  PutU8(kServerTimingMarker, out);
+  PutU8(2, out);
+  PutString("queue_wait_us", out);
+  PutU64(timing.queue_wait_us, out);
+  PutString("execute_us", out);
+  PutU64(timing.execute_us, out);
+}
+
 }  // namespace
 
 std::string EncodeFrame(FrameType type, const std::string& body) {
-  std::string payload;
-  payload.reserve(1 + body.size());
-  PutU8(static_cast<uint8_t>(type), &payload);
-  payload += body;
   std::string frame;
-  frame.reserve(8 + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &frame);
-  PutU32(Crc32(payload.data(), payload.size()), &frame);
-  frame += payload;
+  frame.reserve(kFrameHeaderBytes + 1 + body.size());
+  BeginFrame(type, &frame);
+  frame += body;
+  FinishFrame(&frame);
+  return frame;
+}
+
+std::string EncodeResultFrame(const api::StatementOutcome& outcome) {
+  std::string frame;
+  frame.reserve(kInitialResultFrameBytes);
+  BeginFrame(FrameType::kResult, &frame);
+  AppendResultBody(outcome, &frame);
+  FinishFrame(&frame);
+  return frame;
+}
+
+std::string EncodeResultSeqFrame(uint64_t seq,
+                                 const api::StatementOutcome& outcome,
+                                 const ServerTiming& timing) {
+  std::string frame;
+  frame.reserve(kInitialResultFrameBytes);
+  BeginFrame(FrameType::kResultSeq, &frame);
+  PutU64(seq, &frame);
+  AppendResultBody(outcome, &frame);
+  AppendServerTimingFooter(timing, &frame);
+  FinishFrame(&frame);
   return frame;
 }
 
@@ -67,16 +143,7 @@ std::string EncodeStatementBody(const std::string& statement) {
 
 std::string EncodeResultBody(const api::StatementOutcome& outcome) {
   std::string body;
-  PutU8(static_cast<uint8_t>(outcome.shape), &body);
-  PutString(outcome.message, &body);
-  PutU32(static_cast<uint32_t>(outcome.result.columns.size()), &body);
-  for (const std::string& column : outcome.result.columns) {
-    PutString(column, &body);
-  }
-  PutU32(static_cast<uint32_t>(outcome.result.rows.size()), &body);
-  for (const Row& row : outcome.result.rows) {
-    PutValues(row, &body);
-  }
+  AppendResultBody(outcome, &body);
   return body;
 }
 
@@ -98,7 +165,7 @@ std::string EncodeResultSeqBody(uint64_t seq,
                                 const api::StatementOutcome& outcome) {
   std::string body;
   PutU64(seq, &body);
-  body += EncodeResultBody(outcome);
+  AppendResultBody(outcome, &body);
   return body;
 }
 
@@ -109,7 +176,7 @@ std::string EncodeErrorSeqBody(uint64_t seq, const Status& status) {
   return body;
 }
 
-Result<HelloBody> DecodeHelloBody(const std::string& body) {
+Result<HelloBody> DecodeHelloBody(std::string_view body) {
   ByteReader reader(body.data(), body.size());
   HelloBody hello;
   ERBIUM_ASSIGN_OR_RETURN(hello.version, reader.U32());
@@ -117,7 +184,7 @@ Result<HelloBody> DecodeHelloBody(const std::string& body) {
   return hello;
 }
 
-Result<HelloOkBody> DecodeHelloOkBody(const std::string& body) {
+Result<HelloOkBody> DecodeHelloOkBody(std::string_view body) {
   ByteReader reader(body.data(), body.size());
   HelloOkBody hello;
   ERBIUM_ASSIGN_OR_RETURN(hello.version, reader.U32());
@@ -126,27 +193,22 @@ Result<HelloOkBody> DecodeHelloOkBody(const std::string& body) {
   return hello;
 }
 
-Result<std::string> DecodeStatementBody(const std::string& body) {
+Result<std::string> DecodeStatementBody(std::string_view body) {
   ByteReader reader(body.data(), body.size());
   return reader.String();
 }
 
 std::string EncodeServerTimingFooter(const ServerTiming& timing) {
   std::string footer;
-  PutU8(kServerTimingMarker, &footer);
-  PutU8(2, &footer);
-  PutString("queue_wait_us", &footer);
-  PutU64(timing.queue_wait_us, &footer);
-  PutString("execute_us", &footer);
-  PutU64(timing.execute_us, &footer);
+  AppendServerTimingFooter(timing, &footer);
   return footer;
 }
 
-Result<api::StatementOutcome> DecodeResultBody(const std::string& body) {
+Result<api::StatementOutcome> DecodeResultBody(std::string_view body) {
   return DecodeResultBody(body, nullptr);
 }
 
-Result<api::StatementOutcome> DecodeResultBody(const std::string& body,
+Result<api::StatementOutcome> DecodeResultBody(std::string_view body,
                                                ServerTiming* timing) {
   ByteReader reader(body.data(), body.size());
   api::StatementOutcome outcome;
@@ -172,10 +234,9 @@ Result<api::StatementOutcome> DecodeResultBody(const std::string& body,
   if (n_rows > reader.remaining() / 4) {
     return Status::IOError("result frame row count exceeds frame size");
   }
-  outcome.result.rows.reserve(n_rows);
-  for (uint32_t i = 0; i < n_rows; ++i) {
-    ERBIUM_ASSIGN_OR_RETURN(Row row, reader.ReadValues());
-    outcome.result.rows.push_back(std::move(row));
+  outcome.result.rows.resize(n_rows);
+  for (Row& row : outcome.result.rows) {
+    ERBIUM_RETURN_NOT_OK(reader.ReadValuesInto(&row));
   }
   if (!reader.AtEnd() && timing != nullptr) {
     // Optional server-timing footer. Fields are name-tagged so the
@@ -204,7 +265,7 @@ Result<api::StatementOutcome> DecodeResultBody(const std::string& body,
   return outcome;
 }
 
-Result<StatementSeqBody> DecodeStatementSeqBody(const std::string& body) {
+Result<StatementSeqBody> DecodeStatementSeqBody(std::string_view body) {
   ByteReader reader(body.data(), body.size());
   StatementSeqBody out;
   ERBIUM_ASSIGN_OR_RETURN(out.seq, reader.U64());
@@ -212,14 +273,22 @@ Result<StatementSeqBody> DecodeStatementSeqBody(const std::string& body) {
   return out;
 }
 
-Result<uint64_t> DecodeSeqPrefix(const std::string& body, std::string* rest) {
+Result<uint64_t> DecodeSeqPrefix(std::string_view body,
+                                 std::string_view* rest) {
   ByteReader reader(body.data(), body.size());
   ERBIUM_ASSIGN_OR_RETURN(uint64_t seq, reader.U64());
   *rest = body.substr(8);
   return seq;
 }
 
-Status DecodeErrorBody(const std::string& body, Status* out) {
+Result<uint64_t> DecodeSeqPrefix(std::string_view body, std::string* rest) {
+  std::string_view view;
+  ERBIUM_ASSIGN_OR_RETURN(uint64_t seq, DecodeSeqPrefix(body, &view));
+  rest->assign(view);
+  return seq;
+}
+
+Status DecodeErrorBody(std::string_view body, Status* out) {
   ByteReader reader(body.data(), body.size());
   ERBIUM_ASSIGN_OR_RETURN(uint32_t wire_code, reader.U32());
   ERBIUM_ASSIGN_OR_RETURN(std::string message, reader.String());
@@ -238,9 +307,9 @@ void FrameDecoder::Feed(const char* data, size_t size) {
   buf_.append(data, size);
 }
 
-Result<bool> FrameDecoder::Next(Frame* out) {
-  if (buffered() < 8) return false;
-  ByteReader head(buf_.data() + pos_, 8);
+Result<bool> FrameDecoder::Next(FrameType* type, std::string_view* body) {
+  if (buffered() < kFrameHeaderBytes) return false;
+  ByteReader head(buf_.data() + pos_, kFrameHeaderBytes);
   uint32_t payload_len = head.U32().value();
   uint32_t expected_crc = head.U32().value();
   if (payload_len == 0) {
@@ -252,15 +321,22 @@ Result<bool> FrameDecoder::Next(Frame* out) {
                            std::to_string(kMaxFramePayloadBytes) +
                            "-byte limit");
   }
-  if (buffered() < 8 + static_cast<size_t>(payload_len)) return false;
-  const char* payload = buf_.data() + pos_ + 8;
+  if (buffered() < kFrameHeaderBytes + payload_len) return false;
+  const char* payload = buf_.data() + pos_ + kFrameHeaderBytes;
   if (Crc32(payload, payload_len) != expected_crc) {
     return Status::IOError("frame CRC mismatch");
   }
-  out->type = static_cast<FrameType>(static_cast<uint8_t>(payload[0]));
-  out->body.assign(payload + 1, payload_len - 1);
-  pos_ += 8 + payload_len;
+  *type = static_cast<FrameType>(static_cast<uint8_t>(payload[0]));
+  *body = std::string_view(payload + 1, payload_len - 1);
+  pos_ += kFrameHeaderBytes + payload_len;
   return true;
+}
+
+Result<bool> FrameDecoder::Next(Frame* out) {
+  std::string_view body;
+  ERBIUM_ASSIGN_OR_RETURN(bool has, Next(&out->type, &body));
+  if (has) out->body.assign(body);
+  return has;
 }
 
 FrameSocket::~FrameSocket() {
@@ -287,14 +363,19 @@ Status FrameSocket::Send(FrameType type, const std::string& body) {
 
 namespace {
 
-/// Reads exactly `size` bytes, honoring an absolute deadline (ms since
-/// the steady clock epoch; negative = no deadline). `any_read` reports
-/// whether at least one byte arrived before an EOF/timeout, so callers
-/// can tell an orderly close (EOF at a frame boundary) from a torn frame.
-Status ReadExact(int fd, char* out, size_t size, int64_t deadline_ms,
+/// Fills the buffers `iov` describes, in order (one recvmsg may fill
+/// several), honoring an absolute deadline (ms since the steady clock
+/// epoch; negative = no deadline). `any_read` reports whether at least
+/// one byte arrived before an EOF/timeout, so callers can tell an orderly
+/// close (EOF at a frame boundary) from a torn frame.
+Status ReadExact(int fd, struct iovec* iov, int iovcnt, int64_t deadline_ms,
                  bool* any_read) {
-  size_t have = 0;
-  while (have < size) {
+  while (true) {
+    while (iovcnt > 0 && iov->iov_len == 0) {
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt == 0) return Status::OK();
     if (deadline_ms >= 0) {
       int64_t remaining = deadline_ms - NowMs();
       if (remaining <= 0) {
@@ -314,7 +395,10 @@ Status ReadExact(int fd, char* out, size_t size, int64_t deadline_ms,
         return Status::DeadlineExceeded("read timed out");
       }
     }
-    ssize_t n = ::recv(fd, out + have, size - have, 0);
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    ssize_t n = ::recvmsg(fd, &msg, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("recv failed: ") +
@@ -323,19 +407,28 @@ Status ReadExact(int fd, char* out, size_t size, int64_t deadline_ms,
     if (n == 0) {
       return Status::Unavailable("peer closed the connection");
     }
-    have += static_cast<size_t>(n);
     *any_read = true;
+    for (size_t left = static_cast<size_t>(n); left > 0;) {
+      size_t take = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + take;
+      iov->iov_len -= take;
+      left -= take;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --iovcnt;
+      }
+    }
   }
-  return Status::OK();
 }
 
 }  // namespace
 
 Result<Frame> FrameSocket::Recv(int timeout_ms) {
   int64_t deadline_ms = timeout_ms < 0 ? -1 : NowMs() + timeout_ms;
-  char header[8];
+  char header[kFrameHeaderBytes];
+  struct iovec header_iov = {header, sizeof(header)};
   bool any_read = false;
-  Status st = ReadExact(fd_, header, sizeof(header), deadline_ms, &any_read);
+  Status st = ReadExact(fd_, &header_iov, 1, deadline_ms, &any_read);
   if (!st.ok()) {
     // EOF or timeout cleanly between frames keeps its taxonomy; the same
     // condition mid-frame means the peer tore a frame.
@@ -356,20 +449,24 @@ Result<Frame> FrameSocket::Recv(int timeout_ms) {
                            std::to_string(kMaxFramePayloadBytes) +
                            "-byte limit");
   }
-  std::string payload(payload_len, '\0');
-  st = ReadExact(fd_, payload.data(), payload.size(), deadline_ms, &any_read);
+  // The type tag and the body land in their own places: no payload copy.
+  Frame frame;
+  uint8_t type = 0;
+  frame.body.resize(payload_len - 1);
+  struct iovec payload_iov[2] = {{&type, 1},
+                                 {frame.body.data(), frame.body.size()}};
+  st = ReadExact(fd_, payload_iov, 2, deadline_ms, &any_read);
   if (!st.ok()) {
     if (st.code() != StatusCode::kIOError) {
       return Status::IOError("connection dropped mid-frame: " + st.message());
     }
     return st;
   }
-  if (Crc32(payload.data(), payload.size()) != expected_crc) {
+  if (Crc32(frame.body.data(), frame.body.size(), Crc32(&type, 1)) !=
+      expected_crc) {
     return Status::IOError("frame CRC mismatch");
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(static_cast<uint8_t>(payload[0]));
-  frame.body = payload.substr(1);
+  frame.type = static_cast<FrameType>(type);
   return frame;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "api/statement_runner.h"
 #include "common/status.h"
@@ -110,24 +111,25 @@ std::string EncodeResultSeqBody(uint64_t seq,
 std::string EncodeErrorSeqBody(uint64_t seq, const Status& status);
 
 // ---- Body decoders --------------------------------------------------------
-// Each fails with Status::IOError on truncated or malformed bodies; a
-// decoded kError body comes back as the transported Status itself.
+// Each reads the body where it lies and fails with Status::IOError on
+// truncated or malformed bodies; a decoded kError body comes back as the
+// transported Status itself.
 
 struct HelloBody {
   uint32_t version = 0;
   std::string client_name;
 };
-Result<HelloBody> DecodeHelloBody(const std::string& body);
+Result<HelloBody> DecodeHelloBody(std::string_view body);
 
 struct HelloOkBody {
   uint32_t version = 0;
   uint64_t session_id = 0;
   std::string banner;
 };
-Result<HelloOkBody> DecodeHelloOkBody(const std::string& body);
+Result<HelloOkBody> DecodeHelloOkBody(std::string_view body);
 
-Result<std::string> DecodeStatementBody(const std::string& body);
-Result<api::StatementOutcome> DecodeResultBody(const std::string& body);
+Result<std::string> DecodeStatementBody(std::string_view body);
+Result<api::StatementOutcome> DecodeResultBody(std::string_view body);
 
 /// Server-side latency breakdown a kResultSeq frame may carry as a
 /// trailing footer — the server measured where the statement's time
@@ -153,24 +155,37 @@ constexpr uint8_t kServerTimingMarker = 0xF7;
 
 std::string EncodeServerTimingFooter(const ServerTiming& timing);
 
+/// Result frames in one pass: the rows are encoded straight into the
+/// frame buffer (reserved from the row count after the first rows), the
+/// header's length and CRC are patched in at the end. The bytes equal
+/// EncodeFrame(kResult, EncodeResultBody(outcome)) and
+/// EncodeFrame(kResultSeq, EncodeResultSeqBody(seq, outcome) +
+/// EncodeServerTimingFooter(timing)) respectively.
+std::string EncodeResultFrame(const api::StatementOutcome& outcome);
+std::string EncodeResultSeqFrame(uint64_t seq,
+                                 const api::StatementOutcome& outcome,
+                                 const ServerTiming& timing);
+
 /// Timing-aware overload: decodes the result body and, when a
 /// well-formed timing footer trails it, fills *timing (present = true).
 /// Trailing bytes that are not a timing footer are still an error.
-Result<api::StatementOutcome> DecodeResultBody(const std::string& body,
+Result<api::StatementOutcome> DecodeResultBody(std::string_view body,
                                                ServerTiming* timing);
 
 struct StatementSeqBody {
   uint64_t seq = 0;
   std::string statement;
 };
-Result<StatementSeqBody> DecodeStatementSeqBody(const std::string& body);
+Result<StatementSeqBody> DecodeStatementSeqBody(std::string_view body);
 /// Splits a seq-tagged server body (kResultSeq / kErrorSeq) into the
 /// tag and the untagged remainder, decodable by the plain decoders.
-Result<uint64_t> DecodeSeqPrefix(const std::string& body, std::string* rest);
+/// *rest views `body`'s bytes; the std::string overload copies them.
+Result<uint64_t> DecodeSeqPrefix(std::string_view body, std::string_view* rest);
+Result<uint64_t> DecodeSeqPrefix(std::string_view body, std::string* rest);
 /// Decodes the Status a kError frame transports into *out (its code
 /// round-trips through StatusCodeToWire/FromWire). The return value
 /// reports decode failures — a truncated or garbled error body.
-Status DecodeErrorBody(const std::string& body, Status* out);
+Status DecodeErrorBody(std::string_view body, Status* out);
 
 /// Incremental frame decoder for non-blocking sockets: the reactor
 /// feeds whatever bytes recv() produced and pulls out as many complete
@@ -183,9 +198,12 @@ class FrameDecoder {
   /// Appends raw socket bytes to the internal buffer.
   void Feed(const char* data, size_t size);
 
-  /// Extracts the next complete frame. Returns true and fills *out when
-  /// a frame was decoded, false when more bytes are needed; an error
-  /// Status (kIOError) means the stream is garbled beyond recovery.
+  /// Extracts the next complete frame. Returns true and fills *type and
+  /// *body when a frame was decoded, false when more bytes are needed; an
+  /// error Status (kIOError) means the stream is garbled beyond recovery.
+  /// *body views the internal buffer and stays valid until the next Feed().
+  Result<bool> Next(FrameType* type, std::string_view* body);
+  /// As above, copying the body into *out.
   Result<bool> Next(Frame* out);
 
   /// Bytes buffered but not yet consumed by Next().
@@ -213,8 +231,9 @@ class FrameSocket {
   /// suppressed; a peer that vanished surfaces as Status::IOError.
   Status Send(FrameType type, const std::string& body);
 
-  /// Reads one complete frame. `timeout_ms` bounds the whole read
-  /// (poll-based); negative blocks forever. Error taxonomy:
+  /// Reads one complete frame, its body straight into Frame::body.
+  /// `timeout_ms` bounds the whole read (poll-based); negative blocks
+  /// forever. Error taxonomy:
   ///   kUnavailable       orderly EOF at a frame boundary (peer closed)
   ///   kDeadlineExceeded  nothing (or only part of a frame) arrived in time
   ///   kIOError           torn frame, CRC mismatch, oversized length,

@@ -581,8 +581,9 @@ void Server::DrainDecoder(const std::shared_ptr<Connection>& conn) {
       conn->read_paused = true;
       break;
     }
-    Frame frame;
-    Result<bool> has = conn->decoder.Next(&frame);
+    FrameType type;
+    std::string_view body;  // valid until the decoder's next Feed
+    Result<bool> has = conn->decoder.Next(&type, &body);
     if (!has.ok()) {
       // Garbled bytes: framing is lost, so answer typed and close. The
       // responses of statements already decoded still flush first.
@@ -593,12 +594,12 @@ void Server::DrainDecoder(const std::shared_ptr<Connection>& conn) {
     }
     if (!*has) break;
     conn->last_activity_ms = NowMs();
-    HandleFrame(conn, frame.type, frame.body);
+    HandleFrame(conn, type, body);
   }
 }
 
 void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
-                         FrameType type, const std::string& body) {
+                         FrameType type, std::string_view body) {
   // ---- Handshake: the first frame must be kHello. -------------------------
   if (conn->session == nullptr) {
     if (type != FrameType::kHello) {
@@ -707,17 +708,17 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 namespace {
 
 /// The response frame for one statement, shared by the inline and pooled
-/// paths. Seq-tagged results carry the server-timing footer (append-only,
-/// so v1 batch clients that don't ask for timing still decode);
-/// write_stall can't be known yet — it is server-side telemetry.
+/// paths; a result is encoded straight into its frame. Seq-tagged results
+/// carry the server-timing footer (append-only, so v1 batch clients that
+/// don't ask for timing still decode); write_stall can't be known yet —
+/// it is server-side telemetry.
 std::string EncodeStatementResponse(
     bool tagged, uint64_t seq, const Result<api::StatementOutcome>& outcome,
     uint64_t queue_wait_ns, uint64_t execute_ns) {
   if (!tagged) {
-    return outcome.ok()
-               ? EncodeFrame(FrameType::kResult, EncodeResultBody(*outcome))
-               : EncodeFrame(FrameType::kError,
-                             EncodeErrorBody(outcome.status()));
+    return outcome.ok() ? EncodeResultFrame(*outcome)
+                        : EncodeFrame(FrameType::kError,
+                                      EncodeErrorBody(outcome.status()));
   }
   if (!outcome.ok()) {
     return EncodeFrame(FrameType::kErrorSeq,
@@ -727,9 +728,7 @@ std::string EncodeStatementResponse(
   timing.present = true;
   timing.queue_wait_us = queue_wait_ns / 1000;
   timing.execute_us = execute_ns / 1000;
-  return EncodeFrame(FrameType::kResultSeq,
-                     EncodeResultSeqBody(seq, *outcome) +
-                         EncodeServerTimingFooter(timing));
+  return EncodeResultSeqFrame(seq, *outcome, timing);
 }
 
 }  // namespace
@@ -740,8 +739,9 @@ void Server::ScheduleNext(const std::shared_ptr<Connection>& conn) {
   // anything but a SELECT, or the statement lock held exclusively). The
   // pooled one then holds the connection's later statements back.
   while (!conn->executing && !conn->pending.empty() && !conn->broken) {
-    std::optional<Completion> done =
-        RunStatement(*conn, conn->pending.front(), /*inline_only=*/true);
+    std::optional<Result<api::StatementOutcome>> outcome;
+    std::optional<Completion> done = RunStatement(
+        *conn, conn->pending.front(), /*inline_only=*/true, &outcome);
     if (done.has_value()) {
       conn->pending.pop_front();
       ctr_statements_inline_.Increment();
@@ -761,29 +761,29 @@ void Server::ScheduleNext(const std::shared_ptr<Connection>& conn) {
 }
 
 std::optional<Server::Completion> Server::RunStatement(
-    const Connection& conn, const PendingStatement& item, bool inline_only) {
+    const Connection& conn, const PendingStatement& item, bool inline_only,
+    std::optional<Result<api::StatementOutcome>>* outcome) {
   // Lifecycle t1/t2 bracket the execute window; with t0 (decode) and t3
   // (flush) these are the statement's entire clock-read budget.
   uint64_t exec_start_ns = obs::MonotonicNowNs();
   uint64_t queue_wait_ns = exec_start_ns - item.decode_ns;
   uint64_t telemetry_seq = 0;
-  std::optional<Result<api::StatementOutcome>> outcome;
   {
     obs::ScopedStatementLifecycle lifecycle(queue_wait_ns);
     if (inline_only) {
-      outcome = conn.session->TryExecuteInline(item.text);
+      *outcome = conn.session->TryExecuteInline(item.text);
     } else {
-      outcome = conn.session->Execute(item.text);
+      *outcome = conn.session->Execute(item.text);
     }
     telemetry_seq = lifecycle.recorded_seq();
   }
-  if (!outcome.has_value()) return std::nullopt;
+  if (!outcome->has_value()) return std::nullopt;
   uint64_t exec_end_ns = obs::MonotonicNowNs();
   hist_queue_wait_us_.Observe(static_cast<double>(queue_wait_ns) / 1e3);
   hist_execute_us_.Observe(static_cast<double>(exec_end_ns - exec_start_ns) /
                            1e3);
   return Completion{conn.id,
-                    EncodeStatementResponse(item.tagged, item.seq, *outcome,
+                    EncodeStatementResponse(item.tagged, item.seq, **outcome,
                                             queue_wait_ns,
                                             exec_end_ns - exec_start_ns),
                     telemetry_seq, item.decode_ns, exec_end_ns};
@@ -792,12 +792,17 @@ std::optional<Server::Completion> Server::RunStatement(
 void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
                              PendingStatement item) {
   gauge_worker_queue_.Add(-1);
-  Completion done = *RunStatement(*conn, item, /*inline_only=*/false);
+  std::optional<Result<api::StatementOutcome>> outcome;
+  Completion done =
+      *RunStatement(*conn, item, /*inline_only=*/false, &outcome);
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
     completions_.push_back(std::move(done));
   }
   WakeLoop();
+  // Only now free the materialized rows: the loop flushes the frame
+  // meanwhile instead of waiting out the teardown of a large result.
+  outcome.reset();
 }
 
 void Server::DrainCompletions() {

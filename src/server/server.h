@@ -149,16 +149,18 @@ class Server {
   void HandleHttpRequest(const std::shared_ptr<Connection>& conn);
   void DrainDecoder(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn,
-                   FrameType type, const std::string& body);
+                   FrameType type, std::string_view body);
   /// Starts conn's pending statements in order: inline while they
   /// qualify, then at most one on the pool.
   void ScheduleNext(const std::shared_ptr<Connection>& conn);
   /// Executes one statement (inline_only: only if it can run inline,
   /// else nullopt) and returns its encoded response and lifecycle
-  /// stamps. Called by the loop, and by a worker for pooled statements.
-  std::optional<Completion> RunStatement(const Connection& conn,
-                                         const PendingStatement& item,
-                                         bool inline_only);
+  /// stamps. The materialized outcome is left in *outcome, so the caller
+  /// frees it once the response is on its way. Called by the loop, and by
+  /// a worker for pooled statements.
+  std::optional<Completion> RunStatement(
+      const Connection& conn, const PendingStatement& item, bool inline_only,
+      std::optional<Result<api::StatementOutcome>>* outcome);
   void ExecuteOnWorker(std::shared_ptr<Connection> conn,
                        PendingStatement item);
   void DrainCompletions();

@@ -11,8 +11,10 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "durability/durable_db.h"
 #include "durability/serde.h"
@@ -60,6 +62,41 @@ TEST(Crc32Test, KnownVector) {
   // The classic CRC-32 check value.
   EXPECT_EQ(durability::Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(durability::Crc32("", 0), 0u);
+}
+
+/// Reference CRC-32: one byte at a time, one bit at a time, no tables.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937 rng(20261020);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      if (durability::Crc32(p, len) != BytewiseCrc32(p, len, 0)) ++mismatches;
+      // Chained: any seed, and a split anywhere continues the same CRC.
+      uint32_t seed = static_cast<uint32_t>(rng());
+      if (durability::Crc32(p, len, seed) != BytewiseCrc32(p, len, seed)) {
+        ++mismatches;
+      }
+      size_t split = len == 0 ? 0 : rng() % (len + 1);
+      uint32_t chained =
+          durability::Crc32(p + split, len - split, durability::Crc32(p, split));
+      if (chained != BytewiseCrc32(p, len, 0)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(SerdeTest, ValueRoundTrip) {
@@ -308,6 +345,81 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   std::string corrupt = bytes;
   corrupt[bytes.size() / 2] ^= 0x01;
   EXPECT_FALSE(durability::DecodeSnapshot(corrupt).ok());
+}
+
+// ---- Golden bytes: the WAL record and snapshot formats are pinned --------
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+TEST(GoldenBytesTest, WalRecordBytesArePinned) {
+  WalRecord record;
+  record.type = WalRecord::Type::kInsertRelationship;
+  record.lsn = 42;
+  record.name = "RS";
+  record.key = {Value::Int64(1)};
+  record.right_key = {Value::String("s1")};
+  record.value = MakeStruct({{"w", Value::Float64(0.5)}});
+  const std::string bytes = durability::EncodeWalRecord(record);
+  EXPECT_EQ(ToHex(bytes),
+            "3a00000087a1b6ea042a00000000000000020000005253010000000201000000"
+            "0000000001000000040200000073310601000000010000007703000000000000"
+            "e03f");
+
+  std::string dir = FreshDir("golden_wal");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/wal.erblog", std::ios::binary) << bytes;
+  auto read = durability::ReadWal(dir + "/wal.erblog");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->clean);
+  ASSERT_EQ(read->records.size(), 1u);
+  EXPECT_EQ(read->records[0].lsn, 42u);
+  EXPECT_EQ(read->records[0].value.ToString(), record.value.ToString());
+}
+
+TEST(GoldenBytesTest, SnapshotBytesArePinned) {
+  SnapshotData data;
+  data.last_lsn = 17;
+  data.ddl = "CREATE ENTITY R ( r_id INT KEY );";
+  data.spec_json = "{}";
+  SnapshotData::TableImage table;
+  table.name = "R";
+  table.rows = {{Value::Int64(1), Value::String("a")},
+                {Value::Int64(2), Value::Null()}};
+  data.tables.push_back(table);
+  SnapshotData::PairImage pair;
+  pair.name = "P";
+  pair.left_rows = {{Value::Int64(1)}};
+  pair.right_rows = {{Value::Int64(9)}};
+  pair.edges = {{0, 0}};
+  data.pairs.push_back(pair);
+  const std::string bytes = durability::EncodeSnapshot(data);
+  EXPECT_EQ(ToHex(bytes),
+            "455242534e503031b0000000351d3e0911000000000000002100000043524541"
+            "544520454e544954592052202820725f696420494e54204b455920293b020000"
+            "007b7d0100000001000000520200000000000000020000000201000000000000"
+            "0004010000006102000000020200000000000000000100000001000000500100"
+            "0000000000000100000002010000000000000001000000000000000100000002"
+            "0900000000000000010000000000000000000000000000000000000000000000");
+
+  std::string dir = FreshDir("golden_snapshot");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/snapshot-1.erbsnap";
+  std::ofstream(path, std::ios::binary) << bytes;
+  auto back = durability::LoadSnapshotFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ddl, data.ddl);
+  ASSERT_EQ(back->tables.size(), 1u);
+  EXPECT_EQ(back->tables[0].rows[1][1].is_null(), true);
+  ASSERT_EQ(back->pairs.size(), 1u);
+  EXPECT_EQ(back->pairs[0].right_rows[0][0].as_int64(), 9);
 }
 
 TEST(DurableDatabaseTest, InsertSurvivesReopen) {

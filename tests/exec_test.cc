@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "exec/aggregate.h"
 #include "exec/join.h"
 #include "exec/sort.h"
@@ -229,6 +233,63 @@ TEST(OperatorTest, NestedLoopJoinPredicate) {
   auto rows = CollectRows(join.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);  // (1,2), (1,4)
+}
+
+TEST(OperatorTest, NestedLoopThetaJoinsMatchHandComputedMultisets) {
+  // Two columns per side, so each pair overwrites a multi-value suffix;
+  // left row 9 matches nothing.
+  auto left = [] {
+    return MakeValues(IntCols({"a", "a_tag"}),
+                      {IntRow({1, 10}), IntRow({5, 50}), IntRow({9, 90}),
+                       IntRow({3, 30}), IntRow({1, 11})});
+  };
+  std::vector<Column> right_cols{Column{"b", Type::Int64(), true},
+                                 Column{"label", Type::String(), true}};
+  auto right = [&] {
+    return MakeValues(right_cols,
+                      {{Value::Int64(2), Value::String("two")},
+                       {Value::Int64(4), Value::String("four")},
+                       {Value::Int64(6), Value::String("six")}});
+  };
+  auto a_lt_b = [] {
+    return MakeCompare(CompareOp::kLt, MakeColumnRef(0, "a"),
+                       MakeColumnRef(2, "b"));
+  };
+  auto multiset = [](const std::vector<Row>& rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + " ";
+      out.push_back(line);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::string> inner = {
+      "1 10 2 'two' ",  "1 10 4 'four' ", "1 10 6 'six' ",
+      "1 11 2 'two' ",  "1 11 4 'four' ", "1 11 6 'six' ",
+      "3 30 4 'four' ", "3 30 6 'six' ",  "5 50 6 'six' ",
+  };
+  std::sort(inner.begin(), inner.end());
+
+  OperatorPtr inner_join =
+      std::make_unique<NestedLoopJoinOp>(left(), right(), a_lt_b());
+  auto inner_rows = CollectRows(inner_join.get());
+  ASSERT_TRUE(inner_rows.ok());
+  EXPECT_EQ(multiset(*inner_rows), inner);
+
+  std::vector<std::string> outer = inner;
+  outer.push_back("9 90 null null ");
+  std::sort(outer.begin(), outer.end());
+  OperatorPtr outer_join = std::make_unique<NestedLoopJoinOp>(
+      left(), right(), a_lt_b(), JoinType::kLeftOuter);
+  auto outer_rows = CollectRows(outer_join.get());
+  ASSERT_TRUE(outer_rows.ok());
+  EXPECT_EQ(multiset(*outer_rows), outer);
+  // A reopened join (the right side stays materialized) answers the same.
+  auto again = CollectRows(outer_join.get());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(multiset(*again), outer);
 }
 
 TEST(OperatorTest, IndexJoinUsesTableIndex) {

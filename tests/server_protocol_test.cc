@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -257,6 +259,163 @@ TEST(ProtocolBodyTest, ResultWithLyingCountsFailsCleanly) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
 }
 
+// ---- Golden bytes: the result frame format is pinned ---------------------
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
+}
+
+/// Every value kind, -0.0, a string with an embedded NUL, a nested array
+/// and structs.
+api::StatementOutcome GoldenOutcome() {
+  api::StatementOutcome outcome;
+  outcome.shape = api::OutputShape::kTable;
+  outcome.message = "ok";
+  outcome.result.columns = {"n", "b", "i", "f", "s", "arr", "st"};
+  outcome.result.rows.push_back(
+      {Value::Null(), Value::Bool(true), Value::Int64(-42),
+       Value::Float64(-0.0), Value::String(std::string("a\0b", 3)),
+       Value::Array({Value::Int64(1),
+                     Value::Array({Value::String("x"), Value::Null()})}),
+       Value::Struct({{"k", Value::Int64(7)},
+                      {"v", Value::Array({Value::Bool(false)})}})});
+  outcome.result.rows.push_back(
+      {Value::Null(), Value::Bool(false),
+       Value::Int64(std::numeric_limits<int64_t>::min()), Value::Float64(2.5),
+       Value::String(""), Value::Array({}), Value::Struct({})});
+  return outcome;
+}
+
+ServerTiming GoldenTiming() {
+  ServerTiming timing;
+  timing.present = true;
+  timing.queue_wait_us = 3;
+  timing.execute_us = 1234;
+  return timing;
+}
+
+constexpr uint64_t kGoldenSeq = 0x0102030405060708ull;
+
+const std::string kGoldenResultFrame =
+    "b800000054b98cef8201020000006f6b07000000010000006e01000000620100"
+    "0000690100000066010000007303000000617272020000007374020000000700"
+    "000000010102d6ffffffffffffff030000000000000080040300000061006205"
+    "0200000002010000000000000005020000000401000000780006020000000100"
+    "00006b0207000000000000000100000076050100000001000700000000010002"
+    "0000000000000080030000000000000440040000000005000000000600000000";
+
+const std::string kGoldenResultSeqFrame =
+    "f1000000aaf767e985080706050403020101020000006f6b0700000001000000"
+    "6e01000000620100000069010000006601000000730300000061727202000000"
+    "7374020000000700000000010102d6ffffffffffffff03000000000000008004"
+    "0300000061006205020000000201000000000000000502000000040100000078"
+    "000602000000010000006b020700000000000000010000007605010000000100"
+    "0700000000010002000000000000008003000000000000044004000000000500"
+    "0000000600000000f7020d00000071756575655f776169745f75730300000000"
+    "0000000a000000657865637574655f7573d204000000000000";
+
+TEST(GoldenFrameTest, ResultFrameBytesArePinned) {
+  EXPECT_EQ(ToHex(EncodeResultFrame(GoldenOutcome())), kGoldenResultFrame);
+  EXPECT_EQ(ToHex(EncodeFrame(FrameType::kResult,
+                              EncodeResultBody(GoldenOutcome()))),
+            kGoldenResultFrame);
+}
+
+TEST(GoldenFrameTest, ResultSeqFrameBytesArePinned) {
+  EXPECT_EQ(ToHex(EncodeResultSeqFrame(kGoldenSeq, GoldenOutcome(),
+                                       GoldenTiming())),
+            kGoldenResultSeqFrame);
+  EXPECT_EQ(ToHex(EncodeFrame(FrameType::kResultSeq,
+                              EncodeResultSeqBody(kGoldenSeq, GoldenOutcome()) +
+                                  EncodeServerTimingFooter(GoldenTiming()))),
+            kGoldenResultSeqFrame);
+}
+
+TEST(GoldenFrameTest, LargeResultFrameRoundTripsAndMatchesTheTwoStepEncoding) {
+  // Past the rows the encoder samples before it reserves the rest, with
+  // rows whose size varies so the reservation runs short and long.
+  api::StatementOutcome outcome;
+  outcome.shape = api::OutputShape::kTable;
+  outcome.result.columns = {"k", "xs"};
+  for (int64_t i = 0; i < 500; ++i) {
+    Value::ArrayData xs(static_cast<size_t>(i < 64 ? 1 : i % 17));
+    for (Value& x : xs) x = Value::String(std::string(i % 5, 'z'));
+    outcome.result.rows.push_back({Value::Int64(i), Value::Array(xs)});
+  }
+  const std::string frame = EncodeResultFrame(outcome);
+  EXPECT_EQ(frame, EncodeFrame(FrameType::kResult, EncodeResultBody(outcome)));
+  auto decoded = DecodeResultBody(std::string_view(frame).substr(9));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->result.ToCanonicalString(),
+            outcome.result.ToCanonicalString());
+  EXPECT_EQ(EncodeResultSeqFrame(9, outcome, GoldenTiming()),
+            EncodeFrame(FrameType::kResultSeq,
+                        EncodeResultSeqBody(9, outcome) +
+                            EncodeServerTimingFooter(GoldenTiming())));
+}
+
+TEST(GoldenFrameTest, GoldenFramesDecodeToTheirOutcome) {
+  const api::StatementOutcome want = GoldenOutcome();
+  std::string plain = FromHex(kGoldenResultFrame).substr(9);
+  auto decoded = DecodeResultBody(plain);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->message, "ok");
+  EXPECT_EQ(decoded->result.columns, want.result.columns);
+  EXPECT_EQ(decoded->result.ToCanonicalString(),
+            want.result.ToCanonicalString());
+  const Row& row = decoded->result.rows[0];
+  EXPECT_TRUE(std::signbit(row[3].as_float64()));
+  EXPECT_EQ(row[4].as_string(), std::string("a\0b", 3));
+
+  std::string seq_body = FromHex(kGoldenResultSeqFrame).substr(9);
+  std::string_view rest;
+  auto seq = DecodeSeqPrefix(seq_body, &rest);
+  ASSERT_TRUE(seq.ok());
+  EXPECT_EQ(*seq, kGoldenSeq);
+  ServerTiming timing;
+  auto tagged = DecodeResultBody(rest, &timing);
+  ASSERT_TRUE(tagged.ok()) << tagged.status().ToString();
+  EXPECT_EQ(tagged->result.ToCanonicalString(),
+            want.result.ToCanonicalString());
+  EXPECT_TRUE(timing.present);
+  EXPECT_EQ(timing.queue_wait_us, 3u);
+  EXPECT_EQ(timing.execute_us, 1234u);
+}
+
+TEST(GoldenFrameTest, EveryProperPrefixOfTheBodyFailsWithIOError) {
+  const std::string plain = FromHex(kGoldenResultFrame).substr(9);
+  for (size_t cut = 0; cut < plain.size(); ++cut) {
+    auto decoded = DecodeResultBody(std::string_view(plain).substr(0, cut));
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes decoded";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError) << cut;
+  }
+  // The tagged body: a cut inside the rows or the footer fails too (a cut
+  // exactly between them is a complete footer-less body).
+  const std::string tagged = FromHex(kGoldenResultSeqFrame).substr(9 + 8);
+  for (size_t cut = 0; cut < tagged.size(); ++cut) {
+    if (cut == plain.size()) continue;
+    ServerTiming timing;
+    auto decoded =
+        DecodeResultBody(std::string_view(tagged).substr(0, cut), &timing);
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes decoded";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError) << cut;
+  }
+}
+
 // ---- FrameDecoder: incremental decoding for the reactor -------------------
 
 TEST(FrameDecoderTest, DecodesAFrameFedByteByByte) {
@@ -377,6 +536,19 @@ TEST_F(FramePairTest, SendRecvRoundTrips) {
   auto statement = DecodeStatementBody(frame->body);
   ASSERT_TRUE(statement.ok());
   EXPECT_EQ(*statement, "SELECT 1");
+}
+
+TEST_F(FramePairTest, RecvReadsAGoldenFrameInPlace) {
+  // Raw golden bytes, sent in two pieces that split the type tag from the
+  // body: Recv must reassemble them and check the CRC over both.
+  const std::string wire = FromHex(kGoldenResultSeqFrame);
+  ASSERT_EQ(::send(a_->fd(), wire.data(), 10, MSG_NOSIGNAL), 10);
+  ASSERT_EQ(::send(a_->fd(), wire.data() + 10, wire.size() - 10, MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size() - 10));
+  auto frame = b_->Recv(1000);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, FrameType::kResultSeq);
+  EXPECT_EQ(frame->body, wire.substr(9));
 }
 
 TEST_F(FramePairTest, RecvTimesOutWhenIdle) {
