@@ -1,6 +1,6 @@
 // Network server scenarios that the repo benchmark (perfbench/) does not
-// cover: the result-frame encode and decode of E1's 20,000-row response,
-// pipelined point reads (16-statement batches per round-trip),
+// cover: the result-frame encode, decode and free of E1's 20,000-row
+// response, pipelined point reads (16-statement batches per round-trip),
 // point reads under a writer stream and under CHECKPOINT, a
 // 1000-connection idle+burst scenario measuring what idle connections
 // cost the reactor (fds and RSS, not threads), and durable inserts under
@@ -691,8 +691,36 @@ void BM_DecodeResultBody(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * body.size()));
 }
 
+/// The client's teardown of E1's decoded response: each iteration decodes
+/// outside the timing and frees the rows inside it, so this is the free
+/// alone (BM_DecodeResultBody less this is the decode alone).
+void BM_FreeDecodedResult(benchmark::State& state) {
+  const std::string frame =
+      server::EncodeResultSeqFrame(1, E1Outcome(), BenchTiming());
+  const std::string_view body = std::string_view(frame).substr(9);
+  size_t rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::string_view rest;
+    server::ServerTiming timing;
+    auto seq = server::DecodeSeqPrefix(body, &rest);
+    auto decoded = server::DecodeResultBody(rest, &timing);
+    if (!seq.ok() || !decoded.ok()) {
+      state.SkipWithError("decode failed");
+      return;
+    }
+    std::vector<Row> decoded_rows = std::move(decoded->result.rows);
+    rows = decoded_rows.size();
+    state.ResumeTiming();
+    std::vector<Row>().swap(decoded_rows);
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+
 BENCHMARK(BM_EncodeResultFrame)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodeResultBody)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FreeDecodedResult)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PointReadPipelined)->Arg(1)->Arg(8)->UseRealTime()
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReadUnderWrites)->UseRealTime()->Iterations(1)

@@ -145,7 +145,8 @@ struct Shell {
         break;
       case OutputShape::kLines:
         for (const erbium::Row& row : outcome->result.rows) {
-          std::printf("%s\n", row[0].as_string().c_str());
+          std::string_view line = row[0].as_string();
+          std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
         }
         break;
       case OutputShape::kTable:

@@ -7,7 +7,7 @@ namespace erbium {
 
 namespace {
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -61,7 +61,7 @@ void ToJsonRec(const Value& v, std::string* out) {
       return;
     case TypeKind::kArray: {
       out->push_back('[');
-      const Value::ArrayData& elements = v.array();
+      Value::ArrayView elements = v.array();
       for (size_t i = 0; i < elements.size(); ++i) {
         if (i > 0) out->push_back(',');
         ToJsonRec(elements[i], out);
@@ -71,7 +71,7 @@ void ToJsonRec(const Value& v, std::string* out) {
     }
     case TypeKind::kStruct: {
       out->push_back('{');
-      const Value::StructData& fields = v.struct_fields();
+      Value::StructView fields = v.struct_fields();
       for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) out->push_back(',');
         AppendJsonEscaped(fields[i].first, out);
@@ -106,7 +106,8 @@ Result<Value> EntityStore::GetExpanded(const std::string& class_name,
   ERBIUM_ASSIGN_OR_RETURN(Value base, db_->GetEntity(class_name, key));
   ERBIUM_ASSIGN_OR_RETURN(std::string specific,
                           db_->SpecificClassOf(class_name, key));
-  Value::StructData fields = base.struct_fields();
+  Value::StructData fields(base.struct_fields().begin(),
+                           base.struct_fields().end());
   const ERSchema& schema = db_->schema();
   ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> chain,
                           schema.AncestryChain(specific));
@@ -260,7 +261,8 @@ Result<Value> EntityStore::Redact(const std::string& class_name,
   if (entity.kind() != TypeKind::kStruct) {
     return Status::InvalidArgument("entity value must be a struct");
   }
-  Value::StructData fields = entity.struct_fields();
+  Value::StructData fields(entity.struct_fields().begin(),
+                           entity.struct_fields().end());
   for (auto& [name, value] : fields) {
     if (pii_set.count(name) > 0) value = Value::Null();
   }

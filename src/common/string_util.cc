@@ -5,7 +5,7 @@
 
 namespace erbium {
 
-std::string ToLower(const std::string& s) {
+std::string ToLower(std::string_view s) {
   std::string out(s.size(), '\0');
   std::transform(s.begin(), s.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });

@@ -2,12 +2,13 @@
 #define ERBIUM_COMMON_STRING_UTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace erbium {
 
 /// ASCII lower-casing (identifiers in DDL/ERQL are case-insensitive).
-std::string ToLower(const std::string& s);
+std::string ToLower(std::string_view s);
 
 /// Strips leading/trailing whitespace.
 std::string Trim(const std::string& s);

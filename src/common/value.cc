@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <new>
 
 namespace erbium {
 
@@ -41,7 +42,95 @@ size_t CombineHash(size_t seed, size_t h) {
 
 }  // namespace
 
-const Value* Value::FindField(const std::string& name) const {
+Value::Block* Value::NewBlock(size_t payload_bytes, uint64_t size) {
+  auto* b = static_cast<Block*>(::operator new(sizeof(Block) + payload_bytes));
+  return new (b) Block{{1}, size};
+}
+
+Value Value::String(std::string_view v) {
+  Value out;
+  if (v.size() <= kInlineCapacity) {
+    std::memcpy(out.bytes_, v.data(), v.size());
+    out.bytes_[kLengthByte] = static_cast<unsigned char>(v.size());
+    out.bytes_[kTagByte] = static_cast<uint8_t>(TypeKind::kString);
+    return out;
+  }
+  Block* b = NewBlock(v.size(), v.size());
+  std::memcpy(b->payload<char>(), v.data(), v.size());
+  out.SetBlock(TypeKind::kString, b);
+  return out;
+}
+
+Value Value::ArrayOfNulls(size_t n) {
+  Value out;
+  Block* b = nullptr;
+  if (n > 0) {
+    b = NewBlock(n * sizeof(Value), n);
+    for (size_t i = 0; i < n; ++i) new (b->payload<Value>() + i) Value();
+  }
+  out.SetBlock(TypeKind::kArray, b);
+  return out;
+}
+
+Value Value::Array(ArrayData elements) {
+  Value out;
+  Block* b = nullptr;
+  if (!elements.empty()) {
+    b = NewBlock(elements.size() * sizeof(Value), elements.size());
+    for (size_t i = 0; i < elements.size(); ++i) {
+      new (b->payload<Value>() + i) Value(std::move(elements[i]));
+    }
+  }
+  out.SetBlock(TypeKind::kArray, b);
+  return out;
+}
+
+Value Value::Struct(StructData fields) {
+  Value out;
+  Block* b = nullptr;
+  if (!fields.empty()) {
+    b = NewBlock(fields.size() * sizeof(StructField), fields.size());
+    for (size_t i = 0; i < fields.size(); ++i) {
+      new (b->payload<StructField>() + i) StructField(std::move(fields[i]));
+    }
+  }
+  out.SetBlock(TypeKind::kStruct, b);
+  return out;
+}
+
+std::span<Value> Value::mutable_array() {
+  assert(kind() == TypeKind::kArray);
+  Block* b = block();
+  if (b == nullptr) return {};
+  assert(b->refs.load(std::memory_order_relaxed) == 1);
+  return {b->payload<Value>(), b->size};
+}
+
+void Value::ReleaseBlock() noexcept {
+  Block* b = block();
+  if (b == nullptr) return;
+  // A count of 1 is ours alone: no other holder can copy it concurrently.
+  if (b->refs.load(std::memory_order_acquire) != 1 &&
+      b->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return;
+  }
+  switch (kind()) {
+    case TypeKind::kArray:
+      for (size_t i = 0; i < b->size; ++i) b->payload<Value>()[i].~Value();
+      break;
+    case TypeKind::kStruct:
+      for (size_t i = 0; i < b->size; ++i) {
+        b->payload<StructField>()[i].~StructField();
+      }
+      break;
+    default:
+      break;
+  }
+  b->~Block();
+  ::operator delete(b);
+}
+
+const Value* Value::FindField(std::string_view name) const {
   if (kind() != TypeKind::kStruct) return nullptr;
   for (const auto& [field_name, value] : struct_fields()) {
     if (field_name == name) return &value;
@@ -74,8 +163,8 @@ int Value::Compare(const Value& other) const {
     case TypeKind::kString:
       return as_string().compare(other.as_string());
     case TypeKind::kArray: {
-      const ArrayData& a = array();
-      const ArrayData& b = other.array();
+      ArrayView a = array();
+      ArrayView b = other.array();
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         int c = a[i].Compare(b[i]);
@@ -84,8 +173,8 @@ int Value::Compare(const Value& other) const {
       return a.size() == b.size() ? 0 : (a.size() < b.size() ? -1 : 1);
     }
     case TypeKind::kStruct: {
-      const StructData& a = struct_fields();
-      const StructData& b = other.struct_fields();
+      StructView a = struct_fields();
+      StructView b = other.struct_fields();
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         int c = a[i].first.compare(b[i].first);
@@ -118,7 +207,7 @@ size_t Value::Hash() const {
     case TypeKind::kFloat64:
       return std::hash<double>()(as_float64());
     case TypeKind::kString:
-      return std::hash<std::string>()(as_string());
+      return std::hash<std::string_view>()(as_string());
     case TypeKind::kArray: {
       size_t seed = 0x61727279ULL;
       for (const Value& v : array()) seed = CombineHash(seed, v.Hash());
@@ -148,11 +237,15 @@ std::string Value::ToString() const {
       std::string s = std::to_string(as_float64());
       return s;
     }
-    case TypeKind::kString:
-      return "'" + as_string() + "'";
+    case TypeKind::kString: {
+      std::string out = "'";
+      out.append(as_string());
+      out += '\'';
+      return out;
+    }
     case TypeKind::kArray: {
       std::string out = "[";
-      const ArrayData& elements = array();
+      ArrayView elements = array();
       for (size_t i = 0; i < elements.size(); ++i) {
         if (i > 0) out += ", ";
         out += elements[i].ToString();
@@ -162,7 +255,7 @@ std::string Value::ToString() const {
     }
     case TypeKind::kStruct: {
       std::string out = "{";
-      const StructData& fields = struct_fields();
+      StructView fields = struct_fields();
       for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) out += ", ";
         out += fields[i].first + ": " + fields[i].second.ToString();

@@ -109,6 +109,8 @@ class FaultInjector {
   //                        versions are pinned but before bytes hit disk
   //   wal.sync             inside a group commit's fdatasync, with the
   //                        WAL mutex and every lock domain released
+  //   server.execute       on a server pool worker, before a pooled
+  //                        statement executes
 
   /// Arms the gate at `point`; the next MaybeBlock(point) parks.
   void ArmGate(std::string point) {

@@ -84,7 +84,7 @@ void PutF64(double v, std::string* out) {
   PutU64(bits, out);
 }
 
-void PutString(const std::string& s, std::string* out) {
+void PutString(std::string_view s, std::string* out) {
   PutU32(static_cast<uint32_t>(s.size()), out);
   out->append(s);
 }
@@ -224,10 +224,11 @@ Status ByteReader::ReadInto(Value* out, int depth) {
       return Status::OK();
     }
     case kTagString: {
-      // Built straight from the input bytes: no intermediate string.
+      // Built straight from the input bytes: inline when short, else
+      // one block, with no intermediate string.
       ERBIUM_ASSIGN_OR_RETURN(uint32_t len, U32());
       ERBIUM_RETURN_NOT_OK(Need(len));
-      *out = Value::String(std::string(p_, len));
+      *out = Value::String(std::string_view(p_, len));
       p_ += len;
       return Status::OK();
     }
@@ -235,11 +236,11 @@ Status ByteReader::ReadInto(Value* out, int depth) {
       ERBIUM_ASSIGN_OR_RETURN(uint32_t count, U32());
       // Every element takes at least one tag byte.
       ERBIUM_RETURN_NOT_OK(Need(count));
-      Value::ArrayData elements(count);
-      for (Value& e : elements) {
+      // The array's one block, filled in place.
+      *out = Value::ArrayOfNulls(count);
+      for (Value& e : out->mutable_array()) {
         ERBIUM_RETURN_NOT_OK(ReadInto(&e, depth + 1));
       }
-      *out = Value::Array(std::move(elements));
       return Status::OK();
     }
     case kTagStruct: {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/value.h"
@@ -22,7 +23,7 @@ void PutU8(uint8_t v, std::string* out);
 void PutU32(uint32_t v, std::string* out);
 void PutU64(uint64_t v, std::string* out);
 void PutF64(double v, std::string* out);
-void PutString(const std::string& s, std::string* out);
+void PutString(std::string_view s, std::string* out);
 void PutValue(const Value& v, std::string* out);
 /// A key / row is a count-prefixed sequence of values.
 void PutValues(const std::vector<Value>& values, std::string* out);

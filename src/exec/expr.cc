@@ -3,6 +3,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/key_table.h"
 #include "common/string_util.h"
 
 namespace erbium {
@@ -111,7 +112,9 @@ Value ArithmeticExpr::Eval(const Row& row) const {
   // String concatenation via +.
   if (op_ == ArithmeticOp::kAdd && left.kind() == TypeKind::kString &&
       right.kind() == TypeKind::kString) {
-    return Value::String(left.as_string() + right.as_string());
+    std::string joined(left.as_string());
+    joined.append(right.as_string());
+    return Value::String(joined);
   }
   bool left_num = left.kind() == TypeKind::kInt64 ||
                   left.kind() == TypeKind::kFloat64;
@@ -297,12 +300,20 @@ Value FunctionExpr::Eval(const Row& row) const {
       if (a.kind() != TypeKind::kArray || b.kind() != TypeKind::kArray) {
         return Value::Null();
       }
-      std::unordered_set<Value, ValueHash> right_set(b.array().begin(),
-                                                     b.array().end());
+      // Per-thread scratch: the right array's distinct elements, and
+      // which of them were emitted. Reset keeps the table's capacity.
+      thread_local KeyTable right_set(1);
+      thread_local std::vector<bool> emitted;
+      right_set.Reset(b.array().size());
+      for (const Value& element : b.array()) {
+        right_set.FindOrInsert(HashKey(&element, 1), &element);
+      }
+      emitted.assign(right_set.size(), false);
       Value::ArrayData out;
-      std::unordered_set<Value, ValueHash> emitted;
       for (const Value& element : a.array()) {
-        if (right_set.count(element) > 0 && emitted.insert(element).second) {
+        uint32_t id = right_set.Find(HashKey(&element, 1), &element);
+        if (id != KeyTable::kNotFound && !emitted[id]) {
+          emitted[id] = true;
           out.push_back(element);
         }
       }
@@ -314,7 +325,7 @@ Value FunctionExpr::Eval(const Row& row) const {
       if (arr.kind() != TypeKind::kArray || needle.is_null()) {
         return Value::Null();
       }
-      const Value::ArrayData& elements = arr.array();
+      Value::ArrayView elements = arr.array();
       for (size_t i = 0; i < elements.size(); ++i) {
         if (elements[i] == needle) {
           return Value::Int64(static_cast<int64_t>(i + 1));
@@ -330,9 +341,9 @@ Value FunctionExpr::Eval(const Row& row) const {
     case BuiltinFn::kUpper: {
       Value v = args_[0]->Eval(row);
       if (v.kind() != TypeKind::kString) return Value::Null();
-      std::string s = v.as_string();
+      std::string s(v.as_string());
       for (char& c : s) c = std::toupper(static_cast<unsigned char>(c));
-      return Value::String(std::move(s));
+      return Value::String(s);
     }
     case BuiltinFn::kLength: {
       Value v = args_[0]->Eval(row);

@@ -1,7 +1,9 @@
 #ifndef ERBIUM_EXEC_HASH_TABLE_H_
 #define ERBIUM_EXEC_HASH_TABLE_H_
 
+#include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -20,12 +22,15 @@ inline void EvalKeys(const std::vector<ExprPtr>& exprs, const Row& row,
   for (const ExprPtr& e : exprs) key->push_back(e->Eval(row));
 }
 
-/// Hash-join build side: build rows grouped by join key. Rows move into
-/// one arena; each key entry heads a chain of row ids linked through
-/// `next`, in insertion order.
+/// Hash-join build side: build rows grouped by join key. Rows of `width`
+/// values each live back to back in one Value arena, so a build costs no
+/// allocation per row; each key entry heads a chain of row ids linked
+/// through `next`, in insertion order.
 class JoinTable {
  public:
-  explicit JoinTable(size_t arity) : keys_(arity) {}
+  JoinTable(size_t arity, size_t width) : keys_(arity), width_(width) {}
+
+  size_t width() const { return width_; }
 
   void Reset(size_t expected_rows) {
     keys_.Reset(expected_rows);
@@ -34,10 +39,13 @@ class JoinTable {
     next_.clear();
   }
 
-  /// Adds a build row under `key` (which must have no nulls).
-  void Insert(uint64_t hash, const Value* key, Row row) {
-    const auto id = static_cast<int32_t>(rows_.size());
-    rows_.push_back(std::move(row));
+  /// Moves the values of build row `row` (of width() values) into the
+  /// arena under `key` (which must have no nulls); `row` keeps its buffer.
+  void Insert(uint64_t hash, const Value* key, Row* row) {
+    assert(row->size() == width_);
+    const auto id = static_cast<int32_t>(next_.size());
+    rows_.insert(rows_.end(), std::make_move_iterator(row->begin()),
+                 std::make_move_iterator(row->end()));
     next_.push_back(-1);
     auto [entry, inserted] = keys_.FindOrInsert(hash, key);
     if (inserted) {
@@ -55,7 +63,8 @@ class JoinTable {
   }
   /// The row after `row` in its key's chain, or -1.
   int32_t next(int32_t row) const { return next_[row]; }
-  const Row& row(int32_t id) const { return rows_[id]; }
+  /// The width() values of build row `id`.
+  const Value* row(int32_t id) const { return rows_.data() + id * width_; }
 
  private:
   struct Chain {
@@ -64,8 +73,9 @@ class JoinTable {
   };
 
   KeyTable keys_;
+  size_t width_;
   std::vector<Chain> chains_;  // per key entry
-  std::vector<Row> rows_;
+  std::vector<Value> rows_;    // width_ values per row
   std::vector<int32_t> next_;  // per row
 };
 

@@ -9,9 +9,9 @@ namespace erbium {
 
 namespace {
 
-/// Appends src to dst.
-void AppendRow(const Row& src, Row* dst) {
-  dst->insert(dst->end(), src.begin(), src.end());
+/// Appends the `n` values at `src` to dst.
+void AppendValues(const Value* src, size_t n, Row* dst) {
+  dst->insert(dst->end(), src, src + n);
 }
 
 void AppendNulls(size_t n, Row* dst) {
@@ -33,7 +33,7 @@ JoinBuildState::JoinBuildState(Operator* build_plan,
                                std::vector<ExprPtr> build_keys)
     : build_plan_(build_plan),
       build_keys_(std::move(build_keys)),
-      table_(build_keys_.size()) {}
+      table_(build_keys_.size(), build_plan_->output_columns().size()) {}
 
 void JoinBuildState::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -50,7 +50,7 @@ Status JoinBuildState::EnsureBuilt() {
   while (build_plan_->Next(&row)) {
     EvalKeys(build_keys_, row, &key);
     if (KeyHasNull(key.data(), key.size())) continue;  // null never joins
-    table_.Insert(HashKey(key.data(), key.size()), key.data(), std::move(row));
+    table_.Insert(HashKey(key.data(), key.size()), key.data(), &row);
   }
   built_ = true;
   return Status::OK();
@@ -67,7 +67,7 @@ JoinProbe::JoinProbe(std::vector<ExprPtr> keys, JoinType join_type,
 bool JoinProbe::Next(Operator* child, const JoinTable& table, Row* out) {
   while (true) {
     if (match_ >= 0) {
-      const Row& build_row = table.row(match_);
+      const Value* build_row = table.row(match_);
       match_ = table.next(match_);
       // The last match takes the buffered left row; `out`'s old buffer
       // becomes the next left row's.
@@ -76,7 +76,7 @@ bool JoinProbe::Next(Operator* child, const JoinTable& table, Row* out) {
       } else {
         *out = left_;
       }
-      AppendRow(build_row, out);
+      AppendValues(build_row, table.width(), out);
       return true;
     }
     if (!child->Next(&left_)) return false;
@@ -258,7 +258,8 @@ bool IndexJoinOp::NextImpl(Row* out) {
   while (true) {
     if (has_left_ && match_index_ < matches_.size()) {
       *out = current_left_;
-      AppendRow(*right_version_->row(matches_[match_index_++]), out);
+      const Row& right_row = *right_version_->row(matches_[match_index_++]);
+      AppendValues(right_row.data(), right_row.size(), out);
       return true;
     }
     has_left_ = false;

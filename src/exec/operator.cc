@@ -272,7 +272,7 @@ bool UnnestOp::NextImpl(Row* out) {
       }
     }
     const Value& arr = current_[array_column_];
-    const Value::ArrayData& elements = arr.array();
+    Value::ArrayView elements = arr.array();
     if (element_index_ < elements.size()) {
       if (element_index_ + 1 == elements.size()) {
         // Last element: the buffered row is dead after this, so move it

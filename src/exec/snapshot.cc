@@ -3,7 +3,7 @@
 namespace erbium {
 namespace exec {
 
-thread_local ReadSnapshot* ReadSnapshot::tls_current_ = nullptr;
+constinit thread_local ReadSnapshot* ReadSnapshot::tls_current_ = nullptr;
 
 }  // namespace exec
 }  // namespace erbium

@@ -74,7 +74,10 @@ class ReadSnapshot {
   }
 
  private:
-  static thread_local ReadSnapshot* tls_current_;
+  // constinit: other translation units read it directly instead of
+  // through a TLS init wrapper, which GCC 12's -fsanitize=undefined
+  // reports as a load of a null pointer.
+  static constinit thread_local ReadSnapshot* tls_current_;
 
   std::mutex mu_;
   std::unordered_map<const void*, std::shared_ptr<const void>> pins_;

@@ -31,7 +31,7 @@ Status CheckMultiValued(const AttributeDef& attr, const Value& value) {
 int FindFoldedElement(const EntitySetDef& weak, const Value& folded,
                       const IndexKey& key, size_t owner_len) {
   if (folded.kind() != TypeKind::kArray) return -1;
-  const Value::ArrayData& elements = folded.array();
+  Value::ArrayView elements = folded.array();
   for (size_t e = 0; e < elements.size(); ++e) {
     bool match = true;
     for (size_t i = 0; match && i < weak.partial_key.size(); ++i) {
@@ -523,7 +523,8 @@ Result<MappingSpec> MappedDatabase::LoadPersistedSpec() const {
   }
   for (RowId id = 0; id < table->slot_count(); ++id) {
     if (!table->IsLive(id)) continue;
-    return MappingSpec::FromJson(table->row(id)[1].as_string());
+    return MappingSpec::FromJson(
+        std::string(table->row(id)[1].as_string()));
   }
   return Status::NotFound("mapping catalog table has no live rows");
 }
@@ -674,7 +675,8 @@ Result<const MappedDatabase::EntityLayout*> MappedDatabase::SpecificLayout(
   }
   if (e.location == SegmentLocation::kHierarchySingle) {
     SegmentRef ref = *FindSegmentRow(e, key);
-    return EntityLayoutOf(ref.table->row(ref.row)[e.type_column].as_string());
+    return EntityLayoutOf(
+        std::string(ref.table->row(ref.row)[e.type_column].as_string()));
   }
   // Class-table / disjoint / pair-backed: walk down while a subclass holds
   // the key. (With overlapping specializations the first-found deepest
@@ -735,7 +737,9 @@ Status MappedDatabase::InsertEntityImpl(const EntityLayout& e,
     int col = e.folded_column[owner.probe];
     Row row = owner.table->row(owner.row);
     Value::ArrayData elements;
-    if (row[col].kind() == TypeKind::kArray) elements = row[col].array();
+    if (row[col].kind() == TypeKind::kArray) {
+      elements.assign(row[col].array().begin(), row[col].array().end());
+    }
     Value::StructData fields;
     for (const AttributeDef& attr : e.def->attributes) {
       const Value* v = entity.FindField(attr.name);
@@ -922,7 +926,8 @@ Status MappedDatabase::DeleteEntityImpl(const EntityLayout& e,
         int col = cls.folded_column[owner.probe];
         Row row = owner.table->row(owner.row);
         int element = FindFoldedElement(*cls.def, row[col], key, owner_len);
-        Value::ArrayData remaining = row[col].array();
+        Value::ArrayData remaining(row[col].array().begin(),
+                                   row[col].array().end());
         remaining.erase(remaining.begin() + element);
         row[col] = Value::Array(std::move(remaining));
         ERBIUM_RETURN_NOT_OK(owner.table->Update(owner.row, std::move(row)));
@@ -990,8 +995,10 @@ Status MappedDatabase::UpdateAttributeImpl(const EntityLayout& e,
       int col = d.folded_column[owner.probe];
       Row row = owner.table->row(owner.row);
       int index = FindFoldedElement(*d.def, row[col], key, owner_len);
-      Value::ArrayData elements = row[col].array();
-      Value::StructData fields = elements[index].struct_fields();
+      Value::ArrayData elements(row[col].array().begin(),
+                                row[col].array().end());
+      Value::StructData fields(elements[index].struct_fields().begin(),
+                               elements[index].struct_fields().end());
       for (auto& [name, field] : fields) {
         if (name == attr) field = v;
       }

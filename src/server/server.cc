@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "durability/fault.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
@@ -792,6 +793,9 @@ std::optional<Server::Completion> Server::RunStatement(
 void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
                              PendingStatement item) {
   gauge_worker_queue_.Add(-1);
+  if (options_.runner.faults != nullptr) {
+    options_.runner.faults->MaybeBlock("server.execute");
+  }
   std::optional<Result<api::StatementOutcome>> outcome;
   Completion done =
       *RunStatement(*conn, item, /*inline_only=*/false, &outcome);

@@ -81,7 +81,7 @@ Status ValidateValue(const Value& value, const TypePtr& type, bool nullable) {
             std::string("expected struct, got ") +
             TypeKindToString(value.kind()));
       }
-      const Value::StructData& fields = value.struct_fields();
+      Value::StructView fields = value.struct_fields();
       if (fields.size() != type->fields().size()) {
         return Status::ConstraintViolation("struct field count mismatch");
       }

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/key_table.h"
@@ -16,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "common/type.h"
 #include "common/value.h"
+#include "durability/serde.h"
 
 namespace erbium {
 namespace {
@@ -148,6 +151,176 @@ TEST(ValueTest, VectorHashAndEq) {
   Value null = Value::Null();
   EXPECT_TRUE(KeyHasNull(&null, 1));
   EXPECT_FALSE(KeyHasNull(a.data(), 2));
+}
+
+// ---- The 16-byte Value: inline short strings, one block per long value --
+
+/// Round-trips `v` through the serde encoder and decoder.
+Value RoundTrip(const Value& v) {
+  std::string bytes;
+  durability::PutValue(v, &bytes);
+  durability::ByteReader reader(bytes.data(), bytes.size());
+  auto back = reader.ReadValue();
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(reader.AtEnd());
+  return back.ok() ? *back : Value();
+}
+
+/// `n` bytes cycling through the alphabet.
+std::string Letters(size_t n) {
+  std::string out(n, ' ');
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<char>('a' + i % 26);
+  return out;
+}
+
+TEST(ValueTest, StringsRoundTripAcrossTheInlineLimit) {
+  static_assert(sizeof(Value) == 16);
+  static_assert(Value::kInlineCapacity == 14);
+  std::vector<std::string> cases;
+  for (size_t n : {0, 1, 14, 15, 300}) cases.push_back(Letters(n));
+  cases.push_back(std::string("a\0b", 3));
+  cases.push_back(std::string("long string\0with a NUL inside", 30));
+  for (const std::string& bytes : cases) {
+    SCOPED_TRACE(bytes.size());
+    Value v = Value::String(bytes);
+    ASSERT_EQ(v.kind(), TypeKind::kString);
+    EXPECT_EQ(v.as_string(), bytes);
+
+    Value copy(v);
+    EXPECT_EQ(copy.as_string(), bytes);
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved.as_string(), bytes);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+
+    Value assigned = Value::Int64(7);
+    assigned = moved;
+    EXPECT_EQ(assigned.as_string(), bytes);
+    Value& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(assigned.as_string(), bytes);
+    assigned = std::move(alias);
+    EXPECT_EQ(assigned.as_string(), bytes);
+    moved = Value::Null();
+    EXPECT_EQ(v.as_string(), bytes);
+    EXPECT_EQ(assigned.as_string(), bytes);
+
+    Value decoded = RoundTrip(v);
+    EXPECT_EQ(decoded.as_string(), bytes);
+    EXPECT_EQ(decoded, v);
+    EXPECT_EQ(decoded.Hash(), v.Hash());
+  }
+}
+
+TEST(ValueTest, StringsCompareAndHashByBytesOnly) {
+  // The same bytes reached by every construction path (from a string,
+  // from a view into a larger buffer, decoded from a frame) are equal
+  // and hash alike, on both sides of the inline limit.
+  const std::string buffer = "<" + Letters(300) + ">";
+  for (size_t n : {0, 5, 14, 15, 16, 100, 300}) {
+    SCOPED_TRACE(n);
+    const std::string bytes = Letters(n);
+    Value from_string = Value::String(bytes);
+    Value from_view = Value::String(std::string_view(buffer).substr(1, n));
+    Value decoded = RoundTrip(from_string);
+    for (const Value* v : {&from_view, &decoded}) {
+      EXPECT_EQ(v->Compare(from_string), 0);
+      EXPECT_EQ(v->Hash(), from_string.Hash());
+      EXPECT_EQ(KeyValueHash(*v), KeyValueHash(from_string));
+      EXPECT_EQ(HashKey(v, 1), HashKey(&from_string, 1));
+      EXPECT_TRUE(KeyEquals(v, &from_string, 1));
+    }
+    EXPECT_EQ(from_string.Hash(), std::hash<std::string_view>()(bytes));
+  }
+
+  // Order is the bytes' order, whichever side of the limit each is on.
+  std::vector<std::string> texts = {
+      Letters(14), Letters(15), Letters(13), Letters(40), "b", "",
+      std::string(14, 'z'), std::string(15, 'z'), std::string("a\0", 2),
+      Letters(14) + '\0'};
+  for (const std::string& a : texts) {
+    for (const std::string& b : texts) {
+      int want = a.compare(b);
+      int got = Value::String(a).Compare(Value::String(b));
+      EXPECT_EQ(want < 0, got < 0) << a.size() << " vs " << b.size();
+      EXPECT_EQ(want == 0, got == 0) << a.size() << " vs " << b.size();
+    }
+  }
+
+  // Cross-kind order is unchanged: null < bool < numeric < string (short
+  // or long) < array < struct.
+  std::vector<Value> ordered = {
+      Value::Null(),           Value::Bool(true),
+      Value::Float64(1e300),   Value::String(""),
+      Value::String(Letters(14)), Value::String(Letters(300)),
+      Value::Array({}),        Value::Array({Value::String(Letters(20))}),
+      Value::Struct({})};
+  for (size_t i = 0; i + 1 < ordered.size(); ++i) {
+    EXPECT_LT(ordered[i], ordered[i + 1]) << i;
+  }
+}
+
+TEST(ValueTest, NestedArraysOfStructsOfLongStrings) {
+  Value::ArrayData elements;
+  for (int i = 0; i < 5; ++i) {
+    elements.push_back(Value::Struct(
+        {{"name", Value::String(Letters(20 + i))},
+         {"short", Value::String("s" + std::to_string(i))},
+         {"tags", Value::Array({Value::String(Letters(100)),
+                                Value::Array({Value::String(Letters(15))}),
+                                Value::Null()})}}));
+  }
+  Value nested = Value::Array({Value::Array(elements), Value::Array({})});
+  Value copy = nested;
+  Value decoded = RoundTrip(nested);
+  for (const Value* v : {&copy, &decoded}) {
+    EXPECT_EQ(*v, nested);
+    EXPECT_EQ(v->Hash(), nested.Hash());
+    EXPECT_EQ(v->ToString(), nested.ToString());
+  }
+  Value::ArrayView outer = decoded.array();
+  ASSERT_EQ(outer.size(), 2u);
+  EXPECT_TRUE(outer[1].array().empty());
+  ASSERT_EQ(outer[0].array().size(), 5u);
+  const Value& third = outer[0].array()[3];
+  ASSERT_NE(third.FindField("name"), nullptr);
+  EXPECT_EQ(third.FindField("name")->as_string(), Letters(23));
+  EXPECT_EQ(third.FindField("tags")->array()[1].array()[0].as_string(),
+            Letters(15));
+  // Dropping the original leaves the copies intact.
+  nested = Value::Null();
+  EXPECT_EQ(copy, decoded);
+}
+
+TEST(ValueTest, SharedBlocksSurviveConcurrentCopiesAndDrops) {
+  const std::string text = Letters(300);
+  const Value shared_string = Value::String(text);
+  const Value shared_array = Value::Array(
+      {Value::String(Letters(50)), Value::Array({shared_string}),
+       Value::Struct({{"s", shared_string}})});
+  const std::string rendered = shared_array.ToString();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20'000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Value> held;
+      for (int i = 0; i < kRounds; ++i) {
+        held.push_back((i + t) % 2 == 0 ? shared_string : shared_array);
+        Value inner = shared_array.array()[1].array()[0];
+        if (inner.as_string().size() != text.size()) mismatches.fetch_add(1);
+        if (held.size() == 8) {
+          held.erase(held.begin(), held.begin() + 5);
+          Value moved = std::move(held.back());
+          held.back() = moved;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared_string.as_string(), text);
+  EXPECT_EQ(shared_array.ToString(), rendered);
 }
 
 TEST(LexerTest, TokenKinds) {

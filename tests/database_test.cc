@@ -92,10 +92,11 @@ TEST_P(AllMappingsTest, GetEntityIsMappingIndependent) {
     auto entity = db_->GetEntity("R", {Value::Int64(id)});
     ASSERT_TRUE(entity.ok()) << entity.status().ToString();
     // Normalize: sort array fields.
-    Value::StructData fields = entity->struct_fields();
+    Value::StructData fields(entity->struct_fields().begin(),
+                             entity->struct_fields().end());
     for (auto& [name, value] : fields) {
       if (value.kind() == TypeKind::kArray) {
-        Value::ArrayData elements = value.array();
+        Value::ArrayData elements(value.array().begin(), value.array().end());
         std::sort(elements.begin(), elements.end());
         value = Value::Array(std::move(elements));
       }

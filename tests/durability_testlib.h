@@ -132,7 +132,8 @@ inline std::vector<Op> FaultScript() {
                  }});
   ops.push_back({"insert R2 2", [r_entity, I, Str](MappedDatabase* db) {
                    Value v = r_entity(2, 200);
-                   Value::StructData fields = v.struct_fields();
+                   Value::StructData fields(v.struct_fields().begin(),
+                                            v.struct_fields().end());
                    fields.emplace_back("r2_a1", I(21));
                    fields.emplace_back("r2_a2", Str("two"));
                    return db->InsertEntity("R2",
@@ -140,7 +141,8 @@ inline std::vector<Op> FaultScript() {
                  }});
   ops.push_back({"insert R1 5", [r_entity, I, Str](MappedDatabase* db) {
                    Value v = r_entity(5, 500);
-                   Value::StructData fields = v.struct_fields();
+                   Value::StructData fields(v.struct_fields().begin(),
+                                            v.struct_fields().end());
                    fields.emplace_back("r1_a1", I(51));
                    fields.emplace_back("r1_a2", Str("five"));
                    return db->InsertEntity("R1",
@@ -148,7 +150,8 @@ inline std::vector<Op> FaultScript() {
                  }});
   ops.push_back({"insert R3 4", [r_entity, I, Str](MappedDatabase* db) {
                    Value v = r_entity(4, 400);
-                   Value::StructData fields = v.struct_fields();
+                   Value::StructData fields(v.struct_fields().begin(),
+                                            v.struct_fields().end());
                    fields.emplace_back("r1_a1", I(41));
                    fields.emplace_back("r1_a2", Str("four"));
                    fields.emplace_back("r3_a1", I(43));

@@ -277,6 +277,44 @@ TEST(HashJoinTest, MatchesAcrossNumericKindsAndNeverOnNull) {
                 "null|'lnull'|null|null|", "3|'l3'|null|null|"}));
 }
 
+TEST(JoinTableTest, RowsLiveInOneArenaInInsertionOrderPerKey) {
+  // Width-3 build rows carrying inline and heap strings and arrays,
+  // enough of them that the arena reallocates while building.
+  constexpr int kRows = 3000;
+  constexpr int kKeys = 7;
+  auto build_row = [](int i) {
+    return Row{Value::Int64(i % kKeys), Value::String(std::to_string(i)),
+               Value::Array({Value::String(std::string(20, 'a' + i % 26)),
+                             Value::Int64(i)})};
+  };
+  JoinTable table(/*arity=*/1, /*width=*/3);
+  for (int round = 0; round < 2; ++round) {
+    table.Reset(round == 0 ? 0 : kRows);
+    Row row;
+    for (int i = 0; i < kRows; ++i) {
+      row = build_row(i);
+      Value key = row[0];
+      table.Insert(HashKey(&key, 1), &key, &row);
+      // The row's values moved into the arena; its buffer stays.
+      ASSERT_EQ(row.size(), 3u);
+      EXPECT_TRUE(row[1].is_null());
+    }
+    for (int k = 0; k < kKeys; ++k) {
+      const Value key = Value::Float64(k);  // cross-kind probe
+      int expected = k;
+      for (int32_t id = table.Find(HashKey(&key, 1), &key); id >= 0;
+           id = table.next(id), expected += kKeys) {
+        const Row want = build_row(expected);
+        const Value* got = table.row(id);
+        for (size_t c = 0; c < 3; ++c) EXPECT_EQ(got[c], want[c]) << id;
+      }
+      EXPECT_EQ(expected, k + kKeys * ((kRows - 1 - k) / kKeys + 1));
+    }
+    const Value absent = Value::Int64(kKeys);
+    EXPECT_EQ(table.Find(HashKey(&absent, 1), &absent), -1);
+  }
+}
+
 // ---- Aggregation and DISTINCT ----------------------------------------------
 
 TEST_P(SeededHashTable, ArrayAggIsTheGroupMultiset) {

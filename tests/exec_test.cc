@@ -117,6 +117,61 @@ TEST(ExprTest, ArrayFunctions) {
             Value::Int64(2));
 }
 
+TEST(ExprTest, ArrayIntersectKeepsLeftOrderAndFirstOccurrences) {
+  auto intersect = [](Value a, Value b) {
+    Row row{std::move(a), std::move(b)};
+    return MakeFunction(BuiltinFn::kArrayIntersect,
+                        {MakeColumnRef(0, "a"), MakeColumnRef(1, "b")})
+        ->Eval(row);
+  };
+  auto ints = [](std::initializer_list<int64_t> xs) {
+    Value::ArrayData out;
+    for (int64_t x : xs) out.push_back(Value::Int64(x));
+    return Value::Array(std::move(out));
+  };
+  // Duplicates on both sides: left-array order, first occurrence only.
+  EXPECT_EQ(intersect(ints({3, 1, 3, 2, 1, 3}), ints({1, 1, 3, 3, 9})),
+            ints({3, 1}));
+  // Int64 and Float64 are equal across kinds (the left element is the
+  // one emitted), and -0.0 equals 0.0.
+  Value mixed = intersect(
+      Value::Array({Value::Int64(2), Value::Float64(3.0), Value::Int64(0),
+                    Value::Int64(5)}),
+      Value::Array({Value::Float64(2.0), Value::Int64(3),
+                    Value::Float64(-0.0)}));
+  ASSERT_EQ(mixed.array().size(), 3u);
+  EXPECT_EQ(mixed.array()[0].kind(), TypeKind::kInt64);
+  EXPECT_EQ(mixed.array()[1].kind(), TypeKind::kFloat64);
+  EXPECT_EQ(mixed.array()[2], Value::Int64(0));
+  // Inline and heap strings, each built separately on the two sides.
+  const std::string long_text(40, 'q');
+  EXPECT_EQ(intersect(Value::Array({Value::String("x"),
+                                    Value::String(long_text),
+                                    Value::String("y"),
+                                    Value::String(long_text),
+                                    Value::String("x")}),
+                      Value::Array({Value::String(long_text + ""),
+                                    Value::String("x"),
+                                    Value::String(long_text + "!")})),
+            Value::Array({Value::String("x"), Value::String(long_text)}));
+  // Nulls match nulls, as under Value equality.
+  EXPECT_EQ(intersect(Value::Array({Value::Null(), Value::Int64(1)}),
+                      Value::Array({Value::Null()})),
+            Value::Array({Value::Null()}));
+  // Empty arrays on either side give an empty array; a non-array, null.
+  EXPECT_EQ(intersect(Value::Array({}), ints({1})), Value::Array({}));
+  EXPECT_EQ(intersect(ints({1}), Value::Array({})), Value::Array({}));
+  EXPECT_EQ(intersect(Value::Array({}), Value::Array({})), Value::Array({}));
+  EXPECT_TRUE(intersect(Value::Null(), ints({1})).is_null());
+  // The per-thread scratch is reused: a large right side, then a small
+  // one, leave nothing of the first behind.
+  Value::ArrayData big;
+  for (int64_t i = 0; i < 5000; ++i) big.push_back(Value::Int64(i));
+  EXPECT_EQ(intersect(ints({4999, 7, 7}), Value::Array(big)),
+            ints({4999, 7}));
+  EXPECT_EQ(intersect(ints({4999, 7, 8}), ints({8})), ints({8}));
+}
+
 TEST(ExprTest, StructBuildAndAccess) {
   Row row{Value::Int64(1)};
   ExprPtr make = std::make_shared<MakeStructExpr>(

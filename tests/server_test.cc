@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -244,7 +245,7 @@ TEST(ServerTest, ShowSessionsListsRemoteClients) {
 
   bool saw_alice = false, saw_bob = false;
   for (const Row& row : sessions->result.rows) {
-    const std::string& name = row[name_col].as_string();
+    std::string_view name = row[name_col].as_string();
     if (name == "alice") {
       saw_alice = true;
       EXPECT_EQ(row[stmts_col].as_int64(), 1);
@@ -434,37 +435,24 @@ uint64_t CounterValue(const char* name) {
 uint64_t InlineCount() { return CounterValue("server.statements.inline"); }
 uint64_t PooledCount() { return CounterValue("server.statements.pooled"); }
 
-uint64_t NowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// The inline cutoff: a cached statement whose plan is not short stays on
-/// the pool. Connection A runs E1 topped with ORDER BY ... LIMIT 1 (its
-/// leaves read well over the 8192-row threshold at 1500 instances; one
-/// output row, so A's round trip is all execution) while connection B
-/// issues cached point reads. Were A's statement run inline, a read
-/// arriving during it would wait on the loop thread until it finished,
-/// and none would complete while it ran. The server plans serially, so
-/// A occupies one core and B's reads are not starved of CPU by A's own
-/// morsel workers.
+/// the pool, and the loop keeps answering cached point reads inline while
+/// it runs. Connection A's statement is E1 topped with ORDER BY ... LIMIT
+/// 1 (its leaves read well over the 8192-row threshold at 1500
+/// instances). It is parked on the `server.execute` gate at its pool
+/// worker's execute point, and while it is parked connection B's cached
+/// point reads must all be answered and counted as inline. Were A's
+/// statement run inline, it would never reach the gate; were B's reads
+/// declined by the inline path, the pool would answer them and the
+/// inline count would not move.
 TEST(ServerInlineTest, LongCachedStatementDoesNotStallPointReads) {
+  durability::FaultInjector faults;
   ServerOptions options = Figure4ServerOptions();
   options.runner.figure4_num_r = 1500;
   options.runner.figure4_num_s = 400;
-  // The runner reads ERBIUM_THREADS once, when the server creates it.
-  const char* threads = std::getenv("ERBIUM_THREADS");
-  const bool had_threads = threads != nullptr;
-  const std::string saved = had_threads ? threads : "";
-  ::setenv("ERBIUM_THREADS", "1", 1);
+  options.runner.faults = &faults;
+  options.worker_threads = 2;
   auto server = Server::Start(std::move(options));
-  if (had_threads) {
-    ::setenv("ERBIUM_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("ERBIUM_THREADS");
-  }
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto a = Client::Connect(ClientFor(**server, "inline-long"));
   auto b = Client::Connect(ClientFor(**server, "inline-reads"));
@@ -489,66 +477,30 @@ TEST(ServerInlineTest, LongCachedStatementDoesNotStallPointReads) {
   EXPECT_EQ(InlineCount(), inline_before + 1);
   ASSERT_TRUE((*a)->Execute(kLong).ok());
   EXPECT_EQ(PooledCount(), pooled_before + 1);
-  const std::string count = warm->result.ToCanonicalString();
+  const std::string answer = warm->result.ToCanonicalString();
 
-  constexpr int kLongRuns = 3;
-  struct Span {
-    uint64_t begin_us, end_us;
-  };
-  std::vector<Span> long_spans;
-  std::atomic<bool> long_done{false};
-  std::atomic<int> long_failures{0};
-  std::thread long_runner([&] {
-    for (int i = 0; i < kLongRuns; ++i) {
-      uint64_t begin = NowUs();
-      auto outcome = (*a)->Execute(kLong);
-      uint64_t end = NowUs();
-      if (!outcome.ok() || outcome->result.ToCanonicalString() != count) {
-        long_failures.fetch_add(1);
-      }
-      long_spans.push_back({begin, end});
-    }
-    long_done.store(true);
-  });
-  std::vector<Span> reads;
-  int read_failures = 0;
-  for (int i = 0; !long_done.load(); ++i) {
-    int key = 1 + i % 1500;
-    uint64_t begin = NowUs();
-    auto outcome = (*b)->Execute(read(key));
-    uint64_t end = NowUs();
-    if (!outcome.ok() || outcome->result.rows.size() != 1) ++read_failures;
-    reads.push_back({begin, end});
+  faults.ArmGate("server.execute");
+  std::optional<Result<api::StatementOutcome>> long_outcome;
+  std::thread long_runner([&] { long_outcome = (*a)->Execute(kLong); });
+  const bool parked = faults.WaitUntilBlocked();
+  constexpr int kReads = 10;
+  int answered = 0;
+  uint64_t inline_parked = InlineCount();
+  for (int i = 0; parked && i < kReads; ++i) {
+    auto outcome = (*b)->Execute(read(3 + i));
+    if (outcome.ok() && outcome->result.rows.size() == 1) ++answered;
   }
+  const uint64_t inline_reads = InlineCount() - inline_parked;
+  faults.ReleaseGate();
   long_runner.join();
-  EXPECT_EQ(long_failures.load(), 0);
-  EXPECT_EQ(read_failures, 0);
 
-  // Reads kept completing during every run of A's statement (a stalled
-  // loop completes none), and the stated bound: the median read
-  // overlapping A's runs takes under a quarter of A's shortest run. The
-  // bound is on the median because one read can lose its CPU for longer
-  // than a run when the host is oversubscribed.
-  uint64_t shortest = UINT64_MAX;
-  std::vector<uint64_t> overlapping;
-  for (const Span& span : long_spans) {
-    shortest = std::min(shortest, span.end_us - span.begin_us);
-    int inside = 0;
-    for (const Span& r : reads) {
-      if (r.begin_us >= span.begin_us && r.end_us <= span.end_us) ++inside;
-      if (r.end_us > span.begin_us && r.begin_us < span.end_us) {
-        overlapping.push_back(r.end_us - r.begin_us);
-      }
-    }
-    EXPECT_GE(inside, 3) << "reads completed during a "
-                         << span.end_us - span.begin_us << " us statement";
-  }
-  ASSERT_FALSE(overlapping.empty());
-  std::nth_element(overlapping.begin(),
-                   overlapping.begin() + overlapping.size() / 2,
-                   overlapping.end());
-  EXPECT_LT(overlapping[overlapping.size() / 2], shortest / 4)
-      << "median point read vs the shortest " << shortest << " us statement";
+  ASSERT_TRUE(parked) << "A's statement never reached its pool worker";
+  EXPECT_EQ(answered, kReads);
+  EXPECT_EQ(inline_reads, static_cast<uint64_t>(kReads))
+      << "reads answered inline while A's statement was parked";
+  ASSERT_TRUE(long_outcome.has_value());
+  ASSERT_TRUE(long_outcome->ok()) << long_outcome->status().ToString();
+  EXPECT_EQ((*long_outcome)->result.ToCanonicalString(), answer);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 

@@ -576,8 +576,8 @@ TEST_F(TelemetryE2ETest, TraceReturnsLoadableJson) {
   ASSERT_EQ(traced.rows.size(), 1u);
   testjson::Node root;
   std::string error;
-  ASSERT_TRUE(testjson::ParseJson(traced.rows[0][0].as_string(), &root,
-                                  &error))
+  ASSERT_TRUE(testjson::ParseJson(std::string(traced.rows[0][0].as_string()),
+                                  &root, &error))
       << error;
   const testjson::Node* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
